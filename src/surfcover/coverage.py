@@ -4,7 +4,8 @@ Three sensor models are supported: pure visibility (covered iff any selected
 sensor sees the sample), best-quality (per-sample coverage is the maximum
 single-sensor quality, quality = 1/distance), and cumulative quality
 (per-sample coverage is the sum of Lambertian inverse-square contributions of
-all visible sensors, covered iff the sum exceeds a threshold).
+all visible sensors, covered iff the sum reaches a threshold, see
+`meets_threshold`).
 """
 
 from __future__ import annotations
@@ -17,6 +18,16 @@ import numpy as np
 
 from .mesh import CandidateSet, SampleSet
 from .visibility import VisibilityMatrix
+
+
+THRESHOLD_TOL = 1e-9  # slack for float comparisons against the quality threshold
+
+
+def meets_threshold(sums, threshold: float):
+    """The one "is covered" predicate of the cumulative kind: the summed
+    quality reaches the threshold, up to `THRESHOLD_TOL`. This is what the ILP
+    row threshold * y_i <= sum phi_ij z_j means."""
+    return sums >= threshold - THRESHOLD_TOL
 
 
 class QualityKind(enum.Enum):
@@ -156,16 +167,16 @@ def evaluate(
     """Aggregate coverage of a placement under the instance's quality kind.
 
     For the cumulative kind a positive threshold is required and a sample
-    counts as covered when its summed quality strictly exceeds it; the other
-    kinds count any sample with positive coverage. The reported objective is
-    the covered count, except for the best-quality kind where it is the
-    minimum per-sample coverage (the max-min objective).
+    counts as covered when its summed quality reaches it (`meets_threshold`);
+    the other kinds count any sample with positive coverage. The reported
+    objective is the covered count, except for the best-quality kind where it
+    is the minimum per-sample coverage (the max-min objective).
     """
     f = per_sample_coverage(instance, selected)
     if instance.kind is QualityKind.LAMBERT_INVERSE_SQUARE:
         if threshold is None:
             raise ValueError("cumulative quality kind requires a threshold")
-        covered = np.where(f > threshold)[0]
+        covered = np.flatnonzero(meets_threshold(f, threshold))
     else:
         covered = np.where(f > 0)[0]
     if instance.kind is QualityKind.INVERSE_DISTANCE:

@@ -4,7 +4,7 @@ coarse-solve + local-improvement pipeline."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,6 +83,11 @@ def solve_problem2(
     """Smallest radius r such that k sensors within distance r (and visible)
     can cover a rho fraction of the samples; binary search over the finite set
     of pairwise distances, each step an exact feasibility solve.
+
+    Under a time limit the search stops at the first step that runs out of
+    time. It then returns the smallest radius proven feasible so far with
+    status TIME_LIMIT; when the largest radius itself timed out, that radius
+    and its uncertified incumbent come back with status TIME_LIMIT.
     """
     radii = candidate_radii(instance)
     hi = len(radii) - 1
@@ -90,11 +95,13 @@ def solve_problem2(
         build_feasibility_model(instance, k, float(radii[hi]), rho),
         time_limit=time_limit,
     )
-    if top.status is not SolveStatus.OPTIMAL:
+    if top.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
             f"coverage ratio {rho} unachievable with {k} sensors even at the "
             f"largest radius {radii[hi]:.6g}"
         )
+    if top.status is not SolveStatus.OPTIMAL:
+        return float(radii[hi]), top.placement or (), top
     lo = 0
     best = (float(radii[hi]), top)
     while lo <= hi:
@@ -104,8 +111,11 @@ def solve_problem2(
         if res.status is SolveStatus.OPTIMAL:
             best = (r, res)
             hi = mid - 1
-        else:
+        elif res.status is SolveStatus.INFEASIBLE:
             lo = mid + 1
+        else:
+            r_star, feasible = best
+            return r_star, feasible.placement, replace(feasible, status=SolveStatus.TIME_LIMIT)
     r_star, res = best
     return r_star, res.placement or (), res
 

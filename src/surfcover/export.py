@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coverage import CoverageInstance, QualityKind
+from .coverage import CoverageInstance, QualityKind, meets_threshold
 
 # fixed 12-color cycle by sensor index; uncovered samples are white
 PALETTE = [
@@ -41,7 +41,7 @@ def sample_colors(
     if instance.kind is QualityKind.LAMBERT_INVERSE_SQUARE:
         if threshold is None:
             raise ValueError("cumulative kind needs a threshold")
-        covered = cols.sum(axis=1) > threshold
+        covered = meets_threshold(cols.sum(axis=1), threshold)
     else:
         covered = cols.max(axis=1) > 0
     for rank in range(len(selected)):

@@ -18,18 +18,17 @@ always produce identical results.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
-import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageInstance, QualityKind
+from .coverage import THRESHOLD_TOL, CoverageInstance, QualityKind, meets_threshold
 
 BRUTE_FORCE_CAP = 10**6
-THRESHOLD_TOL = 1e-9  # slack for float comparisons against the quality threshold
 
 
 class ModelKind(enum.Enum):
@@ -77,7 +76,7 @@ class IlpModel:
             return 0
         if self.kind is ModelKind.THRESHOLD_COVERAGE:
             sums = self.cover[:, selected].sum(axis=1)
-            return int((sums >= self.threshold - THRESHOLD_TOL).sum())
+            return int(meets_threshold(sums, self.threshold).sum())
         return int(self.cover[:, selected].any(axis=1).sum())
 
 
@@ -166,109 +165,114 @@ def _check_budget(k: int, m: int) -> None:
 # Branch and bound
 
 
-def _greedy_scores(model: IlpModel, covered_f, free: np.ndarray) -> np.ndarray:
-    """Marginal value of each free candidate given the current selection.
+class _PackedCover:
+    """Boolean kinds. Each candidate's cover column is packed into uint64
+    words; a node's state is the packed mask of covered samples."""
 
-    For the boolean kinds this is the count of newly covered samples. For the
-    threshold kind it is the summed fractional progress toward each still
-    uncovered sample's remaining deficit.
-    """
-    if model.kind is ModelKind.THRESHOLD_COVERAGE:
-        need = np.maximum(model.threshold - covered_f, 0.0)
-        open_rows = need > THRESHOLD_TOL
-        if not open_rows.any():
-            return np.zeros(len(free))
-        sub = model.cover[np.ix_(open_rows, free)]
-        return np.minimum(sub, need[open_rows, None]).sum(axis=0)
-    uncovered = ~covered_f
-    if not uncovered.any():
-        return np.zeros(len(free))
-    return model.cover[np.ix_(uncovered, free)].sum(axis=0).astype(np.float64)
+    def __init__(self, cover: np.ndarray):
+        n, m = cover.shape
+        # zero padding up to whole words never counts as covered
+        packed = np.zeros((m, -(-n // 64) * 8), dtype=np.uint8)
+        packed[:, : -(-n // 8)] = np.packbits(cover.T, axis=1, bitorder="little")
+        self.cols = packed.view(np.uint64)  # (M, ceil(N / 64))
+        self.root = np.zeros(self.cols.shape[1], dtype=np.uint64)
 
+    def add(self, state, j: int):
+        return state | self.cols[j]
 
-def _upper_bound(model: IlpModel, covered_f, free: np.ndarray, budget: int) -> int:
-    """Valid optimistic covered-count bound for the subtree (selection fixed,
-    `free` still undecided, `budget` picks left)."""
-    if model.kind is ModelKind.THRESHOLD_COVERAGE:
-        need = model.threshold - covered_f
-        if budget == 0 or free.size == 0:
-            reachable = need <= THRESHOLD_TOL
-        else:
-            sub = model.cover[:, free]
-            t = min(budget, free.size)
-            if t >= sub.shape[1]:
-                top = sub.sum(axis=1)
-            else:
-                part = np.partition(sub, sub.shape[1] - t, axis=1)
-                top = part[:, sub.shape[1] - t :].sum(axis=1)
-            # each sample independently takes its t best free contributions
-            reachable = need <= top + THRESHOLD_TOL
-        return int(reachable.sum())
-    base = int(covered_f.sum())
-    if budget == 0 or free.size == 0:
-        return base
-    uncovered = ~covered_f
-    gains = model.cover[np.ix_(uncovered, free)].sum(axis=0)
-    t = min(budget, free.size)
-    if t < gains.size:
-        gains = np.partition(gains, gains.size - t)[gains.size - t :]
-    # coverage is submodular: summing individual marginals over-counts overlap
-    return base + int(gains.sum())
+    def value(self, state) -> int:
+        return int(np.bitwise_count(state).sum())
+
+    def values_with(self, state, cands: np.ndarray) -> np.ndarray:
+        """Covered count of `state` plus each single candidate."""
+        return self.value(state) + np.bitwise_count(self.cols[cands] & ~state).sum(axis=1)
+
+    def expand(self, state, value: int, free: np.ndarray, budget: int):
+        """Branching scores of `free` (newly covered samples) and an upper
+        bound on the subtree: the `budget` best gains, capped by the union of
+        every free column, which no selection can exceed."""
+        fresh = self.cols[free] & ~state
+        gains = np.bitwise_count(fresh).sum(axis=1)
+        reach = self.value(np.bitwise_or.reduce(fresh, axis=0))
+        return gains, value + min(int(_top_sum(gains, budget)), reach)
 
 
-def _coverage_state(model: IlpModel, selected: list[int]):
-    """State vector the bound works from: covered mask, or accumulated sums."""
-    if model.kind is ModelKind.THRESHOLD_COVERAGE:
-        if not selected:
-            return np.zeros(model.n_samples)
-        return model.cover[:, selected].sum(axis=1)
-    if not selected:
-        return np.zeros(model.n_samples, dtype=bool)
-    return model.cover[:, selected].any(axis=1)
+class _QualitySums:
+    """Threshold kind. A node's state is each sample's summed quality."""
+
+    def __init__(self, cover: np.ndarray, threshold: float):
+        self.phi = cover
+        self.threshold = threshold
+        self.root = np.zeros(cover.shape[0])
+
+    def add(self, state, j: int):
+        return state + self.phi[:, j]
+
+    def value(self, state) -> int:
+        return int(meets_threshold(state, self.threshold).sum())
+
+    def values_with(self, state, cands: np.ndarray) -> np.ndarray:
+        """Covered count of `state` plus each single candidate."""
+        return meets_threshold(state[:, None] + self.phi[:, cands], self.threshold).sum(axis=0)
+
+    def expand(self, state, value: int, free: np.ndarray, budget: int):
+        """Branching scores of `free` (summed progress toward each open
+        sample's deficit) and an upper bound on the subtree: each open sample
+        independently takes its `budget` best free contributions. Samples
+        already covered stay covered, so only open rows are gathered."""
+        open_rows = np.flatnonzero(~meets_threshold(state, self.threshold))
+        need = self.threshold - state[open_rows]
+        sub = self.phi[open_rows][:, free]
+        scores = np.minimum(sub, need[:, None]).sum(axis=0)
+        reachable = need <= _top_sum(sub, budget) + THRESHOLD_TOL
+        return scores, value + int(reachable.sum())
 
 
-def _count_covered(model: IlpModel, covered_f) -> int:
-    if model.kind is ModelKind.THRESHOLD_COVERAGE:
-        return int((covered_f >= model.threshold - THRESHOLD_TOL).sum())
-    return int(covered_f.sum())
+def _top_sum(a: np.ndarray, t: int):
+    """Sum of the t largest entries along the last axis."""
+    f = a.shape[-1]
+    if t == 1:  # the common last pick; max is far cheaper than partition
+        return a.max(axis=-1)
+    if t < f:
+        a = np.partition(a, f - t, axis=-1)[..., f - t :]
+    return a.sum(axis=-1)
 
 
-def _greedy_incumbent(model: IlpModel) -> list[int]:
-    """Greedy pick + first-improving 1-swaps; deterministic warm start."""
+def _greedy_incumbent(scorer, m: int, k: int, deadline: float | None):
+    """Greedy pick + first-improving 1-swaps; deterministic warm start. The
+    swap search stops early at the deadline. Returns (selection, value)."""
     selected: list[int] = []
-    free = np.arange(model.n_candidates)
-    state = _coverage_state(model, selected)
-    for _ in range(min(model.k, model.n_candidates)):
-        scores = _greedy_scores(model, state, free)
+    state = scorer.root
+    free = np.arange(m)
+    for _ in range(k):
+        scores, _ = scorer.expand(state, 0, free, k - len(selected))  # bound unused
         best = int(np.argmax(scores))  # argmax keeps lowest index on ties
         if scores[best] <= 0:
             break
-        j = int(free[best])
-        selected.append(j)
-        free = free[free != j]
-        state = _coverage_state(model, selected)
-        if free.size == 0:
-            break
-    # 1-swap local improvement
+        selected.append(int(free[best]))
+        state = scorer.add(state, selected[-1])
+        free = free[free != selected[-1]]
+    current = scorer.value(state)
     improved = True
     rounds = 0
     while improved and rounds < 20:
         improved = False
         rounds += 1
-        current = model.covered_count(selected)
+        cands = np.delete(np.arange(m), selected)
         for si in range(len(selected)):
-            for j in range(model.n_candidates):
-                if j in selected:
-                    continue
-                trial = selected[:si] + [j] + selected[si + 1 :]
-                if model.covered_count(trial) > current:
-                    selected = trial
-                    improved = True
-                    current = model.covered_count(selected)
-                    break
-            if improved:
+            if deadline is not None and time.perf_counter() > deadline:
+                return selected, current
+            others = selected[:si] + selected[si + 1 :]
+            base = functools.reduce(scorer.add, others, scorer.root)
+            values = scorer.values_with(base, cands)
+            better = np.flatnonzero(values > current)
+            if better.size:
+                j = int(cands[better[0]])
+                selected = others[:si] + [j] + others[si:]
+                current = int(values[better[0]])
+                improved = True
                 break
-    return selected
+    return selected, current
 
 
 def solve(
@@ -278,66 +282,68 @@ def solve(
 ) -> SolveResult:
     """Exact deterministic branch and bound over the selection variables.
 
-    Depth-first, branching on the free candidate with the largest greedy
-    score (lowest index on ties), select-first. The dual bound at each node is
-    the greedy fractional cover bound, valid by submodularity for the boolean
-    kinds and by per-sample relaxation for the threshold kind. The feasibility
-    kind exits early once the coverage target is met.
+    Depth-first over an explicit stack, branching on the free candidate with
+    the largest greedy score (lowest index on ties), select-first. Each child
+    derives its state from its parent's by adding one column: the boolean
+    kinds OR a packed uint64 cover column into the covered mask, the threshold
+    kind adds a quality column to the per-sample sums. One pass over the free
+    columns gives both the branching scores and the dual bound. For the
+    boolean kinds the bound is covered + min(sum of the `budget` best
+    marginal gains, samples any free candidate can still reach): the first
+    term is valid by submodularity, the second because no selection covers
+    more than the union of the free columns. For the threshold kind each open
+    sample takes its `budget` best free contributions. The feasibility kind
+    exits early once the coverage target is met.
     """
     start = time.perf_counter()
-    n, m = model.n_samples, model.n_candidates
+    deadline = None if time_limit is None else start + time_limit
+    m = model.n_candidates
     k = min(model.k, m)
     target = model.coverage_target if model.kind is ModelKind.FEASIBILITY_COVER else None
+    if model.kind is ModelKind.THRESHOLD_COVERAGE:
+        scorer = _QualitySums(model.cover, model.threshold)
+    else:
+        scorer = _PackedCover(model.cover)
 
-    incumbent = _greedy_incumbent(model)
-    inc_value = model.covered_count(incumbent)
+    incumbent, inc_value = _greedy_incumbent(scorer, m, k, deadline)
     nodes = 0
     timed_out = False
     open_bound = -math.inf  # best bound among subtrees cut off by the clock
     found_target = target is not None and inc_value >= target
 
-    root_free = np.arange(m)
-
-    def dfs(selected: list[int], free: np.ndarray):
-        nonlocal nodes, incumbent, inc_value, timed_out, open_bound, found_target
-        if timed_out or found_target:
-            return
-        nodes += 1
-        if time_limit is not None and time.perf_counter() - start > time_limit:
-            timed_out = True
-            bound = _upper_bound(model, _coverage_state(model, selected), free, k - len(selected))
-            open_bound = max(open_bound, bound)
-            return
-        state = _coverage_state(model, selected)
-        value = _count_covered(model, state)
-        if value > inc_value:
-            incumbent, inc_value = list(selected), value
-            if target is not None and inc_value >= target:
-                found_target = True
-                return
+    def bound(state, value, free, selected) -> int:
         budget = k - len(selected)
         if budget == 0 or free.size == 0:
-            return
-        bound = _upper_bound(model, state, free, budget)
-        if bound <= inc_value:
-            return
-        scores = _greedy_scores(model, state, free)
+            return value
+        return scorer.expand(state, value, free, budget)[1]
+
+    root = (scorer.root, scorer.value(scorer.root), np.arange(m), [])
+    stack = [] if k == 0 or found_target else [root]
+    while stack:
+        state, value, free, selected = stack.pop()
+        nodes += 1
+        if deadline is not None and time.perf_counter() > deadline:
+            # the popped node and everything still stacked is unexplored
+            timed_out = True
+            stack.append((state, value, free, selected))
+            open_bound = max(bound(*node) for node in stack)
+            break
+        if value > inc_value:
+            incumbent, inc_value = selected, value
+            if target is not None and inc_value >= target:
+                found_target = True
+                break
+        budget = k - len(selected)
+        if budget == 0 or free.size == 0:
+            continue
+        scores, ub = scorer.expand(state, value, free, budget)
+        if ub <= inc_value:
+            continue
         pick = int(free[int(np.argmax(scores))])
         rest = free[free != pick]
-        dfs(selected + [pick], rest)  # value 1 first
-        if timed_out or found_target:
-            if timed_out:
-                open_bound = max(
-                    open_bound,
-                    _upper_bound(model, state, rest, budget),
-                )
-            return
-        dfs(selected, rest)
-
-    if k > 0:
-        # one frame per decided candidate; headroom over the default limit
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * m + 1000))
-        dfs([], root_free)
+        child = scorer.add(state, pick)
+        stack.append((state, value, rest, selected))
+        stack.append((child, scorer.value(child), rest, selected + [pick]))  # value 1 first
 
     elapsed = time.perf_counter() - start
     primal = float(inc_value)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageInstance, QualityKind
+from .coverage import CoverageInstance, QualityKind, meets_threshold
 from .mesh import SampleSet
 from .visibility import Bvh, segments_occluded
 
@@ -246,7 +246,7 @@ def refine_grid(
         if kind is QualityKind.VISIBILITY:
             return float((phi_cols > 0).any(axis=1).sum())
         if kind is QualityKind.LAMBERT_INVERSE_SQUARE:
-            return float((phi_cols.sum(axis=1) > threshold).sum())
+            return float(meets_threshold(phi_cols.sum(axis=1), threshold).sum())
         # best-quality: minimize the covering radius
         d = np.linalg.norm(
             samples.positions[:, None, :] - positions[None, :, :], axis=2
@@ -266,7 +266,7 @@ def refine_grid(
                 scores = base.sum() + ((~base)[:, None] & (phi_loc > 0)).sum(axis=0)
             elif kind is QualityKind.LAMBERT_INVERSE_SQUARE:
                 base = others.sum(axis=1)
-                scores = ((base[:, None] + phi_loc) > threshold).sum(axis=0)
+                scores = meets_threshold(base[:, None] + phi_loc, threshold).sum(axis=0)
             else:
                 other_pos = np.delete(positions, j, axis=0)
                 if len(other_pos):

@@ -113,6 +113,15 @@ def test_infeasible_ratio_exits_3(workdir):
     assert code == 3
 
 
+def test_problem2_top_radius_timeout_exits_4(workdir, monkeypatch):
+    d, mesh, samples, cands, vis = workdir
+    timed_out = sc.SolveResult(sc.SolveStatus.TIME_LIMIT, (), 0.0, 1.0, 1.0, 1, 0.0)
+    monkeypatch.setattr(sc.drivers, "solve", lambda model, **kwargs: timed_out)
+    code = main(["solve", "--problem", "2", "--k", "1", "--rho", "1.0",
+                 *_trio_args(samples, cands, vis), "--out", str(d / "tl.json")])
+    assert code == 4
+
+
 def test_stale_cache_exits_2_and_mentions_rerun(workdir, capsys):
     d, mesh, samples, cands, vis = workdir
     other = d / "fewer.json"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import surfcover as sc
 from surfcover.coverage import CoincidentPointError, per_sample_coverage
+from surfcover.export import sample_colors
 
 from conftest import all_visible, make_sample_set
 
@@ -117,6 +118,21 @@ def test_evaluate_cumulative_threshold():
     assert rep.covered_ids == frozenset({0})
     rep2 = sc.evaluate(inst, [1], threshold=1.1)
     assert rep2.covered_ids == frozenset()
+
+
+def test_threshold_tie_counts_everywhere():
+    # phi = 1 / 2^2 = 0.25 exactly; a sum equal to the threshold is covered
+    samples = make_sample_set([[0, 0, 0]])
+    cands = sc.CandidateSet(positions=[[0, 0, 2]])
+    inst = sc.build_instance(
+        samples, cands, all_visible(samples, cands), sc.QualityKind.LAMBERT_INVERSE_SQUARE
+    )
+    assert inst.phi[0, 0] == 0.25
+    res = sc.solve(sc.build_cumulative_model(inst, k=1, threshold=0.25))
+    assert res.primal == 1.0
+    assert sc.evaluate(inst, [0], threshold=0.25).objective == 1.0
+    colors = sample_colors(inst, [0], threshold=0.25)
+    assert int((colors != 255).any(axis=1).sum()) == 1
 
 
 def test_evaluate_requires_threshold_for_cumulative():

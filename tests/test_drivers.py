@@ -6,7 +6,8 @@ import pytest
 import surfcover as sc
 from surfcover.coverage import QualityKind
 from surfcover.drivers import candidate_radii
-from surfcover.ilp import IlpModel, ModelKind
+from surfcover import drivers
+from surfcover.ilp import IlpModel, ModelKind, SolveResult, SolveStatus
 
 from conftest import all_visible, make_sample_set
 
@@ -85,6 +86,40 @@ def test_problem2_infeasible_when_no_visibility():
     inst = sc.build_instance(samples, cands, vm, QualityKind.VISIBILITY)
     with pytest.raises(sc.InfeasibleError):
         sc.solve_problem2(inst, k=1, rho=1.0)
+
+
+def _time_out_call(monkeypatch, which):
+    """Make the `which`-th feasibility solve of the bisection run out of time."""
+    real = drivers.solve
+    calls = []
+
+    def solve(model, **kwargs):
+        calls.append(model.radius)
+        if len(calls) == which:
+            return SolveResult(SolveStatus.TIME_LIMIT, (), 0.0, 3.0, 1.0, 1, 0.0)
+        return real(model, **kwargs)
+
+    monkeypatch.setattr(drivers, "solve", solve)
+    return calls
+
+
+def test_problem2_time_limit_returns_last_certified_radius(monkeypatch):
+    # radii are 0, 4 and 8; k=2 covers everything from r=4 on, and the solve
+    # at r=4 is the one that runs out of time
+    calls = _time_out_call(monkeypatch, 2)
+    r, placement, res = sc.solve_problem2(line_instance(), k=2, rho=1.0, time_limit=1.0)
+    assert calls == [8.0, 4.0]  # nothing is solved after the timeout
+    assert r == pytest.approx(8.0)  # proven feasible, not proven optimal
+    assert res.status is SolveStatus.TIME_LIMIT
+    assert len(placement) <= 2
+
+
+def test_problem2_top_radius_timeout_is_not_infeasible(monkeypatch):
+    calls = _time_out_call(monkeypatch, 1)
+    r, _, res = sc.solve_problem2(line_instance(), k=2, rho=1.0, time_limit=1.0)
+    assert calls == [8.0]
+    assert r == pytest.approx(8.0)
+    assert res.status is SolveStatus.TIME_LIMIT
 
 
 def test_problem2_result_is_a_witnessed_optimum():

@@ -1,3 +1,6 @@
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -227,3 +230,92 @@ def test_external_solver_cross_check(tmp_path):
         sc.export_lp(model, path)
         external = solve_lp_file(path)
         assert external == pytest.approx(sc.solve(model).primal)
+
+
+def _random_model(rng, kind, n, m, k):
+    if kind is ModelKind.THRESHOLD_COVERAGE:
+        phi = np.where(rng.random((n, m)) < 0.4, rng.uniform(0.05, 1.0, (n, m)), 0.0)
+        return IlpModel(kind, phi, k, threshold=float(rng.uniform(0.1, 0.8)))
+    bits = rng.random((n, m)) < rng.uniform(0.05, 0.5)
+    if kind is ModelKind.FEASIBILITY_COVER:
+        return IlpModel(kind, bits, k, radius=1.0, rho=float(rng.uniform(0.2, 1.0)))
+    return IlpModel(kind, bits, k)
+
+
+def _assert_matches_brute_force(model):
+    a, b = sc.solve(model), sc.brute_force_solve(model)
+    assert a.status == b.status
+    if a.status is SolveStatus.INFEASIBLE:
+        # the search ran to completion, so its best count is the true maximum
+        assert a.placement is None and a.primal == b.primal
+        return
+    assert len(a.placement) <= model.k
+    assert model.covered_count(a.placement) == a.primal
+    if model.kind is ModelKind.FEASIBILITY_COVER:
+        assert a.primal >= model.coverage_target  # stops at the first subset that reaches it
+    else:
+        assert a.primal == b.primal
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_solve_matches_brute_force_across_word_boundaries(kind, n):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(8):
+        m, k = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        _assert_matches_brute_force(_random_model(rng, kind, n, m, k))
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_solve_edge_budgets_and_empty_columns(kind):
+    rng = np.random.default_rng(7)
+    for k in (0, 1, 3, 7, 12):  # k = 0, k > M
+        model = _random_model(rng, kind, 65, 7, k)
+        cover = model.cover.copy()
+        cover[:, [1, 4]] = 0  # all-zero columns are never worth a pick
+        model = IlpModel(kind, cover, k, model.threshold, model.radius, model.rho)
+        _assert_matches_brute_force(model)
+
+
+def test_feasibility_exits_at_target():
+    bits = np.zeros((64, 6), bool)
+    bits[:40, 0] = True
+    bits[40:, 1] = True
+    model = IlpModel(ModelKind.FEASIBILITY_COVER, bits, 2, radius=1.0, rho=1.0)
+    res = sc.solve(model)
+    # the greedy start already reaches the target: no branching is needed
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.nodes == 0
+    assert res.placement == (0, 1)
+
+
+def test_saturated_visibility_proved_at_root():
+    # the greedy start sees every sample any candidate can see, and the union
+    # cap on the bound proves that at the root node
+    rng = np.random.default_rng(41)
+    bits = rng.random((300, 30)) < 0.5
+    bits[:20] = False  # never coverable
+    model = IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, bits, 6)
+    res = sc.solve(model)
+    assert res.primal == bits.any(axis=1).sum()
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.nodes == 1
+
+
+def test_solve_leaves_recursion_limit_alone():
+    before = sys.getrecursionlimit()
+    rng = np.random.default_rng(43)
+    sc.solve(IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, rng.random((40, 300)) < 0.05, 3))
+    assert sys.getrecursionlimit() == before
+
+
+def test_time_limit_bounds_the_warm_start():
+    # the 1-swap search of the warm start alone takes longer than the limit
+    rng = np.random.default_rng(47)
+    bits = rng.random((20000, 300)) < 0.02
+    model = IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, bits, 12)
+    t0 = time.perf_counter()
+    res = sc.solve(model, time_limit=0.001)
+    assert time.perf_counter() - t0 < 0.001 + 0.5
+    assert res.status is not SolveStatus.OPTIMAL or res.gap == 0
+    assert res.dual_bound >= res.primal
