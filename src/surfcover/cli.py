@@ -14,11 +14,12 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import clustering, drivers, export, refine, scenes
-from .coverage import QualityKind, build_instance, evaluate
+from .coverage import QualityKind, build_instance, check_placement
 from .ilp import SolveStatus
 from .mesh import (
     generate_candidates_plane,
@@ -67,8 +68,8 @@ def _write_result(path, payload: dict, deterministic: bool) -> None:
 def _load_trio(args):
     samples = load_sample_set(args.samples)
     candidates = load_candidate_set(args.candidates)
-    vm = load_spvm(args.vis)
     try:
+        vm = load_spvm(args.vis)
         vm.check_consistent(samples, candidates)
     except ValueError as exc:
         raise StaleCacheError(
@@ -111,61 +112,68 @@ def _cmd_candidates(args) -> int:
 def _cmd_visibility(args) -> int:
     samples = load_sample_set(args.samples)
     candidates = load_candidate_set(args.candidates)
+    mesh = load_obj(args.mesh)
+    mesh_hash = mesh.content_hash()
     if os.path.exists(args.out):
         try:
             cached = load_spvm(args.out)
             cached.check_consistent(samples, candidates)
-            return EXIT_OK  # cache hit keyed by content hashes
+            if cached.mesh_hash == mesh_hash:  # None (version 1) never matches
+                return EXIT_OK  # cache hit keyed by content hashes
         except ValueError:
             pass  # stale or foreign file: recompute below
-    mesh = load_obj(args.mesh)
-    bvh = build_bvh(mesh)
-    vm = visibility_matrix(bvh, samples, candidates)
-    save_spvm(vm, args.out)
+    vm = visibility_matrix(build_bvh(mesh), samples, candidates)
+    save_spvm(replace(vm, mesh_hash=mesh_hash), args.out)
     return EXIT_OK
 
 
-def _check_solve_flags(args) -> None:
+def _load_problem(args):
+    """Check the solve flags and build the instance of --problem."""
     if args.problem != 3 and args.phi is not None:
         raise UsageError("--phi only applies to --problem 3")
     if args.problem != 2 and args.rho is not None:
         raise UsageError("--rho only applies to --problem 2")
-    if args.problem == 3 and args.phi is None:
-        raise UsageError("--problem 3 requires --phi")
+    if args.problem == 3 and (args.phi is None or args.phi <= 0):
+        raise UsageError("--problem 3 requires a positive --phi")
+    samples, candidates, vm = _load_trio(args)
+    return build_instance(samples, candidates, vm, PROBLEM_KIND[args.problem])
+
+
+def _solve_problem(args, instance, k: int, gap_tol: float):
+    """Run the driver of --problem at budget k; returns the placement, the
+    objective, the solve result and the problem's extra result fields."""
+    if args.problem == 2:
+        r_star, placement, result = drivers.solve_problem2(
+            instance, k, _rho(args), time_limit=args.time_limit
+        )
+        extra = {"radius": r_star, "min_quality": (1.0 / r_star) if r_star > 0 else None}
+        return placement, r_star, result, extra
+    if args.problem == 1:
+        placement, report, result = drivers.solve_problem1(
+            instance, k, time_limit=args.time_limit, gap_tol=gap_tol
+        )
+    else:
+        placement, report, result = drivers.solve_problem3(
+            instance, k, args.phi, time_limit=args.time_limit, gap_tol=gap_tol
+        )
+    extra = {"coverage_ratio": report.coverage_ratio(instance.n_samples)}
+    return placement, report.objective, result, extra
+
+
+def _rho(args) -> float:
+    return args.rho if args.rho is not None else 1.0
 
 
 def _cmd_solve(args) -> int:
-    _check_solve_flags(args)
-    samples, candidates, vm = _load_trio(args)
-    instance = build_instance(samples, candidates, vm, PROBLEM_KIND[args.problem])
-    params: dict = {}
-    if args.problem == 1:
-        placement, report, result = drivers.solve_problem1(
-            instance, args.k, time_limit=args.time_limit, gap_tol=args.gap
-        )
-        objective = report.objective
-        extra = {"coverage_ratio": report.coverage_ratio(len(samples))}
-    elif args.problem == 2:
-        rho = args.rho if args.rho is not None else 1.0
-        params["rho"] = rho
-        r_star, placement, result = drivers.solve_problem2(
-            instance, args.k, rho, time_limit=args.time_limit
-        )
-        objective = r_star
-        extra = {"radius": r_star, "min_quality": (1.0 / r_star) if r_star > 0 else None}
-    else:
-        params["phi"] = args.phi
-        placement, report, result = drivers.solve_problem3(
-            instance, args.k, args.phi, time_limit=args.time_limit, gap_tol=args.gap
-        )
-        objective = report.objective
-        extra = {"coverage_ratio": report.coverage_ratio(len(samples))}
+    instance = _load_problem(args)
+    placement, objective, result, extra = _solve_problem(args, instance, args.k, args.gap)
+    params = {2: {"rho": _rho(args)}, 3: {"phi": args.phi}}.get(args.problem, {})
     payload = {
         "problem": args.problem,
         "k": args.k,
         "params": params,
         "placement": list(placement),
-        "positions": candidates.positions[list(placement)].tolist(),
+        "positions": instance.candidates.positions[list(placement)].tolist(),
         "objective": objective,
         "solve": result.to_json_dict(),
         **extra,
@@ -219,17 +227,15 @@ def _cmd_refine(args) -> int:
             "solve": None,
         }
     else:
-        samples, candidates, vm = _load_trio(args)
-        problem = prev["problem"]
-        if problem == 2:
+        if prev["problem"] == 2:
             raise UsageError("--method grid refines problem 1/3 results; use onecenter")
-        instance = build_instance(samples, candidates, vm, PROBLEM_KIND[problem])
+        instance, placement = _result_instance(args, prev)
         mesh = load_obj(args.mesh)
         bvh = build_bvh(mesh)
         neighborhood = args.neighborhood or 2 * args.fine_pitch
         positions, objective = refine.refine_grid(
             instance,
-            prev["placement"],
+            placement,
             bvh,
             pitch_fine=args.fine_pitch,
             rounds=args.rounds,
@@ -257,24 +263,11 @@ def _parse_k_range(text: str) -> range:
 
 
 def _cmd_sweep(args) -> int:
-    _check_solve_flags(args)
-    samples, candidates, vm = _load_trio(args)
-    instance = build_instance(samples, candidates, vm, PROBLEM_KIND[args.problem])
+    instance = _load_problem(args)
     rows = []
     for k in _parse_k_range(args.k_range):
         t0 = time.perf_counter()
-        if args.problem == 1:
-            _, report, result = drivers.solve_problem1(instance, k, time_limit=args.time_limit)
-            objective = report.objective
-        elif args.problem == 2:
-            rho = args.rho if args.rho is not None else 1.0
-            r_star, _, result = drivers.solve_problem2(instance, k, rho, time_limit=args.time_limit)
-            objective = r_star
-        else:
-            _, report, result = drivers.solve_problem3(
-                instance, k, args.phi, time_limit=args.time_limit
-            )
-            objective = report.objective
+        _, objective, result, _ = _solve_problem(args, instance, k, gap_tol=0.0)
         elapsed = 0.0 if args.deterministic else time.perf_counter() - t0
         rows.append((k, objective, result.gap, elapsed))
     with open(args.out, "w", newline="") as fh:
@@ -284,17 +277,26 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _result_instance(args, prev: dict):
+    """The instance of the --in result's problem and the result's placement,
+    checked against it."""
+    samples, candidates, vm = _load_trio(args)
+    instance = build_instance(samples, candidates, vm, PROBLEM_KIND[prev["problem"]])
+    try:
+        placement = check_placement(prev.get("placement") or [], instance.n_candidates)
+    except ValueError as exc:
+        raise UsageError(f"{args.infile}: {exc}") from exc
+    return instance, placement
+
+
 def _cmd_export(args) -> int:
     with open(args.infile) as fh:
         prev = json.load(fh)
-    samples, candidates, vm = _load_trio(args)
-    problem = prev["problem"]
-    instance = build_instance(samples, candidates, vm, PROBLEM_KIND[problem])
-    placement = prev.get("placement") or []
+    instance, placement = _result_instance(args, prev)
     colors = export.sample_colors(
         instance, placement, threshold=prev.get("params", {}).get("phi")
     )
-    export.write_ply(args.out, samples.positions, colors)
+    export.write_ply(args.out, instance.samples.positions, colors)
     return EXIT_OK
 
 

@@ -5,7 +5,8 @@ sensor sees the sample), best-quality (per-sample coverage is the maximum
 single-sensor quality, quality = 1/distance), and cumulative quality
 (per-sample coverage is the sum of Lambertian inverse-square contributions of
 all visible sensors, covered iff the sum reaches a threshold, see
-`meets_threshold`).
+`meets_threshold`). `quality_matrix` builds the distances and qualities of all
+three models, and `is_covered` is their one covered rule.
 """
 
 from __future__ import annotations
@@ -65,19 +66,76 @@ def phi_lambert(p, n, c) -> float:
     return max(0.0, cosine) / dist**2
 
 
+def quality_matrix(
+    samples: SampleSet, positions: np.ndarray, vis: np.ndarray, kind: QualityKind
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, M) sample-to-position distances and the (N, M) quality matrix of
+    `kind` for sensors at `positions` (M, 3), zero wherever the boolean `vis`
+    is false. The only place sample-to-candidate distances are computed."""
+    diff = positions[None, :, :] - samples.positions[:, None, :]
+    dist = np.linalg.norm(diff, axis=2)
+    if kind is QualityKind.VISIBILITY:
+        return dist, vis.astype(np.float64)
+    coincident = (dist == 0.0) & vis
+    if coincident.any():
+        i, j = np.argwhere(coincident)[0]
+        raise CoincidentPointError(
+            f"sample {i} coincides with visible candidate {j}; quality undefined"
+        )
+    safe = np.where(dist == 0, 1.0, dist)
+    if kind is QualityKind.INVERSE_DISTANCE:
+        phi = np.where(vis, 1.0 / safe, 0.0)
+    elif kind is QualityKind.LAMBERT_INVERSE_SQUARE:
+        cosine = np.einsum("nmk,nk->nm", diff, samples.normals) / safe
+        phi = np.where(vis, np.maximum(cosine, 0.0) / safe**2, 0.0)
+    else:
+        raise ValueError(f"unknown quality kind {kind}")
+    return dist, phi
+
+
+def sample_coverage(kind: QualityKind, cols: np.ndarray) -> np.ndarray:
+    """Per-sample coverage of the quality columns along the last axis: their
+    sum for the cumulative kind, their maximum (0 for no column) otherwise."""
+    if kind is QualityKind.LAMBERT_INVERSE_SQUARE:
+        return cols.sum(axis=-1)
+    return cols.max(axis=-1, initial=0.0)
+
+
+def is_covered(kind: QualityKind, f: np.ndarray, threshold: float | None = None) -> np.ndarray:
+    """The one "is covered" rule on per-sample coverage `f`: the cumulative
+    kind needs `meets_threshold`, the other kinds any positive coverage."""
+    if kind is QualityKind.LAMBERT_INVERSE_SQUARE:
+        if threshold is None:
+            raise ValueError("cumulative quality kind requires a threshold")
+        return meets_threshold(f, threshold)
+    return f > 0
+
+
+def check_placement(selected: Sequence[int], n_candidates: int) -> list[int]:
+    """The placement as a list of distinct candidate indices in [0, M)."""
+    selected = list(selected)
+    if len(set(selected)) != len(selected):
+        raise ValueError("placement contains duplicate candidate indices")
+    if any(j < 0 or j >= n_candidates for j in selected):
+        raise ValueError("placement index out of range")
+    return selected
+
+
 @dataclass(frozen=True)
 class CoverageInstance:
-    """Samples + candidates + visibility bits + the dense quality matrix."""
+    """Samples + candidates + visibility bits + the dense distance and quality
+    matrices."""
 
     samples: SampleSet
     candidates: CandidateSet
     vis: VisibilityMatrix
     phi: np.ndarray  # (N, M), zero wherever vis is zero
     kind: QualityKind
+    dist: np.ndarray  # (N, M) sample-to-candidate distances
 
     def __post_init__(self):
         n, m = len(self.samples), len(self.candidates)
-        if self.vis.bits.shape != (n, m) or self.phi.shape != (n, m):
+        if any(a.shape != (n, m) for a in (self.vis.bits, self.phi, self.dist)):
             raise ValueError("instance dimension mismatch")
         if not np.isfinite(self.phi).all() or (self.phi < 0).any():
             raise ValueError("phi entries must be finite and non-negative")
@@ -99,32 +157,11 @@ def build_instance(
     vis: VisibilityMatrix,
     kind: QualityKind,
 ) -> CoverageInstance:
-    """Assemble the dense per-pair quality matrix masked by visibility."""
+    """Assemble the dense per-pair distance matrix and the quality matrix
+    masked by visibility."""
     vis.check_consistent(samples, candidates)
-    diff = candidates.positions[None, :, :] - samples.positions[:, None, :]
-    dist = np.linalg.norm(diff, axis=2)
-    if kind is not QualityKind.VISIBILITY:
-        coincident = (dist == 0.0) & vis.bits
-        if coincident.any():
-            i, j = np.argwhere(coincident)[0]
-            raise CoincidentPointError(
-                f"sample {i} coincides with visible candidate {j}; quality undefined"
-            )
-    if kind is QualityKind.VISIBILITY:
-        phi = vis.bits.astype(np.float64)
-    elif kind is QualityKind.INVERSE_DISTANCE:
-        with np.errstate(divide="ignore"):
-            phi = np.where(vis.bits, 1.0 / np.where(dist == 0, 1.0, dist), 0.0)
-    elif kind is QualityKind.LAMBERT_INVERSE_SQUARE:
-        cosine = np.einsum("nmk,nk->nm", diff, samples.normals) / np.where(
-            dist == 0, 1.0, dist
-        )
-        phi = np.where(
-            vis.bits, np.maximum(cosine, 0.0) / np.where(dist == 0, 1.0, dist) ** 2, 0.0
-        )
-    else:
-        raise ValueError(f"unknown quality kind {kind}")
-    return CoverageInstance(samples=samples, candidates=candidates, vis=vis, phi=phi, kind=kind)
+    dist, phi = quality_matrix(samples, candidates.positions, vis.bits, kind)
+    return CoverageInstance(samples, candidates, vis, phi, kind, dist)
 
 
 @dataclass(frozen=True)
@@ -146,17 +183,8 @@ class CoverageReport:
 
 def per_sample_coverage(instance: CoverageInstance, selected: Sequence[int]) -> np.ndarray:
     """f value at every sample for the given selection of candidate indices."""
-    selected = list(selected)
-    if len(set(selected)) != len(selected):
-        raise ValueError("placement contains duplicate candidate indices")
-    if any(j < 0 or j >= instance.n_candidates for j in selected):
-        raise ValueError("placement index out of range")
-    if not selected:
-        return np.zeros(instance.n_samples)
-    cols = instance.phi[:, selected]
-    if instance.kind is QualityKind.LAMBERT_INVERSE_SQUARE:
-        return cols.sum(axis=1)
-    return cols.max(axis=1)
+    selected = check_placement(selected, instance.n_candidates)
+    return sample_coverage(instance.kind, instance.phi[:, selected])
 
 
 def evaluate(
@@ -166,23 +194,15 @@ def evaluate(
 ) -> CoverageReport:
     """Aggregate coverage of a placement under the instance's quality kind.
 
-    For the cumulative kind a positive threshold is required and a sample
-    counts as covered when its summed quality reaches it (`meets_threshold`);
-    the other kinds count any sample with positive coverage. The reported
-    objective is the covered count, except for the best-quality kind where it
-    is the minimum per-sample coverage (the max-min objective).
+    A sample counts as covered by the rule of `is_covered`; the cumulative
+    kind needs a threshold for it. The reported objective is the covered
+    count, except for the best-quality kind where it is the minimum
+    per-sample coverage (the max-min objective).
     """
     f = per_sample_coverage(instance, selected)
-    if instance.kind is QualityKind.LAMBERT_INVERSE_SQUARE:
-        if threshold is None:
-            raise ValueError("cumulative quality kind requires a threshold")
-        covered = np.flatnonzero(meets_threshold(f, threshold))
-    else:
-        covered = np.where(f > 0)[0]
+    covered = np.flatnonzero(is_covered(instance.kind, f, threshold))
     if instance.kind is QualityKind.INVERSE_DISTANCE:
-        objective = float(f.min()) if len(f) else 0.0
-        if not selected:
-            objective = 0.0
+        objective = float(f.min()) if len(f) and len(selected) else 0.0
     else:
         objective = float(len(covered))
     return CoverageReport(

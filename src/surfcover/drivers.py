@@ -32,14 +32,10 @@ def solve_problem1(
     gap_tol: float = 0.0,
 ) -> tuple[tuple[int, ...], CoverageReport, SolveResult]:
     """Maximize the number of samples visible to at least one of k sensors."""
-    if k == 0:
-        report = evaluate(instance, [])
-        return (), report, _trivial_result()
     model = build_visibility_model(instance, k)
     result = solve(model, time_limit=time_limit, gap_tol=gap_tol)
     placement = result.placement or ()
-    report = evaluate(instance, placement)
-    return placement, report, result
+    return placement, evaluate(instance, placement), result
 
 
 def solve_problem3(
@@ -51,24 +47,16 @@ def solve_problem3(
 ) -> tuple[tuple[int, ...], CoverageReport, SolveResult]:
     """Maximize the number of samples whose summed quality reaches the
     threshold."""
-    if k == 0:
-        report = evaluate(instance, [], threshold=threshold)
-        return (), report, _trivial_result()
     model = build_cumulative_model(instance, k, threshold)
     result = solve(model, time_limit=time_limit, gap_tol=gap_tol)
     placement = result.placement or ()
-    report = evaluate(instance, placement, threshold=threshold)
-    return placement, report, result
+    return placement, evaluate(instance, placement, threshold=threshold), result
 
 
 def candidate_radii(instance: CoverageInstance) -> np.ndarray:
     """Sorted distinct sample-candidate distances over visible pairs; the
     optimal max-min radius is always one of these."""
-    dist = np.linalg.norm(
-        instance.candidates.positions[None, :, :] - instance.samples.positions[:, None, :],
-        axis=2,
-    )
-    vals = dist[instance.vis.bits]
+    vals = instance.dist[instance.vis.bits]
     if vals.size == 0:
         raise InfeasibleError("no visible sample-candidate pair at all")
     return np.unique(vals)
@@ -118,18 +106,6 @@ def solve_problem2(
             return r_star, feasible.placement, replace(feasible, status=SolveStatus.TIME_LIMIT)
     r_star, res = best
     return r_star, res.placement or (), res
-
-
-def _trivial_result() -> SolveResult:
-    return SolveResult(
-        status=SolveStatus.OPTIMAL,
-        placement=(),
-        primal=0.0,
-        dual_bound=0.0,
-        gap=0.0,
-        nodes=0,
-        elapsed=0.0,
-    )
 
 
 # ---------------------------------------------------------------------------

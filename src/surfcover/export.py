@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coverage import CoverageInstance, QualityKind, meets_threshold
+from .coverage import CoverageInstance, check_placement, is_covered, sample_coverage
 
 # fixed 12-color cycle by sensor index; uncovered samples are white
 PALETTE = [
@@ -33,17 +33,12 @@ def sample_colors(
     sample is uncovered."""
     n = instance.n_samples
     colors = np.tile(np.array(UNCOVERED, dtype=np.uint8), (n, 1))
-    selected = list(selected)
+    selected = check_placement(selected, instance.n_candidates)
     if not selected:
         return colors
     cols = instance.phi[:, selected]
     best = cols.argmax(axis=1)
-    if instance.kind is QualityKind.LAMBERT_INVERSE_SQUARE:
-        if threshold is None:
-            raise ValueError("cumulative kind needs a threshold")
-        covered = meets_threshold(cols.sum(axis=1), threshold)
-    else:
-        covered = cols.max(axis=1) > 0
+    covered = is_covered(instance.kind, sample_coverage(instance.kind, cols), threshold)
     for rank in range(len(selected)):
         mask = covered & (best == rank)
         colors[mask] = PALETTE[rank % len(PALETTE)]

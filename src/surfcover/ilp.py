@@ -141,14 +141,9 @@ def build_feasibility_model(
         if rho != 0:
             raise ValueError("rho must be in (0, 1]")
     _check_budget(k, instance.n_candidates)
-    dist = np.linalg.norm(
-        instance.candidates.positions[None, :, :] - instance.samples.positions[:, None, :],
-        axis=2,
-    )
-    allowed = instance.vis.bits & (dist <= radius)
     return IlpModel(
         kind=ModelKind.FEASIBILITY_COVER,
-        cover=allowed,
+        cover=instance.vis.bits & (instance.dist <= radius),
         k=k,
         radius=float(radius),
         rho=float(rho),
@@ -345,48 +340,23 @@ def solve(
         stack.append((state, value, rest, selected))
         stack.append((child, scorer.value(child), rest, selected + [pick]))  # value 1 first
 
-    elapsed = time.perf_counter() - start
     primal = float(inc_value)
     placement = tuple(sorted(incumbent))
-
-    if model.kind is ModelKind.FEASIBILITY_COVER:
-        if found_target:
-            return SolveResult(
-                status=SolveStatus.OPTIMAL,
-                placement=placement,
-                primal=primal,
-                dual_bound=primal,
-                gap=0.0,
-                nodes=nodes,
-                elapsed=elapsed,
-            )
-        if timed_out:
-            dual = max(primal, open_bound)
-            gap = (dual - primal) / max(1.0, abs(primal))
-            return SolveResult(SolveStatus.TIME_LIMIT, placement, primal, dual, gap, nodes, elapsed)
-        return SolveResult(
-            status=SolveStatus.INFEASIBLE,
-            placement=None,
-            primal=primal,
-            dual_bound=primal,
-            gap=0.0,
-            nodes=nodes,
-            elapsed=elapsed,
-        )
-
-    if timed_out:
+    dual, gap = primal, 0.0
+    if found_target:
+        status = SolveStatus.OPTIMAL
+    elif timed_out:
         dual = max(primal, open_bound)
         gap = (dual - primal) / max(1.0, abs(primal))
-        status = SolveStatus.FEASIBLE if gap <= gap_tol else SolveStatus.TIME_LIMIT
-        return SolveResult(status, placement, primal, dual, gap, nodes, elapsed)
+        # only an optimization model can settle for a gap within tolerance
+        within_tol = target is None and gap <= gap_tol
+        status = SolveStatus.FEASIBLE if within_tol else SolveStatus.TIME_LIMIT
+    elif target is not None:
+        status, placement = SolveStatus.INFEASIBLE, None
+    else:
+        status = SolveStatus.OPTIMAL
     return SolveResult(
-        status=SolveStatus.OPTIMAL,
-        placement=placement,
-        primal=primal,
-        dual_bound=primal,
-        gap=0.0,
-        nodes=nodes,
-        elapsed=elapsed,
+        status, placement, primal, dual, gap, nodes, time.perf_counter() - start
     )
 
 
@@ -409,26 +379,17 @@ def brute_force_solve(model: IlpModel) -> SolveResult:
         value = model.covered_count(combo)
         if value > best_value:
             best_value, best = value, combo
-    elapsed = time.perf_counter() - start
-    if model.kind is ModelKind.FEASIBILITY_COVER:
-        feasible = best_value >= model.coverage_target
-        return SolveResult(
-            status=SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE,
-            placement=best if feasible else None,
-            primal=float(best_value),
-            dual_bound=float(best_value),
-            gap=0.0,
-            nodes=count,
-            elapsed=elapsed,
-        )
+    feasible = model.kind is not ModelKind.FEASIBILITY_COVER or (
+        best_value >= model.coverage_target
+    )
     return SolveResult(
-        status=SolveStatus.OPTIMAL,
-        placement=best,
+        status=SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE,
+        placement=best if feasible else None,
         primal=float(best_value),
         dual_bound=float(best_value),
         gap=0.0,
         nodes=count,
-        elapsed=elapsed,
+        elapsed=time.perf_counter() - start,
     )
 
 

@@ -61,6 +61,9 @@ class TriangleMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
+    def content_hash(self) -> int:
+        return content_hash_u64(self.vertices, self.triangles)
+
     def corners(self):
         """Return (a, b, c) corner arrays, each (T, 3)."""
         v, t = self.vertices, self.triangles

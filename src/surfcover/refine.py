@@ -8,7 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import CoverageInstance, QualityKind, meets_threshold
+from .coverage import (
+    CoverageInstance,
+    QualityKind,
+    check_placement,
+    is_covered,
+    quality_matrix,
+    sample_coverage,
+)
 from .mesh import SampleSet
 from .visibility import Bvh, segments_occluded
 
@@ -186,22 +193,6 @@ def _local_grid(center: np.ndarray, pitch: float, halfwidth: float, bounds=None)
     return np.vstack([center[None, :], pts])
 
 
-def _phi_columns(
-    samples: SampleSet, positions: np.ndarray, vis: np.ndarray, kind: QualityKind
-) -> np.ndarray:
-    diff = positions[None, :, :] - samples.positions[:, None, :]
-    dist = np.linalg.norm(diff, axis=2)
-    safe = np.where(dist == 0, 1.0, dist)
-    if kind is QualityKind.VISIBILITY:
-        phi = vis.astype(np.float64)
-    elif kind is QualityKind.INVERSE_DISTANCE:
-        phi = np.where(vis, 1.0 / safe, 0.0)
-    else:
-        cosine = np.einsum("nmk,nk->nm", diff, samples.normals) / safe
-        phi = np.where(vis, np.maximum(cosine, 0.0) / safe**2, 0.0)
-    return phi
-
-
 def _vis_columns(bvh: Bvh, samples: SampleSet, positions: np.ndarray, eps=None) -> np.ndarray:
     n = len(samples)
     out = np.zeros((n, len(positions)), dtype=bool)
@@ -223,62 +214,37 @@ def refine_grid(
     eps: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Move sensors one at a time onto a fine local grid, keeping a move only
-    when the global objective strictly improves.
+    when the covered count strictly improves.
 
-    Objectives: covered count for the visibility and cumulative kinds (the
-    cumulative kind needs `threshold`), covering radius (minimized) for the
-    best-quality kind. Returns the refined sensor positions and the final
-    objective value.
+    Serves the visibility and cumulative kinds (the cumulative kind needs
+    `threshold`); a sample counts as covered by `coverage.is_covered`.
+    Returns the refined sensor positions and the final covered count.
     """
     kind = instance.kind
-    if kind is QualityKind.LAMBERT_INVERSE_SQUARE and threshold is None:
-        raise ValueError("cumulative kind needs a threshold")
+    if kind is QualityKind.INVERSE_DISTANCE:
+        raise ValueError("use two_phase_quality for the best-quality objective")
     samples = instance.samples
-    positions = np.array(
-        [instance.candidates.positions[j] for j in placement], dtype=np.float64
-    )
-    k = len(positions)
-    cols = _phi_columns(
-        samples, positions, _vis_columns(bvh, samples, positions, eps), kind
-    )
+    placement = check_placement(placement, instance.n_candidates)
+    positions = instance.candidates.positions[placement]
 
-    def objective(phi_cols: np.ndarray) -> float:
-        if kind is QualityKind.VISIBILITY:
-            return float((phi_cols > 0).any(axis=1).sum())
-        if kind is QualityKind.LAMBERT_INVERSE_SQUARE:
-            return float(meets_threshold(phi_cols.sum(axis=1), threshold).sum())
-        # best-quality: minimize the covering radius
-        d = np.linalg.norm(
-            samples.positions[:, None, :] - positions[None, :, :], axis=2
-        )
-        return -float(d.min(axis=1).max())
+    def quality_columns(pos: np.ndarray) -> np.ndarray:
+        return quality_matrix(samples, pos, _vis_columns(bvh, samples, pos, eps), kind)[1]
 
-    current = objective(cols)
+    def covered_count(cols: np.ndarray):
+        """Covered samples of each placement whose columns run along the last axis."""
+        return is_covered(kind, sample_coverage(kind, cols), threshold).sum(axis=0)
+
+    cols = quality_columns(positions)
+    current = float(covered_count(cols))
     for _ in range(rounds):
         moved = False
-        for j in range(k):
+        for j in range(len(positions)):
             local = _local_grid(positions[j], pitch_fine, neighborhood, bounds)
-            vis_loc = _vis_columns(bvh, samples, local, eps)
-            phi_loc = _phi_columns(samples, local, vis_loc, kind)
-            others = np.delete(cols, j, axis=1)
-            if kind is QualityKind.VISIBILITY:
-                base = (others > 0).any(axis=1)
-                scores = base.sum() + ((~base)[:, None] & (phi_loc > 0)).sum(axis=0)
-            elif kind is QualityKind.LAMBERT_INVERSE_SQUARE:
-                base = others.sum(axis=1)
-                scores = meets_threshold(base[:, None] + phi_loc, threshold).sum(axis=0)
-            else:
-                other_pos = np.delete(positions, j, axis=0)
-                if len(other_pos):
-                    base = np.linalg.norm(
-                        samples.positions[:, None, :] - other_pos[None, :, :], axis=2
-                    ).min(axis=1)
-                else:
-                    base = np.full(len(samples), np.inf)
-                d_loc = np.linalg.norm(
-                    samples.positions[:, None, :] - local[None, :, :], axis=2
-                )
-                scores = -np.minimum(base[:, None], d_loc).max(axis=0)
+            phi_loc = quality_columns(local)
+            others = sample_coverage(kind, np.delete(cols, j, axis=1))
+            # per grid point: the other sensors' coverage and the moved sensor's
+            pairs = np.stack(np.broadcast_arrays(others[:, None], phi_loc), axis=-1)
+            scores = covered_count(pairs)
             best = int(np.argmax(scores))
             if scores[best] > current + 1e-12 and best != 0:
                 positions[j] = local[best]
@@ -287,6 +253,4 @@ def refine_grid(
                 moved = True
         if not moved:
             break
-    if instance.kind is QualityKind.INVERSE_DISTANCE:
-        return positions, -current  # covering radius
     return positions, current

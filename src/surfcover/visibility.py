@@ -10,7 +10,7 @@ import numpy as np
 from .mesh import CandidateSet, SampleSet, TriangleMesh
 
 SPVM_MAGIC = b"SPVM"
-SPVM_VERSION = 1
+SPVM_VERSION = 2  # v2 adds the mesh hash; v1 files still load
 
 DEFAULT_LEAF_SIZE = 4
 # relative endpoint shrinkage; samples sit exactly on mesh faces and must not
@@ -255,6 +255,7 @@ class VisibilityMatrix:
     bits: np.ndarray  # (N, M) bool
     sample_hash: int
     candidate_hash: int
+    mesh_hash: int | None = None  # None: the occluding mesh is unknown
 
     @property
     def n_samples(self) -> int:
@@ -296,22 +297,27 @@ def visibility_matrix(
 
 # ---------------------------------------------------------------------------
 # SPVM binary persistence: magic, version u32, N u64, M u64, sample hash u64,
-# candidate hash u64, then row-major packed bits, all little-endian.
+# candidate hash u64, in version 2 the mesh hash u64, then row-major packed
+# bits, all little-endian. A matrix without a mesh hash is written as version 1.
 
 
 def save_spvm(vm: VisibilityMatrix, path) -> None:
-    header = SPVM_MAGIC + struct.pack(
-        "<IQQQQ",
-        SPVM_VERSION,
-        vm.n_samples,
-        vm.n_candidates,
-        vm.sample_hash,
-        vm.candidate_hash,
-    )
+    fields = [vm.n_samples, vm.n_candidates, vm.sample_hash, vm.candidate_hash]
+    if vm.mesh_hash is not None:
+        fields.append(vm.mesh_hash)
+    version = 1 if vm.mesh_hash is None else SPVM_VERSION
+    header = SPVM_MAGIC + struct.pack(f"<I{len(fields)}Q", version, *fields)
     packed = np.packbits(vm.bits, axis=1, bitorder="little")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(packed.tobytes())
+
+
+def _read_header(fh, fmt: str, path) -> tuple:
+    raw = fh.read(struct.calcsize(fmt))
+    if len(raw) != struct.calcsize(fmt):
+        raise ValueError(f"{path}: truncated SPVM header")
+    return struct.unpack(fmt, raw)
 
 
 def load_spvm(path) -> VisibilityMatrix:
@@ -319,12 +325,16 @@ def load_spvm(path) -> VisibilityMatrix:
         magic = fh.read(4)
         if magic != SPVM_MAGIC:
             raise ValueError(f"{path}: not an SPVM file (magic {magic!r})")
-        version, n, m, shash, chash = struct.unpack("<IQQQQ", fh.read(36))
-        if version != SPVM_VERSION:
+        (version,) = _read_header(fh, "<I", path)
+        if version not in (1, SPVM_VERSION):
             raise ValueError(f"{path}: unsupported SPVM version {version}")
+        n, m, shash, chash = _read_header(fh, "<4Q", path)
+        mhash = _read_header(fh, "<Q", path)[0] if version == SPVM_VERSION else None
         row_bytes = (m + 7) // 8
         raw = np.frombuffer(fh.read(n * row_bytes), dtype=np.uint8)
     if raw.size != n * row_bytes:
         raise ValueError(f"{path}: truncated SPVM payload")
     bits = np.unpackbits(raw.reshape(n, row_bytes), axis=1, bitorder="little")[:, :m]
-    return VisibilityMatrix(bits=bits.astype(bool), sample_hash=shash, candidate_hash=chash)
+    return VisibilityMatrix(
+        bits=bits.astype(bool), sample_hash=shash, candidate_hash=chash, mesh_hash=mhash
+    )

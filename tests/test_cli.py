@@ -122,6 +122,35 @@ def test_problem2_top_radius_timeout_exits_4(workdir, monkeypatch):
     assert code == 4
 
 
+def test_visibility_recomputed_when_mesh_changes(workdir, tmp_path):
+    d, mesh, samples, cands, vis = workdir
+    room = sc.load_obj(str(mesh))
+    n = room.n_vertices
+    # a panel just under the candidate plane shades the floor and the furniture
+    panel = [[0.1, 0.1, 2.5], [5.9, 0.1, 2.5], [5.9, 3.9, 2.5], [0.1, 3.9, 2.5]]
+    occluded = sc.TriangleMesh(
+        np.vstack([room.vertices, panel]),
+        np.vstack([room.triangles, [[n, n + 1, n + 2], [n, n + 2, n + 3]]]),
+    )
+    occluded_obj = tmp_path / "room_panel.obj"
+    sc.save_obj(occluded, str(occluded_obj))
+    cache = tmp_path / "vis.spvm"
+    cache.write_bytes(vis.read_bytes())
+    assert main(["visibility", "--mesh", str(occluded_obj), "--samples", str(samples),
+                 "--candidates", str(cands), "--out", str(cache)]) == 0
+    expected = sc.visibility_matrix(
+        sc.build_bvh(occluded), sc.load_sample_set(str(samples)), sc.load_candidate_set(str(cands))
+    )
+    bits = sc.load_spvm(str(cache)).bits
+    assert (bits == expected.bits).all()
+    assert bits.sum() < sc.load_spvm(str(vis)).bits.sum()
+    # a version-1 cache names no mesh, so it is rebuilt as version 2
+    sc.save_spvm(expected, str(cache))
+    assert main(["visibility", "--mesh", str(occluded_obj), "--samples", str(samples),
+                 "--candidates", str(cands), "--out", str(cache)]) == 0
+    assert sc.load_spvm(str(cache)).mesh_hash == occluded.content_hash()
+
+
 def test_stale_cache_exits_2_and_mentions_rerun(workdir, capsys):
     d, mesh, samples, cands, vis = workdir
     other = d / "fewer.json"
@@ -132,6 +161,29 @@ def test_stale_cache_exits_2_and_mentions_rerun(workdir, capsys):
                  "--vis", str(vis), "--out", str(d / "x.json")])
     assert code == 2
     assert "re-run" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_problem3_nonpositive_phi_exits_2(workdir, capsys, command):
+    d, mesh, samples, cands, vis = workdir
+    budget = ["--k", "1"] if command == "solve" else ["--k-range", "0..1"]
+    code = main([command, "--problem", "3", *budget, "--phi", "0",
+                 *_trio_args(samples, cands, vis), "--out", str(d / "phi0.out")])
+    assert code == 2
+    assert "--phi" in capsys.readouterr().err
+
+
+def test_truncated_cache_is_stale(workdir, tmp_path, capsys):
+    d, mesh, samples, cands, vis = workdir
+    cache = tmp_path / "vis.spvm"
+    cache.write_bytes(b"SPVM")
+    code = main(["solve", "--problem", "1", "--k", "1", *_trio_args(samples, cands, cache),
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    assert "re-run" in capsys.readouterr().err
+    assert main(["visibility", "--mesh", str(mesh), "--samples", str(samples),
+                 "--candidates", str(cands), "--out", str(cache)]) == 0
+    assert (sc.load_spvm(str(cache)).bits == sc.load_spvm(str(vis)).bits).all()
 
 
 def test_sweep_csv_monotone(workdir):
@@ -219,3 +271,15 @@ def test_export_empty_placement_all_white(workdir):
                  *_trio_args(samples, cands, vis), "--out", str(out)]) == 0
     body = out.read_text().split("end_header\n", 1)[1].strip().splitlines()
     assert all(line.split()[3:] == ["255", "255", "255"] for line in body)
+
+
+@pytest.mark.parametrize("command", ["export", "refine"])
+def test_out_of_range_result_placement_exits_2(workdir, capsys, command):
+    d, mesh, samples, cands, vis = workdir
+    bad = d / "bad_placement.json"
+    bad.write_text(json.dumps({"problem": 1, "k": 1, "placement": [-1], "params": {}}))
+    extra = ["--method", "grid", "--mesh", str(mesh)] if command == "refine" else []
+    code = main([command, *extra, "--in", str(bad),
+                 *_trio_args(samples, cands, vis), "--out", str(d / "bad.out")])
+    assert code == 2
+    assert "out of range" in capsys.readouterr().err

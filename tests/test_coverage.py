@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,21 @@ def test_build_instance_lambert_matches_pointwise():
                 inst.samples.positions[i], inst.samples.normals[i], inst.candidates.positions[j]
             )
             assert inst.phi[i, j] == pytest.approx(expected)
+
+
+def test_instance_dist_is_the_pairwise_norm():
+    rng = np.random.default_rng(7)
+    samples = make_sample_set(rng.uniform(0, 5, (9, 3)))
+    cands = sc.CandidateSet(positions=rng.uniform(0, 5, (4, 3)))
+    for kind in sc.QualityKind:
+        inst = sc.build_instance(samples, cands, all_visible(samples, cands), kind)
+        for i in range(9):
+            for j in range(4):
+                direct = np.linalg.norm(cands.positions[j] - samples.positions[i])
+                # the 1-D norm goes through a dot product and may round an ulp apart
+                assert inst.dist[i, j] == pytest.approx(direct, rel=4 * np.finfo(float).eps, abs=0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dataclasses.replace(inst, dist=inst.dist[:, :3])
 
 
 def test_build_instance_coincident_error():

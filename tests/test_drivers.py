@@ -39,6 +39,15 @@ def test_problem1_k0_trivial():
     assert placement == ()
     assert report.objective == 0.0
     assert result.primal == 0.0
+    assert (result.status, result.gap, result.nodes) == (SolveStatus.OPTIMAL, 0.0, 0)
+
+
+def test_problem3_k0_rejects_bad_threshold():
+    rng = np.random.default_rng(0)
+    inst = random_instance(rng, 8, 4, QualityKind.LAMBERT_INVERSE_SQUARE)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            sc.solve_problem3(inst, k, -1.0)
 
 
 def test_problem1_k_equals_m_covers_everything_coverable():

@@ -133,10 +133,19 @@ def _coarse_fine_setup():
 def test_refine_grid_zero_rounds_is_noop():
     _, bvh, samples, rect, coarse, _ = _coarse_fine_setup()
     vm = sc.visibility_matrix(bvh, samples, coarse)
-    inst = sc.build_instance(samples, coarse, vm, QualityKind.VISIBILITY)
     placement = (0, len(coarse) - 1)
-    pos, obj = sc.refine_grid(inst, placement, bvh, pitch_fine=0.5, rounds=0, neighborhood=1.0)
-    assert np.allclose(pos, coarse.positions[list(placement)])
+    for kind, threshold in (
+        (QualityKind.VISIBILITY, None),
+        (QualityKind.LAMBERT_INVERSE_SQUARE, 0.05),
+    ):
+        inst = sc.build_instance(samples, coarse, vm, kind)
+        pos, obj = sc.refine_grid(
+            inst, placement, bvh, pitch_fine=0.5, rounds=0, neighborhood=1.0,
+            threshold=threshold,
+        )
+        assert np.allclose(pos, coarse.positions[list(placement)])
+        # refinement and evaluate share one quality matrix and one covered rule
+        assert obj == sc.evaluate(inst, placement, threshold=threshold).objective
 
 
 def test_refine_grid_never_decreases_objective():
@@ -173,4 +182,12 @@ def test_refine_grid_cumulative_requires_threshold():
     vm = sc.visibility_matrix(bvh, samples, coarse)
     inst = sc.build_instance(samples, coarse, vm, QualityKind.LAMBERT_INVERSE_SQUARE)
     with pytest.raises(ValueError, match="threshold"):
+        sc.refine_grid(inst, (0,), bvh, pitch_fine=0.5, rounds=1, neighborhood=1.0)
+
+
+def test_refine_grid_rejects_quality_kind():
+    _, bvh, samples, rect, coarse, _ = _coarse_fine_setup()
+    vm = sc.visibility_matrix(bvh, samples, coarse)
+    inst = sc.build_instance(samples, coarse, vm, QualityKind.INVERSE_DISTANCE)
+    with pytest.raises(ValueError, match="two_phase_quality"):
         sc.refine_grid(inst, (0,), bvh, pitch_fine=0.5, rounds=1, neighborhood=1.0)

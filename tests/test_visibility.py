@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,17 @@ def test_spvm_roundtrip(tmp_path, room_scene):
     assert back.sample_hash == vm.sample_hash
     assert back.candidate_hash == vm.candidate_hash
     assert p.read_bytes()[:4] == b"SPVM"
+
+
+def test_spvm_v2_keeps_mesh_hash_and_v1_still_loads(tmp_path, room_scene):
+    mesh, *_, vm = room_scene
+    for mesh_hash, version in ((None, 1), (mesh.content_hash(), 2)):
+        p = tmp_path / f"v{version}.spvm"
+        save_spvm(dataclasses.replace(vm, mesh_hash=mesh_hash), p)
+        assert int.from_bytes(p.read_bytes()[4:8], "little") == version
+        back = load_spvm(p)
+        assert back.mesh_hash == mesh_hash
+        assert (back.bits == vm.bits).all()
 
 
 def test_hash_guard_rejects_mismatched_inputs(room_scene):
