@@ -135,6 +135,8 @@ def _load_problem(args):
         raise UsageError("--rho only applies to --problem 2")
     if args.problem == 3 and (args.phi is None or args.phi <= 0):
         raise UsageError("--problem 3 requires a positive --phi")
+    if args.rho is not None and not 0 < args.rho <= 1:
+        raise UsageError("--rho must be in (0, 1]")
     samples, candidates, vm = _load_trio(args)
     return build_instance(samples, candidates, vm, PROBLEM_KIND[args.problem])
 
@@ -165,6 +167,8 @@ def _rho(args) -> float:
 
 
 def _cmd_solve(args) -> int:
+    if args.k < 0:
+        raise UsageError("--k must be >= 0")
     instance = _load_problem(args)
     placement, objective, result, extra = _solve_problem(args, instance, args.k, args.gap)
     params = {2: {"rho": _rho(args)}, 3: {"phi": args.phi}}.get(args.problem, {})
@@ -257,15 +261,19 @@ def _cmd_refine(args) -> int:
 def _parse_k_range(text: str) -> range:
     try:
         a, b = text.split("..")
-        return range(int(a), int(b) + 1)
+        ks = range(int(a), int(b) + 1)
     except ValueError as exc:
         raise UsageError(f"bad --k-range {text!r}; expected A..B") from exc
+    if ks.start < 0:
+        raise UsageError(f"bad --k-range {text!r}; k must be >= 0")
+    return ks
 
 
 def _cmd_sweep(args) -> int:
+    ks = _parse_k_range(args.k_range)
     instance = _load_problem(args)
     rows = []
-    for k in _parse_k_range(args.k_range):
+    for k in ks:
         t0 = time.perf_counter()
         _, objective, result, _ = _solve_problem(args, instance, k, gap_tol=0.0)
         elapsed = 0.0 if args.deterministic else time.perf_counter() - t0

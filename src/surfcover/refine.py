@@ -17,7 +17,7 @@ from .coverage import (
     sample_coverage,
 )
 from .mesh import SampleSet
-from .visibility import Bvh, segments_occluded
+from .visibility import Bvh, pair_packets, segments_occluded
 
 CONTAIN_TOL = 1e-9
 
@@ -194,12 +194,10 @@ def _local_grid(center: np.ndarray, pitch: float, halfwidth: float, bounds=None)
 
 
 def _vis_columns(bvh: Bvh, samples: SampleSet, positions: np.ndarray, eps=None) -> np.ndarray:
-    n = len(samples)
-    out = np.zeros((n, len(positions)), dtype=bool)
-    for j in range(len(positions)):
-        targets = np.repeat(positions[j : j + 1], n, axis=0)
-        out[:, j] = ~segments_occluded(bvh, samples.positions, targets, eps)
-    return out
+    hidden = np.empty(len(samples) * len(positions), dtype=bool)  # position-major
+    for sl, origins, targets in pair_packets(samples.positions, positions):
+        hidden[sl] = segments_occluded(bvh, origins, targets, eps)
+    return ~hidden.reshape(len(positions), len(samples)).T
 
 
 def refine_grid(

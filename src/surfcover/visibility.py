@@ -16,6 +16,9 @@ DEFAULT_LEAF_SIZE = 4
 # relative endpoint shrinkage; samples sit exactly on mesh faces and must not
 # self-occlude
 DEFAULT_EPS_REL = 1e-6
+# pairs per BVH walk in visibility_matrix and refine_grid: bounds the walk's
+# working memory, whatever N x M is, and sets how many walks it takes
+PACKET_SEGMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -131,121 +134,111 @@ def _segment_hits_triangles(o, d, a, b, c):
     return hit
 
 
-def _segments_hit_triangles(o, d, a, b, c):
-    """Batched form of _segment_hits_triangles: o, d are (S, 3); a, b, c are
-    (T, 3). Returns bool (S,): does segment s hit any triangle?
-    """
-    e1 = b - a  # (T, 3)
-    e2 = c - a
-    pvec = np.cross(d[:, None, :], e2[None, :, :])  # (S, T, 3)
-    det = np.einsum("tj,stj->st", e1, pvec)
-    near_parallel = np.abs(det) < 1e-14
-    inv = np.where(near_parallel, 1.0, 1.0 / np.where(near_parallel, 1.0, det))
-    tvec = o[:, None, :] - a[None, :, :]
-    u = np.einsum("stj,stj->st", tvec, pvec) * inv
-    qvec = np.cross(tvec, e1[None, :, :])
-    v = np.einsum("stj,sj->st", qvec, d) * inv
-    t = np.einsum("stj,tj->st", qvec, e2) * inv
-    tol = 1e-12
-    hit = (
-        ~near_parallel
-        & (u >= -tol)
-        & (v >= -tol)
-        & (u + v <= 1.0 + tol)
-        & (t >= -tol)
-        & (t <= 1.0 + tol)
-    )
-    return hit.any(axis=1)
-
-
-def _shrunk(a, b, eps):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    d = b - a
-    length = np.linalg.norm(d)
-    if length == 0.0:
-        raise ValueError("segment endpoints coincide")
-    if eps is None:
-        eps = DEFAULT_EPS_REL * length
-    u = d / length
-    return a + eps * u, d - 2 * eps * u
-
-
-def segment_occluded(bvh: Bvh, a, b, eps: float | None = None) -> bool:
-    """True iff the eps-shrunk open segment from a to b hits any mesh triangle."""
-    o, d = _shrunk(a, b, eps)
-    return bool(
-        _segments_occluded_impl(bvh, o[None, :], d[None, :])[0]
-    )
-
-
-def segments_occluded(bvh: Bvh, origins, targets, eps: float | None = None) -> np.ndarray:
-    """Batched segment_occluded over rows of origins/targets ((n, 3) each)."""
+def _shrunk(origins, targets, eps):
+    """Origins and directions of the segments with both ends pulled in by eps."""
     origins = np.asarray(origins, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    d = targets - origins
+    d = np.asarray(targets, dtype=np.float64) - origins
     lengths = np.linalg.norm(d, axis=1)
     if (lengths == 0).any():
         raise ValueError("segment endpoints coincide")
     e = (DEFAULT_EPS_REL * lengths) if eps is None else np.full(len(d), float(eps))
     u = d / lengths[:, None]
-    o = origins + e[:, None] * u
-    dshrunk = d - (2 * e)[:, None] * u
-    return _segments_occluded_impl(bvh, o, dshrunk)
+    return origins + e[:, None] * u, d - (2 * e)[:, None] * u
 
 
-def _segment_box_overlap(o, d, lo, hi):
-    """Slab test of segments (o + t*d, t in [0, 1]) against one box.
-
-    o, d: (n, 3); lo, hi: (3,). Returns bool (n,).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d
-        t1 = (lo - o) * inv
-        t2 = (hi - o) * inv
-    # where d == 0: inside-slab check instead
-    zero = d == 0.0
-    tmin = np.where(zero, -np.inf, np.minimum(t1, t2))
-    tmax = np.where(zero, np.inf, np.maximum(t1, t2))
-    ok_zero = ~zero | ((o >= lo) & (o <= hi))
-    enter = np.maximum(tmin.max(axis=1), 0.0)
-    exit_ = np.minimum(tmax.min(axis=1), 1.0)
-    return ok_zero.all(axis=1) & (enter <= exit_)
+def segment_occluded(bvh: Bvh, a, b, eps: float | None = None) -> bool:
+    """True iff the eps-shrunk open segment from a to b hits any mesh triangle."""
+    return bool(segments_occluded(bvh, [a], [b], eps)[0])
 
 
+def segments_occluded(bvh: Bvh, origins, targets, eps: float | None = None) -> np.ndarray:
+    """Batched segment_occluded over rows of origins/targets ((n, 3) each)."""
+    return _segments_occluded_impl(bvh, *_shrunk(origins, targets, eps))
+
+
+def _slab_hits(box, r, zero):
+    """Slab test of segments o + t*d, t in [0, 1], against B boxes: box is (B,
+    2, 3, 1) corners, r (2, 3, A) rows of o and 1 / d, zero the (3, A) mask of
+    d == 0 or None when there is none. Returns bool (B, A)."""
+    t = (box - r[0]) * r[1]
+    tmin = np.minimum(t[:, 0], t[:, 1])
+    tmax = np.maximum(t[:, 0], t[:, 1], out=t[:, 1])
+    if zero is not None:  # where d == 0: inside the slab or not, not its interval
+        outside = ~((r[0] >= box[:, 0]) & (r[0] <= box[:, 1]))
+        np.copyto(tmin, np.where(outside, np.inf, -np.inf), where=zero)
+        np.copyto(tmax, np.inf, where=zero)
+    enter = np.maximum(np.maximum.reduce(tmin, axis=1), 0.0)
+    exit_ = np.minimum(np.minimum.reduce(tmax, axis=1), 1.0)
+    return enter <= exit_
+
+
+def _leaf_hits(r, tri):
+    """Moller-Trumbore of A segments, r (2, 3, A) rows of o and d, against one
+    leaf's L triangles, tri (3, 3, L, 1) rows of a, b - a and c - a; bool (A,).
+    Products and sums are those of np.cross and np.einsum (which adds the x, z,
+    then y terms); from tvec on, the (L, A) arrays are worked in place."""
+    (ox, oy, oz), (dx, dy, dz) = r
+    (ax, ay, az), (e1x, e1y, e1z), (e2x, e2y, e2z) = tri
+    p0 = dy * e2z - dz * e2y  # pvec = d x e2
+    p1 = dz * e2x - dx * e2z
+    p2 = dx * e2y - dy * e2x
+    det = (e1x * p0 + e1z * p2) + e1y * p1
+    near_parallel = np.abs(det) < 1e-14
+    inv = np.divide(1.0, np.where(near_parallel, 1.0, det), out=det)
+    t0, t1, t2 = ox - ax, oy - ay, oz - az  # tvec = o - a
+    u = np.add(np.multiply(p0, t0, out=p0), np.multiply(p2, t2, out=p2), out=p0)
+    u += np.multiply(p1, t1, out=p1)
+    u *= inv
+    # qvec = tvec x e1, into the buffers of pvec and tvec
+    q0 = np.subtract(np.multiply(t1, e1z, out=p1), np.multiply(t2, e1y, out=p2), out=p1)
+    q1 = np.subtract(np.multiply(t2, e1x, out=p2), np.multiply(t0, e1z, out=t2), out=p2)
+    q2 = np.subtract(np.multiply(t0, e1y, out=t0), np.multiply(t1, e1x, out=t1), out=t0)
+    v = np.add(np.multiply(q0, dx, out=t1), np.multiply(q2, dz, out=t2), out=t1)
+    v += np.multiply(q1, dy, out=t2)
+    v *= inv
+    t = np.add(np.multiply(q0, e2x, out=q0), np.multiply(q2, e2z, out=q2), out=q0)
+    t += np.multiply(q1, e2y, out=q1)
+    t *= inv
+    tol = 1e-12
+    hit = ~near_parallel & (u >= -tol) & (v >= -tol) & (t >= -tol) & (t <= 1.0 + tol)
+    hit &= np.add(u, v, out=u) <= 1.0 + tol
+    return np.logical_or.reduce(hit, axis=0)
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # 1 / 0 and 0 * inf in the slab test
 def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarray:
-    n = len(o)
-    occluded = np.zeros(n, dtype=bool)
-    stack = [(0, np.arange(n))]
+    """Packet traversal of the BVH: each internal node slab-tests both children
+    against the segments that reached it, each leaf runs Moller-Trumbore on them."""
+    occluded = np.zeros(len(o), dtype=bool)
+    count, start = bvh.count.tolist(), bvh.start.tolist()
+    children = list(zip(bvh.right.tolist(), bvh.left.tolist()))
+    boxes = np.stack([bvh.box_lo, bvh.box_hi], axis=1)[..., None]  # (nodes, 2, 3, 1)
+    kids = boxes[np.stack([bvh.right, bvh.left], axis=1)]  # leaves' rows unused
+    a = bvh.tri_a
+    tri = np.stack([a, bvh.tri_b - a, bvh.tri_c - a]).transpose(0, 2, 1)[..., None]
+    ray = np.ascontiguousarray(np.stack([o, 1.0 / d, d]).transpose(0, 2, 1))  # o, 1/d, d
+    zero = (ray[2] == 0.0) if (d == 0.0).any() else None
+    stack = [(0, np.flatnonzero(_slab_hits(boxes[:1], ray[:2], zero)[0]))]
     while stack:
-        node, active = stack.pop()
-        active = active[~occluded[active]]
-        if active.size == 0:
+        node, act = stack.pop()
+        act = act[~occluded[act]]
+        if act.size == 0:
             continue
-        hitbox = _segment_box_overlap(
-            o[active], d[active], bvh.box_lo[node], bvh.box_hi[node]
-        )
-        active = active[hitbox]
-        if active.size == 0:
+        if count[node]:
+            leaf = tri[:, :, start[node] : start[node] + count[node]]
+            occluded[act[_leaf_hits(ray[::2].take(act, axis=2), leaf)]] = True
             continue
-        if bvh.count[node] > 0:
-            s, cnt = bvh.start[node], bvh.count[node]
-            ta = bvh.tri_a[s : s + cnt]
-            tb = bvh.tri_b[s : s + cnt]
-            tc = bvh.tri_c[s : s + cnt]
-            hits = _segments_hit_triangles(o[active], d[active], ta, tb, tc)
-            occluded[active[hits]] = True
-        else:
-            stack.append((bvh.right[node], active))
-            stack.append((bvh.left[node], active))
+        z = None if zero is None else zero.take(act, axis=1)
+        hit = _slab_hits(kids[node], ray[:2].take(act, axis=2), z)
+        stack += [(c, act[h]) for c, h in zip(children[node], hit)]
     return occluded
 
 
 def segment_occluded_brute(mesh: TriangleMesh, a, b, eps: float | None = None) -> bool:
-    """Linear scan over every triangle; oracle for the BVH path."""
-    o, d = _shrunk(a, b, eps)
-    ta, tb, tc = mesh.corners()
-    return bool(_segment_hits_triangles(o, d, ta, tb, tc).any())
+    """Linear scan over every triangle; oracle for the BVH path, with its own
+    Moller-Trumbore arithmetic."""
+    (o,), (d,) = _shrunk([a], [b], eps)
+    return bool(_segment_hits_triangles(o, d, *mesh.corners()).any())
 
 
 @dataclass(frozen=True)
@@ -276,6 +269,17 @@ class VisibilityMatrix:
             )
 
 
+def pair_packets(points: np.ndarray, positions: np.ndarray):
+    """Yield (slice, origins, targets) packets of at most PACKET_SEGMENTS of the
+    flattened point-to-position pairs: pair p joins point p % N to position
+    p // N. Only one packet's rows exist at a time."""
+    n = len(points)
+    total = n * len(positions)
+    for lo in range(0, total, PACKET_SEGMENTS):
+        p = np.arange(lo, min(lo + PACKET_SEGMENTS, total))
+        yield slice(lo, lo + len(p)), points[p % n], positions[p // n]
+
+
 def visibility_matrix(
     bvh: Bvh,
     samples: SampleSet,
@@ -283,13 +287,11 @@ def visibility_matrix(
     eps: float | None = None,
 ) -> VisibilityMatrix:
     """bit (i, j) = segment from sample i to candidate j is unobstructed."""
-    n, m = len(samples), len(candidates)
-    bits = np.zeros((n, m), dtype=bool)
-    for j in range(m):
-        targets = np.repeat(candidates.positions[j : j + 1], n, axis=0)
-        bits[:, j] = ~segments_occluded(bvh, samples.positions, targets, eps)
+    hidden = np.empty(len(samples) * len(candidates), dtype=bool)  # candidate-major
+    for sl, origins, targets in pair_packets(samples.positions, candidates.positions):
+        hidden[sl] = segments_occluded(bvh, origins, targets, eps)
     return VisibilityMatrix(
-        bits=bits,
+        bits=np.ascontiguousarray(~hidden.reshape(len(candidates), len(samples)).T),
         sample_hash=samples.content_hash(),
         candidate_hash=candidates.content_hash(),
     )

@@ -173,6 +173,26 @@ def test_problem3_nonpositive_phi_exits_2(workdir, capsys, command):
     assert "--phi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("rho", ["1.5", "0", "-0.2"])
+def test_out_of_range_rho_exits_2(workdir, capsys, command, rho):
+    d, mesh, samples, cands, vis = workdir
+    budget = ["--k", "1"] if command == "solve" else ["--k-range", "1..2"]
+    code = main([command, "--problem", "2", *budget, "--rho", rho,
+                 *_trio_args(samples, cands, vis), "--out", str(d / "rho.out")])
+    assert code == 2
+    assert "--rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [["solve", "--k", "-1"], ["sweep", "--k-range=-1..1"]])
+def test_negative_budget_exits_2(workdir, capsys, budget):
+    d, mesh, samples, cands, vis = workdir
+    code = main([budget[0], "--problem", "1", *budget[1:],
+                 *_trio_args(samples, cands, vis), "--out", str(d / "k.out")])
+    assert code == 2
+    assert "--k" in capsys.readouterr().err
+
+
 def test_truncated_cache_is_stale(workdir, tmp_path, capsys):
     d, mesh, samples, cands, vis = workdir
     cache = tmp_path / "vis.spvm"

@@ -1,17 +1,20 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import surfcover as sc
+from surfcover.refine import _vis_columns
 from surfcover.visibility import (
+    PACKET_SEGMENTS,
     load_spvm,
     save_spvm,
     segment_occluded_brute,
     segments_occluded,
 )
 
-from conftest import box_mesh, square_mesh
+from conftest import box_mesh, make_sample_set, square_mesh
 
 
 def single_triangle():
@@ -150,3 +153,77 @@ def test_hash_guard_rejects_mismatched_inputs(room_scene):
     other = sc.generate_candidates_plane(1.5, (0, 0, 2, 2), 1.0)
     with pytest.raises(ValueError, match="re-run"):
         vm.check_consistent(samples, other)
+
+
+def packet_scene(n, m):
+    """Room with two boxes, n seeded samples on its floor, m candidates at z = 2.5."""
+    mesh = sc.gen_room(extent=(6, 4, 3), obstacles=[((1, 1, 0), (3, 2.2, 0.7)),
+                                                     ((4.5, 0.5, 0), (5.5, 3.5, 1.1))])
+    rng = np.random.default_rng(7)
+    floor = np.column_stack([rng.uniform(0, 6, n), rng.uniform(0, 4, n), np.zeros(n)])
+    plane = np.column_stack([rng.uniform(0.5, 5.5, m), rng.uniform(0.5, 3.5, m), np.full(m, 2.5)])
+    return mesh, sc.build_bvh(mesh), make_sample_set(floor), sc.CandidateSet(plane)
+
+
+@pytest.fixture(scope="module")
+def three_packets():
+    """N x M spans more than three packets and is not a multiple of the packet size."""
+    m = 7
+    n = 3 * PACKET_SEGMENTS // m + 5
+    assert n * m > 3 * PACKET_SEGMENTS and (n * m) % PACKET_SEGMENTS
+    mesh, bvh, samples, cands = packet_scene(n, m)
+    return bvh, samples, cands, sc.visibility_matrix(bvh, samples, cands)
+
+
+def test_matrix_packets_match_column_by_column(three_packets):
+    bvh, samples, cands, vm = three_packets
+    n = len(samples)
+    ref = np.column_stack([
+        ~segments_occluded(bvh, samples.positions, np.repeat(c[None], n, axis=0))
+        for c in cands.positions
+    ])
+    assert vm.bits.shape == ref.shape
+    assert (vm.bits == ref).all()
+    assert 0 < vm.bits.sum() < vm.bits.size
+
+
+def test_matrix_bits_are_c_contiguous(three_packets):
+    assert three_packets[3].bits.flags.c_contiguous
+
+
+def test_refine_columns_match_matrix(three_packets):
+    bvh, samples, cands, vm = three_packets
+    assert (_vis_columns(bvh, samples, cands.positions) == vm.bits).all()
+
+
+def test_packet_mixing_axis_aligned_and_oblique_segments_matches_brute():
+    mesh = sc.gen_room(extent=(6, 4, 3), obstacles=[((1, 1, 0), (3, 2, 1))])
+    bvh = sc.build_bvh(mesh)
+    rng = np.random.default_rng(3)
+    # half-metre grid points: many lie on the planes of the obstacle's faces
+    a = rng.integers(0, [13, 9, 7], (600, 3)) * 0.5
+    b = rng.integers(0, [13, 9, 7], (600, 3)) * 0.5
+    keep = rng.random((600, 3)) < 0.4
+    b[:300][keep[:300]] = a[:300][keep[:300]]  # zero direction components
+    b[300:] += rng.uniform(-0.2, 0.2, (300, 3))  # oblique
+    ok = np.linalg.norm(b - a, axis=1) > 0
+    a, b = a[ok], b[ok]
+    assert ((b - a) == 0).any(axis=1).sum() > 100
+    fast = segments_occluded(bvh, a, b)
+    slow = np.array([segment_occluded_brute(mesh, p, q) for p, q in zip(a, b)])
+    assert (fast == slow).all()
+    assert 0 < fast.sum() < len(fast)
+
+
+def test_matrix_memory_is_bounded_by_the_packet():
+    n = PACKET_SEGMENTS // 2 + 101  # N x 4 already spans three packets
+    mesh, bvh, samples, cands = packet_scene(n, 16)
+    peaks = []
+    for m in (4, 16):
+        tracemalloc.start()
+        try:
+            sc.visibility_matrix(bvh, samples, sc.CandidateSet(cands.positions[:m]))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
