@@ -96,6 +96,10 @@ def _cmd_gen_scene(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if not args.pitch > 0:
+        raise UsageError("--pitch must be positive")
+    if not -1 <= args.tau <= 1:
+        raise UsageError("--tau must be in [-1, 1]")
     mesh = load_obj(args.mesh)
     samples = sample_surface(mesh, pitch=args.pitch, drop_downward=args.tau)
     save_json(samples, args.out)
@@ -103,6 +107,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_candidates(args) -> int:
+    if not args.pitch > 0:
+        raise UsageError("--pitch must be positive")
     x0, y0, x1, y1 = args.rect
     cands = generate_candidates_plane(args.plane_z, (x0, y0, x1, y1), args.pitch)
     save_json(cands, args.out)
@@ -191,6 +197,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    if args.k < 1:
+        raise UsageError("--k must be >= 1")
     samples = load_sample_set(args.samples)
     plane = clustering.PlaneDeployment(height=args.plane_z)
     centers = clustering.farthest_point_clustering(samples, args.k, plane)
@@ -231,6 +239,12 @@ def _cmd_refine(args) -> int:
             "solve": None,
         }
     else:
+        if not args.fine_pitch > 0:
+            raise UsageError("--fine-pitch must be positive")
+        if args.rounds < 0:
+            raise UsageError("--rounds must be >= 0")
+        if args.neighborhood is not None and not args.neighborhood >= 0:
+            raise UsageError("--neighborhood must be >= 0")
         if prev["problem"] == 2:
             raise UsageError("--method grid refines problem 1/3 results; use onecenter")
         instance, placement = _result_instance(args, prev)

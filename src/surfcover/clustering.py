@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coverage import sensor_offsets
 from .mesh import CandidateSet, SampleSet
 
 
@@ -57,9 +58,7 @@ def farthest_point_clustering(
 
 def coverage_radius(centers: CandidateSet, samples: SampleSet) -> float:
     """max over samples of the distance to the nearest center."""
-    d = np.linalg.norm(
-        samples.positions[:, None, :] - centers.positions[None, :, :], axis=2
-    )
+    _, d = sensor_offsets(samples.positions, centers.positions)
     return float(d.min(axis=1).max())
 
 

@@ -5,8 +5,9 @@ sensor sees the sample), best-quality (per-sample coverage is the maximum
 single-sensor quality, quality = 1/distance), and cumulative quality
 (per-sample coverage is the sum of Lambertian inverse-square contributions of
 all visible sensors, covered iff the sum reaches a threshold, see
-`meets_threshold`). `quality_matrix` builds the distances and qualities of all
-three models, and `is_covered` is their one covered rule.
+`meets_threshold`). `sensor_offsets` is the one sample-to-sensor distance
+expression, `quality_matrix` builds the distances and qualities of all three
+models, and `is_covered` is their one covered rule.
 """
 
 from __future__ import annotations
@@ -66,14 +67,20 @@ def phi_lambert(p, n, c) -> float:
     return max(0.0, cosine) / dist**2
 
 
+def sensor_offsets(points: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, M, 3) offsets from `points` (N, 3) to sensor `positions` (M, 3) and
+    their (N, M) lengths: the one sample-to-sensor distance expression."""
+    diff = positions[None, :, :] - points[:, None, :]
+    return diff, np.linalg.norm(diff, axis=2)
+
+
 def quality_matrix(
     samples: SampleSet, positions: np.ndarray, vis: np.ndarray, kind: QualityKind
 ) -> tuple[np.ndarray, np.ndarray]:
     """(N, M) sample-to-position distances and the (N, M) quality matrix of
     `kind` for sensors at `positions` (M, 3), zero wherever the boolean `vis`
-    is false. The only place sample-to-candidate distances are computed."""
-    diff = positions[None, :, :] - samples.positions[:, None, :]
-    dist = np.linalg.norm(diff, axis=2)
+    is false."""
+    diff, dist = sensor_offsets(samples.positions, positions)
     if kind is QualityKind.VISIBILITY:
         return dist, vis.astype(np.float64)
     coincident = (dist == 0.0) & vis

@@ -15,6 +15,7 @@ from .coverage import (
     is_covered,
     quality_matrix,
     sample_coverage,
+    sensor_offsets,
 )
 from .mesh import SampleSet
 from .visibility import Bvh, pair_packets, segments_occluded
@@ -32,8 +33,13 @@ class ConstrainedSphere:
 
     def contains(self, p, tol: float = CONTAIN_TOL) -> bool:
         d2 = float(np.sum((np.asarray(p, float) - self.center) ** 2))
-        r2 = self.radius**2
-        return d2 <= r2 + tol * max(1.0, r2)
+        return bool(_within(d2, self.radius**2, tol))
+
+
+def _within(d2, r2: float, tol: float = CONTAIN_TOL, out=None):
+    """The one containment rule: squared distance(s) `d2` lie inside the sphere
+    of squared radius `r2`, with slack `tol` relative to max(1, r2)."""
+    return np.less_equal(d2, r2 + tol * max(1.0, r2), out=out)
 
 
 def _sphere_1p(p, h: float):
@@ -78,18 +84,43 @@ def _sphere_3p(p, q, s, h: float):
     return np.array([x[0], x[1], h]), r
 
 
+def _violator_scan(p: np.ndarray):
+    """`first_outside(sphere, lo, hi)`: the index of the first of p[lo:hi]
+    that `_within` puts outside `sphere`, or hi if there is none. Works in
+    buffers allocated once for all of `p`."""
+    diff = np.empty_like(p)
+    d2 = np.empty(len(p))
+    inside = np.empty(len(p), dtype=bool)
+
+    def first_outside(sphere: ConstrainedSphere, lo: int, hi: int) -> int:
+        if lo >= hi:
+            return hi
+        dm, sq, ok = diff[: hi - lo], d2[: hi - lo], inside[: hi - lo]
+        np.subtract(p[lo:hi], sphere.center, out=dm)
+        np.square(dm, out=dm)
+        np.add.reduce(dm, axis=1, out=sq)
+        _within(sq, sphere.radius**2, out=ok)
+        k = int(ok.argmin())  # the first False; a NaN distance is outside too
+        return hi if ok[k] else lo + k
+
+    return first_outside
+
+
 def min_sphere_fixed_plane(points, h_plane: float, seed: int = 0) -> ConstrainedSphere:
     """Smallest sphere containing `points` with its center on z = h_plane.
 
     Randomized incremental in the style of Welzl's minimum enclosing disc
     algorithm with boundary sets of at most three points solved in closed
-    form; the shuffle is seeded so results are reproducible.
+    form; the shuffle is seeded so results are reproducible. Each level of the
+    search finds its next violator with one batched scan of the shuffled
+    points, so it visits the points in the same order as a per-point loop.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
         raise ValueError("expected a non-empty (n, 3) point array")
     order = list(range(len(pts)))
     random.Random(seed).shuffle(order)
+    first_outside = _violator_scan(pts[order])  # takes positions in the shuffle order
 
     def make(basis: list[int]):
         if len(basis) == 1:
@@ -114,22 +145,20 @@ def min_sphere_fixed_plane(points, h_plane: float, seed: int = 0) -> Constrained
             c, r = out
         return ConstrainedSphere(c, r, tuple(basis))
 
+    n = len(order)
     sphere = make([order[0]])
-    for ii in range(1, len(order)):
-        i = order[ii]
-        if sphere.contains(pts[i]):
-            continue
-        sphere = make([i])
-        for jj in range(ii):
-            j = order[jj]
-            if sphere.contains(pts[j]):
-                continue
-            sphere = make([i, j])
-            for ll in range(jj):
-                l = order[ll]
-                if sphere.contains(pts[l]):
-                    continue
-                sphere = make([i, j, l])
+    i = first_outside(sphere, 1, n)
+    while i < n:
+        sphere = make([order[i]])
+        j = first_outside(sphere, 0, i)
+        while j < i:
+            sphere = make([order[i], order[j]])
+            l = first_outside(sphere, 0, j)
+            while l < j:
+                sphere = make([order[i], order[j], order[l]])
+                l = first_outside(sphere, l + 1, j)
+            j = first_outside(sphere, j + 1, i)
+        i = first_outside(sphere, i + 1, n)
     return sphere
 
 
@@ -152,7 +181,7 @@ def improve_quality_max(
     pos = samples.positions
 
     def radius_and_assignment():
-        d = np.linalg.norm(pos[:, None, :] - centers[None, :, :], axis=2)
+        _, d = sensor_offsets(pos, centers)
         assign = d.argmin(axis=1)  # lowest sensor index on ties
         return float(d.min(axis=1).max()), assign
 

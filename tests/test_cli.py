@@ -193,6 +193,40 @@ def test_negative_budget_exits_2(workdir, capsys, budget):
     assert "--k" in capsys.readouterr().err
 
 
+def _flag_argv(workdir, command, flags):
+    """Argv of `command` with `flags` and otherwise valid inputs."""
+    d, mesh, samples, cands, vis = workdir
+    out = ["--out", str(d / "flag.out")]
+    if command == "sample":
+        return ["sample", "--mesh", str(mesh), *flags, *out]
+    if command == "candidates":
+        return ["candidates", "--plane-z", "2.8", "--rect", "0.5", "0.5", "5.5", "3.5",
+                *flags, *out]
+    if command == "approx":
+        return ["approx", "--samples", str(samples), "--plane-z", "2.8", *flags, *out]
+    solved = d / "p1.json"
+    if not solved.exists():
+        assert main(["solve", "--problem", "1", "--k", "2",
+                     *_trio_args(samples, cands, vis), "--out", str(solved)]) == 0
+    return ["refine", "--method", "grid", "--mesh", str(mesh), *_trio_args(samples, cands, vis),
+            "--in", str(solved), *flags, *out]
+
+
+@pytest.mark.parametrize("command, flags, flag", [
+    ("sample", ["--pitch", "-1"], "--pitch"),
+    ("sample", ["--pitch", "0.8", "--tau", "5"], "--tau"),
+    ("candidates", ["--pitch", "0"], "--pitch"),
+    ("approx", ["--k", "0"], "--k"),
+    ("refine", ["--fine-pitch", "0"], "--fine-pitch"),
+    ("refine", ["--neighborhood", "-1"], "--neighborhood"),
+    ("refine", ["--rounds", "-1"], "--rounds"),
+])
+def test_out_of_range_flag_exits_2(workdir, capsys, command, flags, flag):
+    code = main(_flag_argv(workdir, command, flags))
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_truncated_cache_is_stale(workdir, tmp_path, capsys):
     d, mesh, samples, cands, vis = workdir
     cache = tmp_path / "vis.spvm"

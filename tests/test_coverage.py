@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfcover as sc
-from surfcover.coverage import CoincidentPointError, per_sample_coverage
+from surfcover.coverage import CoincidentPointError, per_sample_coverage, sensor_offsets
 from surfcover.export import sample_colors
 
 from conftest import all_visible, make_sample_set
@@ -101,6 +101,23 @@ def test_instance_dist_is_the_pairwise_norm():
                 assert inst.dist[i, j] == pytest.approx(direct, rel=4 * np.finfo(float).eps, abs=0)
     with pytest.raises(ValueError, match="dimension mismatch"):
         dataclasses.replace(inst, dist=inst.dist[:, :3])
+
+
+def test_sensor_offsets_match_the_distance_expressions_they_replace():
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-5, 5, (300, 3)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
+    pos = rng.uniform(-5, 5, (7, 3))
+    diff, dist = sensor_offsets(pts, pos)
+    assert np.array_equal(diff, pos[None, :, :] - pts[:, None, :])
+    # quality_matrix took the norm of c - p; clustering.coverage_radius and
+    # refine.improve_quality_max took the norm of p - c: the same bits
+    assert np.array_equal(dist, np.linalg.norm(diff, axis=2))
+    assert np.array_equal(dist, np.linalg.norm(pts[:, None, :] - pos[None, :, :], axis=2))
+    samples = make_sample_set(pts)
+    old_radius = float(
+        np.linalg.norm(pts[:, None, :] - pos[None, :, :], axis=2).min(axis=1).max()
+    )
+    assert sc.coverage_radius(sc.CandidateSet(positions=pos), samples) == old_radius
 
 
 def test_build_instance_coincident_error():

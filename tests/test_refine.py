@@ -1,9 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 import surfcover as sc
+from surfcover import refine
 from surfcover.coverage import QualityKind
 
 from conftest import all_visible, make_sample_set
@@ -96,6 +98,149 @@ def test_min_sphere_support_on_boundary():
     for idx in sphere.support:
         d = np.linalg.norm(pts[idx] - sphere.center)
         assert d == pytest.approx(sphere.radius, abs=1e-9)
+
+
+def _contains_ref(sphere, p, tol=refine.CONTAIN_TOL):
+    d2 = float(np.sum((np.asarray(p, float) - sphere.center) ** 2))
+    r2 = sphere.radius**2
+    return d2 <= r2 + tol * max(1.0, r2)
+
+
+def min_sphere_per_point_ref(points, h_plane, seed=0):
+    """The per-point triple loop that the batched violator scan replaced:
+    the same shuffle, visit order and closed-form bases, one point per test."""
+    pts = np.asarray(points, dtype=np.float64)
+    order = list(range(len(pts)))
+    random.Random(seed).shuffle(order)
+
+    def make(basis):
+        if len(basis) == 1:
+            c, r = refine._sphere_1p(pts[basis[0]], h_plane)
+        elif len(basis) == 2:
+            c, r = refine._sphere_2p(pts[basis[0]], pts[basis[1]], h_plane)
+        else:
+            out = refine._sphere_3p(pts[basis[0]], pts[basis[1]], pts[basis[2]], h_plane)
+            if out is None:
+                best = None
+                for a in range(3):
+                    for b in range(a + 1, 3):
+                        c, r = refine._sphere_2p(pts[basis[a]], pts[basis[b]], h_plane)
+                        cand = sc.ConstrainedSphere(c, r, (basis[a], basis[b]))
+                        if all(_contains_ref(cand, pts[basis[i]]) for i in range(3)):
+                            if best is None or cand.radius < best.radius:
+                                best = cand
+                if best is not None:
+                    return best
+                out = refine._sphere_2p(pts[basis[0]], pts[basis[1]], h_plane)
+            c, r = out
+        return sc.ConstrainedSphere(c, r, tuple(basis))
+
+    sphere = make([order[0]])
+    for ii in range(1, len(order)):
+        i = order[ii]
+        if _contains_ref(sphere, pts[i]):
+            continue
+        sphere = make([i])
+        for jj in range(ii):
+            j = order[jj]
+            if _contains_ref(sphere, pts[j]):
+                continue
+            sphere = make([i, j])
+            for ll in range(jj):
+                l = order[ll]
+                if _contains_ref(sphere, pts[l]):
+                    continue
+                sphere = make([i, j, l])
+    return sphere
+
+
+def _assert_same_sphere(pts, h, seed=0):
+    got = sc.min_sphere_fixed_plane(pts, h, seed)
+    ref = min_sphere_per_point_ref(pts, h, seed)
+    assert np.array_equal(got.center, ref.center)
+    assert got.radius == ref.radius
+    assert got.support == ref.support
+
+
+def _on_tolerance_boundary(sphere):
+    """Points around `sphere`'s containment limit along four horizontal axes:
+    the float offset nearest to sqrt(r2 + tol * max(1, r2)) and 4 ulps to
+    either side of it."""
+    r2 = sphere.radius**2
+    x = math.sqrt(r2 + refine.CONTAIN_TOL * max(1.0, r2))
+    for _ in range(4):
+        x = np.nextafter(x, 0.0)
+    offsets = []
+    for _ in range(9):
+        offsets.append(x)
+        x = np.nextafter(x, np.inf)
+    axes = np.array([[1.0, 0, 0], [0, -1.0, 0], [-1.0, 0, 0], [0, 1.0, 0]])
+    return np.array([sphere.center + d * a for a in axes for d in offsets])
+
+
+def test_min_sphere_scan_matches_per_point_loop_on_random_sets():
+    rng = np.random.default_rng(21)
+    sizes = [1, 2, 3, 4, 5, 8, 13, 400] + [int(n) for n in rng.integers(1, 401, 24)]
+    for seed, n in enumerate(sizes):
+        pts = rng.uniform(-5, 5, (n, 3)) * [1.0, 1.0, 0.2]
+        _assert_same_sphere(pts, float(rng.uniform(1, 4)), seed)
+
+
+def test_min_sphere_scan_matches_per_point_loop_with_duplicates():
+    rng = np.random.default_rng(22)
+    for n in (2, 6, 40, 200):
+        base = np.round(rng.uniform(-3, 3, (max(1, n // 4), 3)), 1)
+        pts = base[rng.integers(0, len(base), n)]  # every point repeats
+        _assert_same_sphere(pts, 2.5)
+        _assert_same_sphere(np.vstack([pts, pts]), 2.5)
+
+
+def test_min_sphere_scan_matches_per_point_loop_on_collinear_projections(monkeypatch):
+    rng = np.random.default_rng(23)
+    sets = []
+    for n in (3, 5, 20, 120):
+        t = np.round(rng.uniform(-2, 2, n), 1)
+        sets.append(np.column_stack([t, 2.0 * t + 1.0, rng.uniform(-1, 0.5, n)]))
+    for pts in sets:
+        _assert_same_sphere(pts, 3.0)
+    # Exact collinear triples never violate a 2-point sphere beyond the
+    # tolerance, so the degenerate-triple fallback is forced: every 3-point
+    # basis is reported collinear, in the search and in the reference alike.
+    forced = []
+
+    def collinear(*args):
+        forced.append(args)
+        return None
+
+    monkeypatch.setattr(refine, "_sphere_3p", collinear)
+    for n in (4, 30, 150):
+        sets.append(rng.uniform(-3, 3, (n, 3)) * [1.0, 1.0, 0.2])
+    for pts in sets:
+        _assert_same_sphere(pts, 3.0)
+    assert forced
+
+
+def test_min_sphere_scan_matches_per_point_loop_on_tolerance_boundary():
+    rng = np.random.default_rng(24)
+    for h in (0.3, 2.0):
+        base = rng.uniform(-2, 2, (3, 3)) * [1.0, 1.0, 0.1]
+        sphere = sc.min_sphere_fixed_plane(base, h)
+        pts = np.vstack([base, _on_tolerance_boundary(sphere)])
+        _assert_same_sphere(pts, h)
+        _assert_same_sphere(pts[::-1], h, seed=3)
+
+
+def test_contains_and_scan_agree_on_tolerance_boundary():
+    for radius in (0.4, 1.0, 7.0):
+        sphere = sc.ConstrainedSphere(np.array([0.5, -1.0, 2.0]), radius, ())
+        pts = _on_tolerance_boundary(sphere)
+        first_outside = refine._violator_scan(pts)
+        inside = [sphere.contains(q) for q in pts]
+        assert inside == [_contains_ref(sphere, q) for q in pts]
+        assert any(inside) and not all(inside)
+        for k in range(len(pts)):
+            assert (first_outside(sphere, k, k + 1) == k + 1) == inside[k]
+        assert first_outside(sphere, 0, len(pts)) == inside.index(False)
 
 
 def test_improve_quality_max_fixed_point():
