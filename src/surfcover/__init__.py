@@ -41,7 +41,6 @@ from .ilp import (
 from .mesh import (
     CandidateSet,
     SampleSet,
-    SurfaceSample,
     TriangleMesh,
     generate_candidates_box,
     generate_candidates_plane,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -50,8 +51,36 @@ class UsageError(Exception):
     pass
 
 
-class StaleCacheError(Exception):
-    pass
+def _checked(convert, ok, rule: str):
+    """An argparse `type=` that converts a flag's text and keeps the value
+    only if `ok(value)`; otherwise argparse exits 2 with `argument --flag:
+    must be <rule>`. NaN fails every rule."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}")
+
+    return parse
+
+
+def _k_range(text: str) -> range:
+    a, b = text.split("..")
+    return range(int(a), int(b) + 1)
+
+
+FINITE = _checked(float, math.isfinite, "a finite number")
+POSITIVE = _checked(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+NONNEGATIVE = _checked(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
+COSINE = _checked(float, lambda x: -1 <= x <= 1, "in [-1, 1]")
+FRACTION = _checked(float, lambda x: 0 < x <= 1, "in (0, 1]")
+COUNT = _checked(int, lambda n: n >= 0, "an integer >= 0")
+AT_LEAST_1 = _checked(int, lambda n: n >= 1, "an integer >= 1")
+K_RANGE = _checked(_k_range, lambda ks: 0 <= ks.start < ks.stop, "A..B with 0 <= A <= B")
 
 
 def _write_result(path, payload: dict, deterministic: bool) -> None:
@@ -72,7 +101,7 @@ def _load_trio(args):
         vm = load_spvm(args.vis)
         vm.check_consistent(samples, candidates)
     except ValueError as exc:
-        raise StaleCacheError(
+        raise UsageError(
             f"{exc}; re-run: surfcover visibility --mesh ... --samples {args.samples} "
             f"--candidates {args.candidates} --out {args.vis}"
         ) from exc
@@ -96,10 +125,6 @@ def _cmd_gen_scene(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if not args.pitch > 0:
-        raise UsageError("--pitch must be positive")
-    if not -1 <= args.tau <= 1:
-        raise UsageError("--tau must be in [-1, 1]")
     mesh = load_obj(args.mesh)
     samples = sample_surface(mesh, pitch=args.pitch, drop_downward=args.tau)
     save_json(samples, args.out)
@@ -107,9 +132,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_candidates(args) -> int:
-    if not args.pitch > 0:
-        raise UsageError("--pitch must be positive")
     x0, y0, x1, y1 = args.rect
+    if x0 > x1 or y0 > y1:
+        raise UsageError("--rect needs X0 <= X1 and Y0 <= Y1")
     cands = generate_candidates_plane(args.plane_z, (x0, y0, x1, y1), args.pitch)
     save_json(cands, args.out)
     return EXIT_OK
@@ -139,10 +164,8 @@ def _load_problem(args):
         raise UsageError("--phi only applies to --problem 3")
     if args.problem != 2 and args.rho is not None:
         raise UsageError("--rho only applies to --problem 2")
-    if args.problem == 3 and (args.phi is None or args.phi <= 0):
-        raise UsageError("--problem 3 requires a positive --phi")
-    if args.rho is not None and not 0 < args.rho <= 1:
-        raise UsageError("--rho must be in (0, 1]")
+    if args.problem == 3 and args.phi is None:
+        raise UsageError("--problem 3 requires --phi")
     samples, candidates, vm = _load_trio(args)
     return build_instance(samples, candidates, vm, PROBLEM_KIND[args.problem])
 
@@ -173,8 +196,6 @@ def _rho(args) -> float:
 
 
 def _cmd_solve(args) -> int:
-    if args.k < 0:
-        raise UsageError("--k must be >= 0")
     instance = _load_problem(args)
     placement, objective, result, extra = _solve_problem(args, instance, args.k, args.gap)
     params = {2: {"rho": _rho(args)}, 3: {"phi": args.phi}}.get(args.problem, {})
@@ -197,8 +218,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
     samples = load_sample_set(args.samples)
     plane = clustering.PlaneDeployment(height=args.plane_z)
     centers = clustering.farthest_point_clustering(samples, args.k, plane)
@@ -239,18 +258,14 @@ def _cmd_refine(args) -> int:
             "solve": None,
         }
     else:
-        if not args.fine_pitch > 0:
-            raise UsageError("--fine-pitch must be positive")
-        if args.rounds < 0:
-            raise UsageError("--rounds must be >= 0")
-        if args.neighborhood is not None and not args.neighborhood >= 0:
-            raise UsageError("--neighborhood must be >= 0")
+        if None in (args.mesh, args.candidates, args.vis):
+            raise UsageError("--method grid needs --mesh, --candidates and --vis")
         if prev["problem"] == 2:
             raise UsageError("--method grid refines problem 1/3 results; use onecenter")
         instance, placement = _result_instance(args, prev)
         mesh = load_obj(args.mesh)
         bvh = build_bvh(mesh)
-        neighborhood = args.neighborhood or 2 * args.fine_pitch
+        neighborhood = 2 * args.fine_pitch if args.neighborhood is None else args.neighborhood
         positions, objective = refine.refine_grid(
             instance,
             placement,
@@ -272,22 +287,10 @@ def _cmd_refine(args) -> int:
     return EXIT_OK
 
 
-def _parse_k_range(text: str) -> range:
-    try:
-        a, b = text.split("..")
-        ks = range(int(a), int(b) + 1)
-    except ValueError as exc:
-        raise UsageError(f"bad --k-range {text!r}; expected A..B") from exc
-    if ks.start < 0:
-        raise UsageError(f"bad --k-range {text!r}; k must be >= 0")
-    return ks
-
-
 def _cmd_sweep(args) -> int:
-    ks = _parse_k_range(args.k_range)
     instance = _load_problem(args)
     rows = []
-    for k in ks:
+    for k in args.k_range:
         t0 = time.perf_counter()
         _, objective, result, _ = _solve_problem(args, instance, k, gap_tol=0.0)
         elapsed = 0.0 if args.deterministic else time.perf_counter() - t0
@@ -330,26 +333,42 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--deterministic", action="store_true",
                         help="omit timestamps so identical inputs give identical bytes")
 
+    def add_inputs(sp, vis_required=True):
+        """--samples, and the --candidates/--vis that go with them."""
+        sp.add_argument("--samples", required=True)
+        sp.add_argument("--candidates", required=vis_required)
+        sp.add_argument("--vis", required=vis_required)
+
+    def add_problem(sp):
+        """The flags that `solve` and `sweep` share."""
+        sp.add_argument("--problem", type=int, choices=[1, 2, 3], required=True)
+        sp.add_argument("--phi", type=POSITIVE)
+        sp.add_argument("--rho", type=FRACTION)
+        sp.add_argument("--time-limit", type=POSITIVE)
+        add_inputs(sp)
+        sp.add_argument("--out", required=True)
+        add_det(sp)
+
     sp = sub.add_parser("gen-scene", help="generate a synthetic scene mesh")
     sp.add_argument("--kind", choices=["terrain", "room"], required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cells", type=int, default=20)
-    sp.add_argument("--amplitude", type=float, default=0.5)
+    sp.add_argument("--seed", type=COUNT, default=0)
+    sp.add_argument("--cells", type=AT_LEAST_1, default=20)
+    sp.add_argument("--amplitude", type=FINITE, default=0.5)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_gen_scene)
 
     sp = sub.add_parser("sample", help="grid-sample a mesh surface")
     sp.add_argument("--mesh", required=True)
-    sp.add_argument("--pitch", type=float, required=True)
-    sp.add_argument("--tau", type=float, default=0.0)
+    sp.add_argument("--pitch", type=POSITIVE, required=True)
+    sp.add_argument("--tau", type=COSINE, default=0.0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_sample)
 
     sp = sub.add_parser("candidates", help="candidate grid on a horizontal plane")
-    sp.add_argument("--plane-z", type=float, required=True)
-    sp.add_argument("--rect", type=float, nargs=4, metavar=("X0", "Y0", "X1", "Y1"),
+    sp.add_argument("--plane-z", type=FINITE, required=True)
+    sp.add_argument("--rect", type=FINITE, nargs=4, metavar=("X0", "Y0", "X1", "Y1"),
                     required=True)
-    sp.add_argument("--pitch", type=float, required=True)
+    sp.add_argument("--pitch", type=POSITIVE, required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_candidates)
 
@@ -361,60 +380,40 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_visibility)
 
     sp = sub.add_parser("solve", help="solve problem 1, 2, or 3 exactly")
-    sp.add_argument("--problem", type=int, choices=[1, 2, 3], required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--phi", type=float, default=None)
-    sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--time-limit", type=float, default=None)
-    sp.add_argument("--gap", type=float, default=0.0)
-    sp.add_argument("--samples", required=True)
-    sp.add_argument("--candidates", required=True)
-    sp.add_argument("--vis", required=True)
-    sp.add_argument("--out", required=True)
-    add_det(sp)
+    add_problem(sp)
+    sp.add_argument("--k", type=COUNT, required=True)
+    sp.add_argument("--gap", type=NONNEGATIVE, default=0.0)
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("approx", help="farthest-point clustering on a plane")
     sp.add_argument("--samples", required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--plane-z", type=float, required=True)
+    sp.add_argument("--k", type=AT_LEAST_1, required=True)
+    sp.add_argument("--plane-z", type=FINITE, required=True)
     sp.add_argument("--out", required=True)
     add_det(sp)
     sp.set_defaults(func=_cmd_approx)
 
     sp = sub.add_parser("refine", help="local improvement of a previous result")
     sp.add_argument("--method", choices=["grid", "onecenter"], required=True)
-    sp.add_argument("--rounds", type=int, default=3)
-    sp.add_argument("--fine-pitch", type=float, default=0.1)
-    sp.add_argument("--neighborhood", type=float, default=None)
+    sp.add_argument("--rounds", type=COUNT, default=3)
+    sp.add_argument("--fine-pitch", type=POSITIVE, default=0.1)
+    sp.add_argument("--neighborhood", type=NONNEGATIVE,
+                    help="half-width of each local grid (default: 2 x --fine-pitch)")
     sp.add_argument("--mesh")
-    sp.add_argument("--samples", required=True)
-    sp.add_argument("--candidates")
-    sp.add_argument("--vis")
+    add_inputs(sp, vis_required=False)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", required=True)
     add_det(sp)
     sp.set_defaults(func=_cmd_refine)
 
     sp = sub.add_parser("sweep", help="objective vs k curve as CSV")
-    sp.add_argument("--problem", type=int, choices=[1, 2, 3], required=True)
-    sp.add_argument("--k-range", required=True, help="A..B inclusive")
-    sp.add_argument("--phi", type=float, default=None)
-    sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--time-limit", type=float, default=None)
-    sp.add_argument("--samples", required=True)
-    sp.add_argument("--candidates", required=True)
-    sp.add_argument("--vis", required=True)
-    sp.add_argument("--out", required=True)
-    add_det(sp)
+    add_problem(sp)
+    sp.add_argument("--k-range", type=K_RANGE, required=True, help="A..B inclusive")
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("export", help="colored PLY of per-sensor coverage")
-    sp.add_argument("--coloring", choices=["per-sensor"], default="per-sensor")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--samples", required=True)
-    sp.add_argument("--candidates", required=True)
-    sp.add_argument("--vis", required=True)
+    add_inputs(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_export)
 
@@ -430,9 +429,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except StaleCacheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except drivers.InfeasibleError as exc:

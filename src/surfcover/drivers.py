@@ -189,7 +189,6 @@ def two_phase_quality(
     samples,
     k: int,
     plane: clustering.PlaneDeployment,
-    phase1_factor: float = 2.0,
 ) -> PipelineReport:
     """Farthest-point clustering then constrained-1-center iteration for the
     best-quality (max-min distance) objective with relaxed visibility.
@@ -206,5 +205,5 @@ def two_phase_quality(
     t1 = time.perf_counter()
     new_pos, r2 = refine.improve_quality_max(samples, centers.positions, plane.height)
     refined = PhaseReport(r2, time.perf_counter() - t1, new_pos)
-    factor = phase1_factor * (r2 / r1) if r1 > 0 else phase1_factor
+    factor = 2.0 * (r2 / r1) if r1 > 0 else 2.0
     return PipelineReport(2, coarse, refined, certified_factor=factor)

@@ -109,7 +109,7 @@ class SolveResult:
 def build_visibility_model(instance: CoverageInstance, k: int) -> IlpModel:
     if instance.kind is not QualityKind.VISIBILITY:
         raise ValueError("visibility model requires a visibility-kind instance")
-    _check_budget(k, instance.n_candidates)
+    _check_budget(k)
     return IlpModel(
         kind=ModelKind.MAX_VISIBILITY_COVERAGE,
         cover=instance.vis.bits.copy(),
@@ -122,7 +122,7 @@ def build_cumulative_model(instance: CoverageInstance, k: int, threshold: float)
         raise ValueError("cumulative model requires a Lambert inverse-square instance")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    _check_budget(k, instance.n_candidates)
+    _check_budget(k)
     return IlpModel(
         kind=ModelKind.THRESHOLD_COVERAGE,
         cover=instance.phi.copy(),
@@ -136,11 +136,9 @@ def build_feasibility_model(
 ) -> IlpModel:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if not 0 < rho <= 1:
-        # rho == 0 demands nothing and is allowed as a degenerate edge
-        if rho != 0:
-            raise ValueError("rho must be in (0, 1]")
-    _check_budget(k, instance.n_candidates)
+    if not 0 <= rho <= 1:  # rho == 0 demands nothing: a degenerate edge, allowed
+        raise ValueError("rho must be in [0, 1]")
+    _check_budget(k)
     return IlpModel(
         kind=ModelKind.FEASIBILITY_COVER,
         cover=instance.vis.bits & (instance.dist <= radius),
@@ -150,7 +148,7 @@ def build_feasibility_model(
     )
 
 
-def _check_budget(k: int, m: int) -> None:
+def _check_budget(k: int) -> None:
     if k < 0:
         raise ValueError("sensor budget k must be non-negative")
     # k > M is allowed; the cardinality row is simply non-binding

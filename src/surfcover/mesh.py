@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,14 +84,6 @@ class TriangleMesh:
 
 
 @dataclass(frozen=True)
-class SurfaceSample:
-    position: np.ndarray
-    normal: np.ndarray
-    weight: float
-    id: int
-
-
-@dataclass(frozen=True)
 class SampleSet:
     """Discretization of the target surface: positions, normals, area weights."""
 
@@ -117,9 +109,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def __getitem__(self, i: int) -> SurfaceSample:
-        return SurfaceSample(self.positions[i], self.normals[i], float(self.weights[i]), i)
 
     def content_hash(self) -> int:
         return content_hash_u64(self.positions, self.normals, self.weights)
@@ -200,7 +189,7 @@ def content_hash_u64(*arrays: np.ndarray) -> int:
 # OBJ I/O
 
 
-def load_obj(path, name: str | None = None) -> TriangleMesh:
+def load_obj(path) -> TriangleMesh:
     """Load an ASCII Wavefront OBJ mesh (v/f records; quads fan-triangulated)."""
     vertices = []
     faces = []
@@ -240,7 +229,7 @@ def load_obj(path, name: str | None = None) -> TriangleMesh:
     return TriangleMesh(
         vertices=np.array(vertices, dtype=np.float64),
         triangles=np.array(faces, dtype=np.int64),
-        name=name if name is not None else str(path),
+        name=str(path),
     )
 
 

@@ -3,6 +3,7 @@ per-sensor grid refinement."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -31,15 +32,15 @@ class ConstrainedSphere:
     radius: float
     support: tuple[int, ...]  # indices of the <= 3 boundary points
 
-    def contains(self, p, tol: float = CONTAIN_TOL) -> bool:
+    def contains(self, p) -> bool:
         d2 = float(np.sum((np.asarray(p, float) - self.center) ** 2))
-        return bool(_within(d2, self.radius**2, tol))
+        return bool(_within(d2, self.radius**2))
 
 
-def _within(d2, r2: float, tol: float = CONTAIN_TOL, out=None):
+def _within(d2, r2: float, out=None):
     """The one containment rule: squared distance(s) `d2` lie inside the sphere
-    of squared radius `r2`, with slack `tol` relative to max(1, r2)."""
-    return np.less_equal(d2, r2 + tol * max(1.0, r2), out=out)
+    of squared radius `r2`, with slack CONTAIN_TOL relative to max(1, r2)."""
+    return np.less_equal(d2, r2 + CONTAIN_TOL * max(1.0, r2), out=out)
 
 
 def _sphere_1p(p, h: float):
@@ -70,18 +71,19 @@ def _sphere_2p(p, q, h: float):
 
 def _sphere_3p(p, q, s, h: float):
     # equidistance in 3D of the three points restricted to z = h gives two
-    # linear equations in the planar center coordinates
-    pts2 = np.array([p[:2], q[:2], s[:2]])
-    w = np.array([(h - p[2]) ** 2, (h - q[2]) ** 2, (h - s[2]) ** 2])
-    sq = (pts2**2).sum(axis=1) + w
-    A = 2.0 * (pts2[1:] - pts2[0])
-    rhs = sq[1:] - sq[0]
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    # linear equations a00 x + a01 y = b0, a10 x + a11 y = b1 in the planar
+    # center (x, y), solved by Cramer's rule
+    (px, py, pz), (qx, qy, qz), (sx, sy, sz) = p.tolist(), q.tolist(), s.tolist()
+    wp = (h - pz) ** 2
+    sq_p = px * px + py * py + wp
+    a00, a01, b0 = 2.0 * (qx - px), 2.0 * (qy - py), qx * qx + qy * qy + (h - qz) ** 2 - sq_p
+    a10, a11, b1 = 2.0 * (sx - px), 2.0 * (sy - py), sx * sx + sy * sy + (h - sz) ** 2 - sq_p
+    det = a00 * a11 - a01 * a10
     if abs(det) < 1e-18:
         return None  # collinear projections; a 2-point basis will cover
-    x = np.linalg.solve(A, rhs)
-    r = float(np.sqrt(np.sum((x - pts2[0]) ** 2) + w[0]))
-    return np.array([x[0], x[1], h]), r
+    x = (b0 * a11 - a01 * b1) / det
+    y = (a00 * b1 - b0 * a10) / det
+    return np.array([x, y, h]), math.sqrt((x - px) ** 2 + (y - py) ** 2 + wp)
 
 
 def _violator_scan(p: np.ndarray):
@@ -170,12 +172,11 @@ def improve_quality_max(
     samples: SampleSet,
     centers: np.ndarray,
     h_plane: float,
-    tol: float = 1e-9,
-    max_rounds: int = 1000,
 ) -> tuple[np.ndarray, float]:
     """Shrink the covering radius by alternating nearest-center assignment and
     plane-constrained 1-center recomputation. The radius never increases and
-    iteration stops once it improves by at most `tol`.
+    iteration stops once a round improves it by at most 1e-9, or after 1000
+    rounds.
     """
     centers = np.array(centers, dtype=np.float64, copy=True)
     pos = samples.positions
@@ -186,14 +187,14 @@ def improve_quality_max(
         return float(d.min(axis=1).max()), assign
 
     r, assign = radius_and_assignment()
-    for _ in range(max_rounds):
+    for _ in range(1000):
         for j in range(len(centers)):
             cluster = pos[assign == j]
             if len(cluster) == 0:
                 continue  # no responsibility this round; leave in place
             centers[j] = min_sphere_fixed_plane(cluster, h_plane).center
         r_new, assign = radius_and_assignment()
-        if r - r_new <= tol:
+        if r - r_new <= 1e-9:
             r = min(r, r_new)
             break
         r = r_new
@@ -222,10 +223,10 @@ def _local_grid(center: np.ndarray, pitch: float, halfwidth: float, bounds=None)
     return np.vstack([center[None, :], pts])
 
 
-def _vis_columns(bvh: Bvh, samples: SampleSet, positions: np.ndarray, eps=None) -> np.ndarray:
+def _vis_columns(bvh: Bvh, samples: SampleSet, positions: np.ndarray) -> np.ndarray:
     hidden = np.empty(len(samples) * len(positions), dtype=bool)  # position-major
     for sl, origins, targets in pair_packets(samples.positions, positions):
-        hidden[sl] = segments_occluded(bvh, origins, targets, eps)
+        hidden[sl] = segments_occluded(bvh, origins, targets)
     return ~hidden.reshape(len(positions), len(samples)).T
 
 
@@ -238,7 +239,6 @@ def refine_grid(
     neighborhood: float,
     threshold: float | None = None,
     bounds=None,
-    eps: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Move sensors one at a time onto a fine local grid, keeping a move only
     when the covered count strictly improves.
@@ -255,7 +255,7 @@ def refine_grid(
     positions = instance.candidates.positions[placement]
 
     def quality_columns(pos: np.ndarray) -> np.ndarray:
-        return quality_matrix(samples, pos, _vis_columns(bvh, samples, pos, eps), kind)[1]
+        return quality_matrix(samples, pos, _vis_columns(bvh, samples, pos), kind)[1]
 
     def covered_count(cols: np.ndarray):
         """Covered samples of each placement whose columns run along the last axis."""

@@ -134,26 +134,26 @@ def _segment_hits_triangles(o, d, a, b, c):
     return hit
 
 
-def _shrunk(origins, targets, eps):
-    """Origins and directions of the segments with both ends pulled in by eps."""
+def _shrunk(origins, targets):
+    """The segments' origins and directions, both ends pulled in by DEFAULT_EPS_REL x length."""
     origins = np.asarray(origins, dtype=np.float64)
     d = np.asarray(targets, dtype=np.float64) - origins
     lengths = np.linalg.norm(d, axis=1)
     if (lengths == 0).any():
         raise ValueError("segment endpoints coincide")
-    e = (DEFAULT_EPS_REL * lengths) if eps is None else np.full(len(d), float(eps))
+    e = DEFAULT_EPS_REL * lengths
     u = d / lengths[:, None]
     return origins + e[:, None] * u, d - (2 * e)[:, None] * u
 
 
-def segment_occluded(bvh: Bvh, a, b, eps: float | None = None) -> bool:
-    """True iff the eps-shrunk open segment from a to b hits any mesh triangle."""
-    return bool(segments_occluded(bvh, [a], [b], eps)[0])
+def segment_occluded(bvh: Bvh, a, b) -> bool:
+    """True iff the shrunk open segment from a to b hits any mesh triangle."""
+    return bool(segments_occluded(bvh, [a], [b])[0])
 
 
-def segments_occluded(bvh: Bvh, origins, targets, eps: float | None = None) -> np.ndarray:
+def segments_occluded(bvh: Bvh, origins, targets) -> np.ndarray:
     """Batched segment_occluded over rows of origins/targets ((n, 3) each)."""
-    return _segments_occluded_impl(bvh, *_shrunk(origins, targets, eps))
+    return _segments_occluded_impl(bvh, *_shrunk(origins, targets))
 
 
 def _slab_hits(box, r, zero):
@@ -234,10 +234,10 @@ def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarra
     return occluded
 
 
-def segment_occluded_brute(mesh: TriangleMesh, a, b, eps: float | None = None) -> bool:
+def segment_occluded_brute(mesh: TriangleMesh, a, b) -> bool:
     """Linear scan over every triangle; oracle for the BVH path, with its own
     Moller-Trumbore arithmetic."""
-    (o,), (d,) = _shrunk([a], [b], eps)
+    (o,), (d,) = _shrunk([a], [b])
     return bool(_segment_hits_triangles(o, d, *mesh.corners()).any())
 
 
@@ -284,12 +284,11 @@ def visibility_matrix(
     bvh: Bvh,
     samples: SampleSet,
     candidates: CandidateSet,
-    eps: float | None = None,
 ) -> VisibilityMatrix:
     """bit (i, j) = segment from sample i to candidate j is unobstructed."""
     hidden = np.empty(len(samples) * len(candidates), dtype=bool)  # candidate-major
     for sl, origins, targets in pair_packets(samples.positions, candidates.positions):
-        hidden[sl] = segments_occluded(bvh, origins, targets, eps)
+        hidden[sl] = segments_occluded(bvh, origins, targets)
     return VisibilityMatrix(
         bits=np.ascontiguousarray(~hidden.reshape(len(candidates), len(samples)).T),
         sample_hash=samples.content_hash(),

@@ -194,9 +194,14 @@ def test_negative_budget_exits_2(workdir, capsys, budget):
 
 
 def _flag_argv(workdir, command, flags):
-    """Argv of `command` with `flags` and otherwise valid inputs."""
+    """Argv of `command` with `flags` and otherwise valid inputs; in `refine`
+    a flag paired with None is left out."""
     d, mesh, samples, cands, vis = workdir
     out = ["--out", str(d / "flag.out")]
+    if command == "gen-scene":
+        return ["gen-scene", "--kind", "terrain", *flags, *out]
+    if command in ("solve", "sweep"):
+        return [command, "--problem", "1", *_trio_args(samples, cands, vis), *flags, *out]
     if command == "sample":
         return ["sample", "--mesh", str(mesh), *flags, *out]
     if command == "candidates":
@@ -208,8 +213,10 @@ def _flag_argv(workdir, command, flags):
     if not solved.exists():
         assert main(["solve", "--problem", "1", "--k", "2",
                      *_trio_args(samples, cands, vis), "--out", str(solved)]) == 0
-    return ["refine", "--method", "grid", "--mesh", str(mesh), *_trio_args(samples, cands, vis),
-            "--in", str(solved), *flags, *out]
+    inputs = {"--mesh": str(mesh), "--samples": str(samples), "--candidates": str(cands),
+              "--vis": str(vis), "--in": str(solved), **dict(zip(flags[::2], flags[1::2]))}
+    given = [t for flag, value in inputs.items() if value is not None for t in (flag, value)]
+    return ["refine", "--method", "grid", *given, *out]
 
 
 @pytest.mark.parametrize("command, flags, flag", [
@@ -220,11 +227,31 @@ def _flag_argv(workdir, command, flags):
     ("refine", ["--fine-pitch", "0"], "--fine-pitch"),
     ("refine", ["--neighborhood", "-1"], "--neighborhood"),
     ("refine", ["--rounds", "-1"], "--rounds"),
+    ("solve", ["--k", "1", "--time-limit", "-1"], "--time-limit"),
+    ("solve", ["--k", "1", "--time-limit", "nan"], "--time-limit"),
+    ("solve", ["--k", "1", "--gap", "-1"], "--gap"),
+    ("gen-scene", ["--cells", "0"], "--cells"),
+    ("sweep", ["--k-range", "3..1"], "--k-range"),
+    ("candidates", ["--pitch", "1.0", "--rect", "5.5", "0.5", "0.5", "3.5"], "--rect"),
+    ("refine", ["--mesh", None], "--mesh"),
+    ("refine", ["--candidates", None], "--candidates"),
 ])
 def test_out_of_range_flag_exits_2(workdir, capsys, command, flags, flag):
     code = main(_flag_argv(workdir, command, flags))
     assert code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_zero_neighborhood_reaches_refine_grid(workdir, monkeypatch):
+    seen = {}
+
+    def refine_grid(instance, placement, bvh, **kwargs):
+        seen.update(kwargs)
+        return instance.candidates.positions[list(placement)], 0.0
+
+    monkeypatch.setattr(sc.refine, "refine_grid", refine_grid)
+    assert main(_flag_argv(workdir, "refine", ["--neighborhood", "0"])) == 0
+    assert seen["neighborhood"] == 0.0
 
 
 def test_truncated_cache_is_stale(workdir, tmp_path, capsys):

@@ -100,6 +100,22 @@ def test_min_sphere_support_on_boundary():
         assert d == pytest.approx(sphere.radius, abs=1e-9)
 
 
+def test_sphere_3p_closed_form_matches_linear_solve():
+    # the 2x2 system of the 3-point basis, solved by LAPACK as the reference
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        p, q, s = rng.uniform(-5, 5, (3, 3))
+        h = float(rng.uniform(-2, 4))
+        pts2 = np.array([p[:2], q[:2], s[:2]])
+        w = (h - np.array([p[2], q[2], s[2]])) ** 2
+        sq = (pts2**2).sum(axis=1) + w
+        xy = np.linalg.solve(2.0 * (pts2[1:] - pts2[0]), sq[1:] - sq[0])
+        center, r = refine._sphere_3p(p, q, s, h)
+        assert np.allclose(center, [*xy, h], rtol=1e-9, atol=1e-9)
+        assert r == pytest.approx(np.sqrt(np.sum((xy - pts2[0]) ** 2) + w[0]), rel=1e-9)
+    assert refine._sphere_3p(*np.array([[0, 0, 1], [1, 1, 0], [2, 2, 3.0]]), 2.0) is None
+
+
 def _contains_ref(sphere, p, tol=refine.CONTAIN_TOL):
     d2 = float(np.sum((np.asarray(p, float) - sphere.center) ** 2))
     r2 = sphere.radius**2
