@@ -196,8 +196,11 @@ def _rho(args) -> float:
 
 
 def _cmd_solve(args) -> int:
+    if args.problem == 2 and args.gap is not None:
+        raise UsageError("--gap only applies to --problem 1 and 3")
     instance = _load_problem(args)
-    placement, objective, result, extra = _solve_problem(args, instance, args.k, args.gap)
+    gap_tol = 0.0 if args.gap is None else args.gap
+    placement, objective, result, extra = _solve_problem(args, instance, args.k, gap_tol)
     params = {2: {"rho": _rho(args)}, 3: {"phi": args.phi}}.get(args.problem, {})
     payload = {
         "problem": args.problem,
@@ -304,11 +307,17 @@ def _cmd_sweep(args) -> int:
 
 def _result_instance(args, prev: dict):
     """The instance of the --in result's problem and the result's placement,
-    checked against it."""
+    checked against it. A result without a candidate placement (`approx`
+    and `refine` write `placement: null`) is a usage error."""
+    if prev.get("placement") is None:
+        raise UsageError(
+            f"{args.infile}: the result has no candidate placement, only free "
+            "positions; use a `solve` result"
+        )
     samples, candidates, vm = _load_trio(args)
     instance = build_instance(samples, candidates, vm, PROBLEM_KIND[prev["problem"]])
     try:
-        placement = check_placement(prev.get("placement") or [], instance.n_candidates)
+        placement = check_placement(prev["placement"], instance.n_candidates)
     except ValueError as exc:
         raise UsageError(f"{args.infile}: {exc}") from exc
     return instance, placement
@@ -382,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="solve problem 1, 2, or 3 exactly")
     add_problem(sp)
     sp.add_argument("--k", type=COUNT, required=True)
-    sp.add_argument("--gap", type=NONNEGATIVE, default=0.0)
+    sp.add_argument("--gap", type=NONNEGATIVE, help="gap tolerance of problems 1 and 3 "
+                    "(default 0: proven optimal)")
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("approx", help="farthest-point clustering on a plane")

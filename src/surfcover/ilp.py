@@ -82,6 +82,27 @@ class IlpModel:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """Outcome of one solve.
+
+    * status: OPTIMAL (proven; for the feasibility kind, the target is met),
+      FEASIBLE (stopped by the clock within `gap_tol`), TIME_LIMIT (stopped
+      by the clock outside it) or INFEASIBLE (feasibility kind: no k-subset
+      covers the coverage target).
+    * placement: the sorted selected candidates; None when INFEASIBLE.
+    * primal: covered count of the best selection found. After an
+      INFEASIBLE proof this is the best count the search saw, which is the
+      true maximum only when the B&B ran; a root proof keeps the warm
+      start's count.
+    * dual_bound: upper bound on the covered count of any selection. An
+      INFEASIBLE result's dual_bound is below the coverage target: it is the
+      certificate.
+    * gap: (dual_bound - primal) / max(1, |primal|) for a result stopped by
+      the clock, else 0.
+    * nodes: B&B nodes visited; 1 for an infeasibility proved at the root, 0
+      when the warm start settles the model.
+    * elapsed: wall seconds.
+    """
+
     status: SolveStatus
     placement: tuple[int, ...] | None
     primal: float
@@ -268,6 +289,51 @@ def _greedy_incumbent(scorer, m: int, k: int, deadline: float | None):
     return selected, current
 
 
+# Lagrangian root test of the feasibility kind
+_LAGRANGE_STEPS = 600
+_LAGRANGE_PATIENCE = 20  # steps without a better bound before the step factor halves
+_PROOF_TOL = 1e-6
+
+
+def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float | None) -> float:
+    """Smallest L(lam) met by Polyak subgradient steps toward target - 1, where
+
+        L(lam) = sum_i max(0, 1 - lam_i) + (sum of the k largest positive (lam A)_j)
+
+    relaxes each row y_i <= sum_j A_ij z_j with its multiplier lam_i. Every
+    lam in [0, 1]^N gives an upper bound on the covered count of any
+    k-selection, so the minimum found is valid however far the steps got.
+    Stops at a proof (L < target - tol), once a step's own selection covers
+    the target (no proof exists), after a fixed step count or at the
+    deadline. Rows no candidate covers add nothing at lam_i = 1 and are left
+    out; the others start at lam_i = 1 / (number of candidates covering i)."""
+    cols = np.ascontiguousarray(cover[cover.any(axis=1)].T, dtype=np.float64)
+    m, rows = cols.shape
+    lam = 1.0 / cols.sum(axis=0)
+    factor, best, stale = 2.0, math.inf, 0
+    for _ in range(_LAGRANGE_STEPS):
+        if deadline is not None and time.perf_counter() > deadline:
+            break
+        weights = cols @ lam
+        top = np.argpartition(weights, m - k)[m - k :]
+        top = top[weights[top] > 0]
+        value = rows - lam.sum() + weights[top].sum()  # lam stays in [0, 1]
+        stale += 1
+        if value < best:
+            best, stale = value, 0
+        elif stale == _LAGRANGE_PATIENCE:
+            factor, stale = factor / 2, 0
+        hits = cols[top].sum(axis=0)
+        if best < target - _PROOF_TOL or np.count_nonzero(hits) >= target:
+            break
+        grad = hits - (lam < 1.0)
+        norm = grad @ grad
+        if norm == 0:  # lam minimises L
+            break
+        lam = np.minimum(np.maximum(lam - factor * (value - (target - 1)) / norm * grad, 0.0), 1.0)
+    return float(best)
+
+
 def solve(
     model: IlpModel,
     time_limit: float | None = None,
@@ -286,7 +352,9 @@ def solve(
     term is valid by submodularity, the second because no selection covers
     more than the union of the free columns. For the threshold kind each open
     sample takes its `budget` best free contributions. The feasibility kind
-    exits early once the coverage target is met.
+    exits early once the coverage target is met. When its warm start misses
+    the target, a Lagrangian bound (`_lagrangian_bound`) is tried first: if
+    it falls below the target, infeasibility is proved at the root.
     """
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
@@ -303,6 +371,11 @@ def solve(
     timed_out = False
     open_bound = -math.inf  # best bound among subtrees cut off by the clock
     found_target = target is not None and inc_value >= target
+    root_proof = None  # a Lagrangian bound below the coverage target
+    if target is not None and k > 0 and not found_target:
+        lagrangian = _lagrangian_bound(model.cover, k, target, deadline)
+        if lagrangian < target - _PROOF_TOL:
+            root_proof, nodes = lagrangian, 1
 
     def bound(state, value, free, selected) -> int:
         budget = k - len(selected)
@@ -311,7 +384,7 @@ def solve(
         return scorer.expand(state, value, free, budget)[1]
 
     root = (scorer.root, scorer.value(scorer.root), np.arange(m), [])
-    stack = [] if k == 0 or found_target else [root]
+    stack = [] if k == 0 or found_target or root_proof is not None else [root]
     while stack:
         state, value, free, selected = stack.pop()
         nodes += 1
@@ -351,6 +424,8 @@ def solve(
         status = SolveStatus.FEASIBLE if within_tol else SolveStatus.TIME_LIMIT
     elif target is not None:
         status, placement = SolveStatus.INFEASIBLE, None
+        if root_proof is not None:
+            dual = max(primal, root_proof)
     else:
         status = SolveStatus.OPTIMAL
     return SolveResult(

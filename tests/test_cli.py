@@ -184,6 +184,17 @@ def test_out_of_range_rho_exits_2(workdir, capsys, command, rho):
     assert "--rho" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gap", ["0.9", "0"])
+def test_gap_on_problem2_exits_2(workdir, capsys, gap):
+    d, mesh, samples, cands, vis = workdir
+    out = d / "p2gap.json"
+    code = main(["solve", "--problem", "2", "--k", "3", "--rho", "0.5", "--gap", gap,
+                 *_trio_args(samples, cands, vis), "--out", str(out)])
+    assert code == 2
+    assert "--gap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("budget", [["solve", "--k", "-1"], ["sweep", "--k-range=-1..1"]])
 def test_negative_budget_exits_2(workdir, capsys, budget):
     d, mesh, samples, cands, vis = workdir
@@ -352,6 +363,50 @@ def test_export_empty_placement_all_white(workdir):
                  *_trio_args(samples, cands, vis), "--out", str(out)]) == 0
     body = out.read_text().split("end_header\n", 1)[1].strip().splitlines()
     assert all(line.split()[3:] == ["255", "255", "255"] for line in body)
+
+
+def _free_position_result(workdir, method):
+    """A result of `method` (approx, onecenter or grid), whose placement is null."""
+    d, mesh, samples, cands, vis = workdir
+    fpc, out = d / "free_fpc.json", d / f"free_{method}.json"
+    if method != "grid":
+        assert main(["approx", "--samples", str(samples), "--k", "2",
+                     "--plane-z", "2.8", "--out", str(fpc)]) == 0
+    if method == "approx":
+        return fpc
+    if method == "onecenter":
+        refine = ["--method", "onecenter", "--samples", str(samples), "--in", str(fpc)]
+    else:
+        solved = d / "free_p1.json"
+        assert main(["solve", "--problem", "1", "--k", "2",
+                     *_trio_args(samples, cands, vis), "--out", str(solved)]) == 0
+        refine = ["--method", "grid", "--rounds", "0", "--mesh", str(mesh),
+                  *_trio_args(samples, cands, vis), "--in", str(solved)]
+    assert main(["refine", *refine, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["placement"] is None
+    return out
+
+
+@pytest.mark.parametrize("method", ["approx", "onecenter", "grid"])
+def test_export_without_candidate_placement_exits_2(workdir, capsys, method):
+    d, mesh, samples, cands, vis = workdir
+    result = _free_position_result(workdir, method)
+    out = d / f"free_{method}.ply"
+    code = main(["export", "--in", str(result),
+                 *_trio_args(samples, cands, vis), "--out", str(out)])
+    assert code == 2
+    assert "no candidate placement" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_refine_of_grid_refined_result_exits_2(workdir, capsys):
+    d, mesh, samples, cands, vis = workdir
+    result = _free_position_result(workdir, "grid")
+    code = main(["refine", "--method", "grid", "--mesh", str(mesh),
+                 *_trio_args(samples, cands, vis), "--in", str(result),
+                 "--out", str(d / "twice.json")])
+    assert code == 2
+    assert "no candidate placement" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["export", "refine"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import surfcover as sc
-from surfcover.ilp import IlpModel, ModelKind, SolveStatus
+from surfcover.ilp import IlpModel, ModelKind, SolveStatus, _lagrangian_bound
 
 from _lputil import solve_lp_file
 from conftest import all_visible, make_sample_set
@@ -243,18 +243,23 @@ def _random_model(rng, kind, n, m, k):
 
 
 def _assert_matches_brute_force(model):
+    """Checks solve(model) against the oracle and returns it."""
     a, b = sc.solve(model), sc.brute_force_solve(model)
     assert a.status == b.status
     if a.status is SolveStatus.INFEASIBLE:
-        # the search ran to completion, so its best count is the true maximum
-        assert a.placement is None and a.primal == b.primal
-        return
+        # primal is the best count seen, the true maximum only when the B&B
+        # ran; dual_bound brackets the maximum and is the certificate
+        assert a.placement is None
+        assert a.primal <= b.primal <= a.dual_bound + 1e-9
+        assert a.dual_bound < model.coverage_target
+        return a
     assert len(a.placement) <= model.k
     assert model.covered_count(a.placement) == a.primal
     if model.kind is ModelKind.FEASIBILITY_COVER:
         assert a.primal >= model.coverage_target  # stops at the first subset that reaches it
     else:
         assert a.primal == b.primal
+    return a
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
@@ -319,3 +324,79 @@ def test_time_limit_bounds_the_warm_start():
     assert time.perf_counter() - t0 < 0.001 + 0.5
     assert res.status is not SolveStatus.OPTIMAL or res.gap == 0
     assert res.dual_bound >= res.primal
+
+
+def _lagrangian_value(cover, lam, k):
+    """L(lam) of the max-coverage relaxation, written from its definition."""
+    rows = sum(max(0.0, 1.0 - x) for x in lam)
+    weights = sorted((sum(lam[i] for i in np.flatnonzero(col)) for col in cover.T), reverse=True)
+    return rows + sum(w for w in weights[:k] if w > 0)
+
+
+def test_lagrangian_value_bounds_the_optimum():
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        n, m, k = int(rng.integers(1, 30)), int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        model = IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, rng.random((n, m)) < 0.3, k)
+        best = sc.brute_force_solve(model).primal
+        for lam in (rng.random(n), rng.random(n) ** 4, (rng.random(n) < 0.5).astype(float)):
+            assert _lagrangian_value(model.cover, lam, min(k, m)) >= best - 1e-9
+
+
+def test_lagrangian_bound_never_undercuts_the_optimum():
+    # asked to prove a target one above the optimum, the steps may get as
+    # close as they can but never below the optimum itself
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        n, m, k = int(rng.integers(1, 40)), int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        model = IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, rng.random((n, m)) < 0.3, k)
+        best = sc.brute_force_solve(model).primal
+        assert _lagrangian_bound(model.cover, min(k, m), int(best) + 1, None) >= best - 1e-9
+
+
+def test_feasibility_status_matches_brute_force_over_many_models():
+    rng = np.random.default_rng(61)
+    root_proofs = 0
+    for _ in range(1200):
+        n, m, k = int(rng.integers(1, 90)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        model = _random_model(rng, ModelKind.FEASIBILITY_COVER, n, m, k)
+        a = _assert_matches_brute_force(model)
+        if a.status is SolveStatus.INFEASIBLE:
+            lagrangian = _lagrangian_bound(model.cover, min(k, m), model.coverage_target, None)
+            if lagrangian < model.coverage_target - 1e-6:
+                root_proofs += 1
+                assert a.nodes == 1
+                assert a.dual_bound == max(a.primal, lagrangian)
+    assert root_proofs > 100
+
+
+def _k4_edges(copies):
+    """Samples are the 6 edges of K4, repeated `copies` times; candidates are
+    its 4 vertices. Two vertices cover 5 edges, while the LP covers all 6 with
+    every z at 1/2, so no Lagrangian bound proves the target 5 * copies + 1."""
+    block = np.zeros((6, 4), bool)
+    for i, (u, v) in enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]):
+        block[i, [u, v]] = True
+    rho = (5 * copies + 1) / (6 * copies)
+    cover = np.tile(block, (copies, 1))
+    return IlpModel(ModelKind.FEASIBILITY_COVER, cover, 2, radius=1.0, rho=rho)
+
+
+def test_unproved_infeasibility_falls_back_to_branching():
+    model = _k4_edges(1)
+    res = sc.solve(model)
+    assert res.status is SolveStatus.INFEASIBLE
+    assert res.nodes > 1
+    assert res.primal == res.dual_bound == 5.0
+
+
+def test_time_limit_bounds_the_lagrangian_steps():
+    # without the clock, the 600 subgradient steps on 120,000 rows take seconds
+    model = _k4_edges(20000)
+    t0 = time.perf_counter()
+    res = sc.solve(model, time_limit=0.001)
+    assert time.perf_counter() - t0 < 0.001 + 0.5
+    assert res.status is SolveStatus.TIME_LIMIT
+    t0 = time.perf_counter()
+    assert _lagrangian_bound(model.cover, 2, model.coverage_target, t0 + 0.01) >= 100000
+    assert time.perf_counter() - t0 < 0.01 + 0.5
