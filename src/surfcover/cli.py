@@ -213,8 +213,6 @@ def _cmd_solve(args) -> int:
         **extra,
     }
     _write_result(args.out, payload, args.deterministic)
-    if result.status is SolveStatus.INFEASIBLE:
-        return EXIT_INFEASIBLE
     if result.status is SolveStatus.TIME_LIMIT:
         return EXIT_TIME_LIMIT
     return EXIT_OK
@@ -328,7 +326,8 @@ def _cmd_export(args) -> int:
         prev = json.load(fh)
     instance, placement = _result_instance(args, prev)
     colors = export.sample_colors(
-        instance, placement, threshold=prev.get("params", {}).get("phi")
+        instance, placement, threshold=prev.get("params", {}).get("phi"),
+        radius=prev.get("radius"),
     )
     export.write_ply(args.out, instance.samples.positions, colors)
     return EXIT_OK

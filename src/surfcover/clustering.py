@@ -47,12 +47,12 @@ def farthest_point_clustering(
     pos = samples.positions
     centers = [plane.project(pos[0])]
     # nearest-center distance, updated incrementally per added center
-    dist = np.linalg.norm(pos - centers[0], axis=1)
+    dist = sensor_offsets(pos, centers[0][None])[1][:, 0]
     for _ in range(k - 1):
         far = int(np.argmax(dist))  # argmax returns the lowest id on ties
         c = plane.project(pos[far])
         centers.append(c)
-        dist = np.minimum(dist, np.linalg.norm(pos - c, axis=1))
+        dist = np.minimum(dist, sensor_offsets(pos, c[None])[1][:, 0])
     return CandidateSet(positions=np.array(centers), region_kind="plane-at-height")
 
 

@@ -157,6 +157,11 @@ class CoverageInstance:
     def n_candidates(self) -> int:
         return len(self.candidates)
 
+    def covers_within(self, radius: float) -> np.ndarray:
+        """(N, M) bool: candidate j sees sample i from at most `radius` away,
+        the cover rule of problem 2."""
+        return self.vis.bits & (self.dist <= radius)
+
 
 def build_instance(
     samples: SampleSet,
@@ -179,13 +184,6 @@ class CoverageReport:
 
     def coverage_ratio(self, n_samples: int) -> float:
         return len(self.covered_ids) / n_samples
-
-    def to_json_dict(self) -> dict:
-        return {
-            "covered_ids": sorted(self.covered_ids),
-            "objective": self.objective,
-            "per_sample_f": self.per_sample_f.tolist(),
-        }
 
 
 def per_sample_coverage(instance: CoverageInstance, selected: Sequence[int]) -> np.ndarray:

@@ -72,17 +72,22 @@ def solve_problem2(
     can cover a rho fraction of the samples; binary search over the finite set
     of pairwise distances, each step an exact feasibility solve.
 
-    Under a time limit the search stops at the first step that runs out of
-    time. It then returns the smallest radius proven feasible so far with
-    status TIME_LIMIT; when the largest radius itself timed out, that radius
-    and its uncertified incumbent come back with status TIME_LIMIT.
+    `time_limit` bounds the whole search: each step gets the time left. The
+    search stops at the first step that runs out of time, or before a step
+    when none is left. It then returns the smallest radius proven feasible so
+    far with status TIME_LIMIT; when the largest radius itself timed out, that
+    radius and its uncertified incumbent come back with status TIME_LIMIT.
     """
     radii = candidate_radii(instance)
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
+
+    def step(r: float) -> SolveResult:
+        """The exact feasibility solve at radius r in the time left."""
+        left = None if deadline is None else max(0.0, deadline - time.perf_counter())
+        return solve(build_feasibility_model(instance, k, r, rho), time_limit=left)
+
     hi = len(radii) - 1
-    top = solve(
-        build_feasibility_model(instance, k, float(radii[hi]), rho),
-        time_limit=time_limit,
-    )
+    top = step(float(radii[hi]))
     if top.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
             f"coverage ratio {rho} unachievable with {k} sensors even at the "
@@ -93,19 +98,23 @@ def solve_problem2(
     lo = 0
     best = (float(radii[hi]), top)
     while lo <= hi:
+        if deadline is not None and time.perf_counter() >= deadline:
+            break
         mid = (lo + hi) // 2
         r = float(radii[mid])
-        res = solve(build_feasibility_model(instance, k, r, rho), time_limit=time_limit)
+        res = step(r)
         if res.status is SolveStatus.OPTIMAL:
             best = (r, res)
             hi = mid - 1
         elif res.status is SolveStatus.INFEASIBLE:
             lo = mid + 1
         else:
-            r_star, feasible = best
-            return r_star, feasible.placement, replace(feasible, status=SolveStatus.TIME_LIMIT)
-    r_star, res = best
-    return r_star, res.placement or (), res
+            break
+    else:  # the search ended without running out of time
+        r_star, res = best
+        return r_star, res.placement or (), res
+    r_star, feasible = best
+    return r_star, feasible.placement, replace(feasible, status=SolveStatus.TIME_LIMIT)
 
 
 # ---------------------------------------------------------------------------

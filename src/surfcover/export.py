@@ -28,9 +28,11 @@ def sample_colors(
     instance: CoverageInstance,
     selected,
     threshold: float | None = None,
+    radius: float | None = None,
 ) -> np.ndarray:
     """(N, 3) uint8 colors: best/assigned sensor's palette entry, white if the
-    sample is uncovered."""
+    sample is uncovered. With a problem-2 `radius`, a sample is covered only
+    when a selected candidate sees it from within that radius."""
     n = instance.n_samples
     colors = np.tile(np.array(UNCOVERED, dtype=np.uint8), (n, 1))
     selected = check_placement(selected, instance.n_candidates)
@@ -38,7 +40,10 @@ def sample_colors(
         return colors
     cols = instance.phi[:, selected]
     best = cols.argmax(axis=1)
-    covered = is_covered(instance.kind, sample_coverage(instance.kind, cols), threshold)
+    if radius is None:
+        covered = is_covered(instance.kind, sample_coverage(instance.kind, cols), threshold)
+    else:
+        covered = instance.covers_within(radius)[:, selected].any(axis=1)
     for rank in range(len(selected)):
         mask = covered & (best == rank)
         colors[mask] = PALETTE[rank % len(PALETTE)]

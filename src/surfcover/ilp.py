@@ -162,7 +162,7 @@ def build_feasibility_model(
     _check_budget(k)
     return IlpModel(
         kind=ModelKind.FEASIBILITY_COVER,
-        cover=instance.vis.bits & (instance.dist <= radius),
+        cover=instance.covers_within(radius),
         k=k,
         radius=float(radius),
         rho=float(rho),
@@ -417,7 +417,7 @@ def solve(
     if found_target:
         status = SolveStatus.OPTIMAL
     elif timed_out:
-        dual = max(primal, open_bound)
+        dual = float(max(primal, open_bound))  # expand's bound is an int
         gap = (dual - primal) / max(1.0, abs(primal))
         # only an optimization model can settle for a gap within tolerance
         within_tol = target is None and gap <= gap_tol

@@ -12,7 +12,7 @@ from .mesh import CandidateSet, SampleSet, TriangleMesh
 SPVM_MAGIC = b"SPVM"
 SPVM_VERSION = 2  # v2 adds the mesh hash; v1 files still load
 
-DEFAULT_LEAF_SIZE = 4
+LEAF_SIZE = 4  # most triangles in a leaf
 # relative endpoint shrinkage; samples sit exactly on mesh faces and must not
 # self-occlude
 DEFAULT_EPS_REL = 1e-6
@@ -23,85 +23,66 @@ PACKET_SEGMENTS = 8192
 
 @dataclass(frozen=True)
 class Bvh:
-    """Axis-aligned bounding box tree over mesh triangles.
+    """Axis-aligned bounding box tree over mesh triangles, stored in the
+    layout the walk reads.
 
-    Stored as flat arrays: internal nodes reference children, leaves reference
-    a contiguous range of the permuted triangle index array.
+    Nodes are numbered breadth first, so an internal node's children are the
+    consecutive nodes left and left + 1. A leaf references a contiguous range
+    of the triangles in leaf order.
     """
 
-    box_lo: np.ndarray  # (nodes, 3)
-    box_hi: np.ndarray  # (nodes, 3)
+    boxes: np.ndarray  # (nodes, 2, 3, 1) lo and hi corners
     left: np.ndarray  # (nodes,) child index, -1 for leaves
-    right: np.ndarray  # (nodes,)
+    right: np.ndarray  # (nodes,) left + 1, -1 for leaves
     start: np.ndarray  # (nodes,) leaf triangle range start
     count: np.ndarray  # (nodes,) leaf triangle count, 0 for internal
     tri_order: np.ndarray  # permutation of triangle indices
-    tri_a: np.ndarray  # (T, 3) corner arrays in leaf order
-    tri_b: np.ndarray
-    tri_c: np.ndarray
+    tri: np.ndarray  # (3, 3, T, 1) rows of a, b - a and c - a in leaf order
 
     @property
     def n_triangles(self) -> int:
         return len(self.tri_order)
 
 
-def build_bvh(mesh: TriangleMesh, leaf_size: int = DEFAULT_LEAF_SIZE) -> Bvh:
-    """Median-split BVH on the longest box axis (ties broken x, y, z)."""
+def build_bvh(mesh: TriangleMesh) -> Bvh:
+    """Median-split BVH on the longest box axis (ties broken x, y, z), with at
+    most LEAF_SIZE triangles in a leaf."""
     a, b, c = mesh.corners()
     tri_lo = np.minimum(np.minimum(a, b), c)
     tri_hi = np.maximum(np.maximum(a, b), c)
     centroids = (a + b + c) / 3.0
 
     order = np.arange(mesh.n_triangles)
-    box_lo, box_hi, left, right, start, count = [], [], [], [], [], []
-
-    def new_node():
-        box_lo.append(None)
-        box_hi.append(None)
-        left.append(-1)
-        right.append(-1)
-        start.append(0)
-        count.append(0)
-        return len(box_lo) - 1
-
-    # iterative build; stack of (node_index, lo, hi) ranges into `order`
-    root = new_node()
-    stack = [(root, 0, mesh.n_triangles)]
-    while stack:
-        node, lo_i, hi_i = stack.pop()
+    ranges = [(0, mesh.n_triangles)]  # node i holds order[lo:hi] of ranges[i]
+    nodes = []  # (lo, hi, left child, leaf start, leaf count) of node i
+    for lo_i, hi_i in ranges:  # splits append the children's ranges
         idx = order[lo_i:hi_i]
-        lo = tri_lo[idx].min(axis=0)
-        hi = tri_hi[idx].max(axis=0)
-        box_lo[node] = lo
-        box_hi[node] = hi
+        lo, hi = tri_lo[idx].min(axis=0), tri_hi[idx].max(axis=0)
         n = hi_i - lo_i
-        if n <= leaf_size:
-            start[node] = lo_i
-            count[node] = n
+        if n <= LEAF_SIZE:
+            nodes.append((lo, hi, -1, lo_i, n))
             continue
-        extent = hi - lo
-        axis = int(np.argmax(extent))  # argmax takes first on ties: x, y, z
-        key = centroids[idx, axis]
-        perm = np.argsort(key, kind="stable")
-        order[lo_i:hi_i] = idx[perm]
+        axis = int(np.argmax(hi - lo))  # argmax takes first on ties: x, y, z
+        order[lo_i:hi_i] = idx[np.argsort(centroids[idx, axis], kind="stable")]
         mid = lo_i + n // 2
-        lc, rc = new_node(), new_node()
-        left[node] = lc
-        right[node] = rc
-        stack.append((rc, mid, hi_i))
-        stack.append((lc, lo_i, mid))
+        nodes.append((lo, hi, len(ranges), 0, 0))
+        ranges += [(lo_i, mid), (mid, hi_i)]
 
+    lo, hi, left, start, count = (np.array(column) for column in zip(*nodes))
+    del nodes  # freed, and tri filled in place, to keep the build's peak memory low
+    tri = np.empty((3, 3, len(order), 1))
+    first = a[order]
+    tri[0, ..., 0] = first.T
+    np.subtract(b[order].T, first.T, out=tri[1, ..., 0])
+    np.subtract(c[order].T, first.T, out=tri[2, ..., 0])
     return Bvh(
-        box_lo=np.array(box_lo),
-        box_hi=np.array(box_hi),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        start=np.array(start, dtype=np.int64),
-        count=np.array(count, dtype=np.int64),
+        boxes=np.stack([lo, hi], axis=1)[..., None],
+        left=left,
+        right=np.where(left < 0, -1, left + 1),
+        start=start,
+        count=count,
         tri_order=order,
-        tri_a=a[order],
-        tri_b=b[order],
-        tri_c=c[order],
+        tri=tri,
     )
 
 
@@ -156,19 +137,17 @@ def segments_occluded(bvh: Bvh, origins, targets) -> np.ndarray:
     return _segments_occluded_impl(bvh, *_shrunk(origins, targets))
 
 
-def _slab_hits(box, r, zero):
+def _slab_hits(box, r):
     """Slab test of segments o + t*d, t in [0, 1], against B boxes: box is (B,
-    2, 3, 1) corners, r (2, 3, A) rows of o and 1 / d, zero the (3, A) mask of
-    d == 0 or None when there is none. Returns bool (B, A)."""
+    2, 3, 1) corners, r (2, 3, A) rows of o and 1 / d. Returns bool (B, A).
+    Where d == 0 on an axis, 1 / d = +-inf gives an origin inside the slab
+    (-inf, inf) and one outside two same-signed infinities, a miss; one on a
+    slab plane gets 0 * inf = NaN, which the fmax / fmin reduces skip."""
     t = (box - r[0]) * r[1]
     tmin = np.minimum(t[:, 0], t[:, 1])
     tmax = np.maximum(t[:, 0], t[:, 1], out=t[:, 1])
-    if zero is not None:  # where d == 0: inside the slab or not, not its interval
-        outside = ~((r[0] >= box[:, 0]) & (r[0] <= box[:, 1]))
-        np.copyto(tmin, np.where(outside, np.inf, -np.inf), where=zero)
-        np.copyto(tmax, np.inf, where=zero)
-    enter = np.maximum(np.maximum.reduce(tmin, axis=1), 0.0)
-    exit_ = np.minimum(np.minimum.reduce(tmax, axis=1), 1.0)
+    enter = np.maximum(np.fmax.reduce(tmin, axis=1), 0.0)
+    exit_ = np.minimum(np.fmin.reduce(tmax, axis=1), 1.0)
     return enter <= exit_
 
 
@@ -210,15 +189,10 @@ def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarra
     """Packet traversal of the BVH: each internal node slab-tests both children
     against the segments that reached it, each leaf runs Moller-Trumbore on them."""
     occluded = np.zeros(len(o), dtype=bool)
-    count, start = bvh.count.tolist(), bvh.start.tolist()
-    children = list(zip(bvh.right.tolist(), bvh.left.tolist()))
-    boxes = np.stack([bvh.box_lo, bvh.box_hi], axis=1)[..., None]  # (nodes, 2, 3, 1)
-    kids = boxes[np.stack([bvh.right, bvh.left], axis=1)]  # leaves' rows unused
-    a = bvh.tri_a
-    tri = np.stack([a, bvh.tri_b - a, bvh.tri_c - a]).transpose(0, 2, 1)[..., None]
+    boxes, tri = bvh.boxes, bvh.tri
+    left, count, start = bvh.left.tolist(), bvh.count.tolist(), bvh.start.tolist()
     ray = np.ascontiguousarray(np.stack([o, 1.0 / d, d]).transpose(0, 2, 1))  # o, 1/d, d
-    zero = (ray[2] == 0.0) if (d == 0.0).any() else None
-    stack = [(0, np.flatnonzero(_slab_hits(boxes[:1], ray[:2], zero)[0]))]
+    stack = [(0, np.flatnonzero(_slab_hits(boxes[:1], ray[:2])[0]))]
     while stack:
         node, act = stack.pop()
         act = act[~occluded[act]]
@@ -228,9 +202,9 @@ def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarra
             leaf = tri[:, :, start[node] : start[node] + count[node]]
             occluded[act[_leaf_hits(ray[::2].take(act, axis=2), leaf)]] = True
             continue
-        z = None if zero is None else zero.take(act, axis=1)
-        hit = _slab_hits(kids[node], ray[:2].take(act, axis=2), z)
-        stack += [(c, act[h]) for c, h in zip(children[node], hit)]
+        lc = left[node]
+        hit = _slab_hits(boxes[lc : lc + 2], ray[:2].take(act, axis=2))
+        stack += [(lc + 1, act[hit[1]]), (lc, act[hit[0]])]  # the left child pops first
     return occluded
 
 

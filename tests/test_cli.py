@@ -354,6 +354,23 @@ def test_export_ply(workdir):
     assert text.startswith("ply")
 
 
+def test_export_of_problem2_colours_only_samples_within_the_radius(workdir):
+    d, mesh, samples, cands, vis = workdir
+    solved, out = d / "p2-rho08.json", d / "p2-rho08.ply"
+    assert main(["solve", "--problem", "2", "--k", "3", "--rho", "0.8",
+                 *_trio_args(samples, cands, vis), "--out", str(solved)]) == 0
+    assert main(["export", "--in", str(solved),
+                 *_trio_args(samples, cands, vis), "--out", str(out)]) == 0
+    result = json.loads(solved.read_text())
+    body = out.read_text().split("end_header\n", 1)[1].strip().splitlines()
+    coloured = sum(line.split()[3:] != ["255", "255", "255"] for line in body)
+    s, c = sc.load_sample_set(str(samples)), sc.load_candidate_set(str(cands))
+    instance = sc.build_instance(s, c, sc.load_spvm(str(vis)), sc.QualityKind.INVERSE_DISTANCE)
+    within = instance.covers_within(result["radius"])[:, result["placement"]].any(axis=1)
+    assert coloured == within.sum() < instance.vis.bits[:, result["placement"]].any(axis=1).sum()
+    assert coloured >= 0.8 * len(s)
+
+
 def test_export_empty_placement_all_white(workdir):
     d, mesh, samples, cands, vis = workdir
     empty = d / "empty.json"

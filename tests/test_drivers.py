@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +130,41 @@ def test_problem2_top_radius_timeout_is_not_infeasible(monkeypatch):
     assert calls == [8.0]
     assert r == pytest.approx(8.0)
     assert res.status is SolveStatus.TIME_LIMIT
+
+
+def _probed_radii(monkeypatch, inst, spend=0.0, **kwargs):
+    """solve_problem2 with every step first spending `spend` s of its budget;
+    returns its result and the radii it probed."""
+    real = drivers.solve
+    radii = []
+
+    def solve(model, time_limit=None):
+        radii.append(model.radius)
+        time.sleep(min(time_limit, spend) if time_limit is not None else spend)
+        return real(model)
+
+    monkeypatch.setattr(drivers, "solve", solve)
+    out = sc.solve_problem2(inst, **kwargs)
+    monkeypatch.undo()
+    return out, radii
+
+
+def test_problem2_time_limit_bounds_the_whole_search(monkeypatch):
+    # each step spends 20 ms, so 50 ms covers the first two and a half of
+    # the nine steps; the search must share the limit, not restart it
+    inst = random_instance(np.random.default_rng(5), 40, 8, QualityKind.VISIBILITY)
+    (r_opt, _, _), all_radii = _probed_radii(monkeypatch, inst, k=2, rho=0.9)
+    assert len(all_radii) >= 6
+    t0 = time.perf_counter()
+    (r, placement, res), radii = _probed_radii(
+        monkeypatch, inst, spend=0.02, k=2, rho=0.9, time_limit=0.05
+    )
+    assert time.perf_counter() - t0 < 0.05 + 0.05
+    assert res.status is SolveStatus.TIME_LIMIT
+    assert radii == all_radii[: len(radii)]  # the same bisection, cut short
+    assert r in radii and r >= r_opt  # the last certified radius
+    model = sc.build_feasibility_model(inst, 2, r, 0.9)
+    assert model.covered_count(placement) >= model.coverage_target
 
 
 def test_problem2_result_is_a_witnessed_optimum():

@@ -397,6 +397,7 @@ def test_time_limit_bounds_the_lagrangian_steps():
     res = sc.solve(model, time_limit=0.001)
     assert time.perf_counter() - t0 < 0.001 + 0.5
     assert res.status is SolveStatus.TIME_LIMIT
+    assert isinstance(res.dual_bound, float) and isinstance(res.primal, float)
     t0 = time.perf_counter()
     assert _lagrangian_bound(model.cover, 2, model.coverage_target, t0 + 0.01) >= 100000
     assert time.perf_counter() - t0 < 0.01 + 0.5

@@ -7,7 +7,10 @@ import pytest
 import surfcover as sc
 from surfcover.refine import _vis_columns
 from surfcover.visibility import (
+    LEAF_SIZE,
     PACKET_SEGMENTS,
+    _segment_hits_triangles,
+    _segments_occluded_impl,
     load_spvm,
     save_spvm,
     segment_occluded_brute,
@@ -31,24 +34,26 @@ def test_root_box_is_mesh_bounds():
     mesh = box_mesh((0, 0, 0), (2, 3, 4))
     bvh = sc.build_bvh(mesh)
     lo, hi = mesh.bounds()
-    assert np.allclose(bvh.box_lo[0], lo)
-    assert np.allclose(bvh.box_hi[0], hi)
+    assert np.allclose(bvh.boxes[0, 0, :, 0], lo)
+    assert np.allclose(bvh.boxes[0, 1, :, 0], hi)
 
 
 def test_leaves_partition_triangles():
     rng = np.random.default_rng(0)
     verts, tris = [], []
-    for t in range(8):
+    for t in range(12):
         base = rng.uniform(0, 10, 3)
         verts += [base, base + [1, 0, 0], base + [0, 1, 0]]
         tris.append([3 * t, 3 * t + 1, 3 * t + 2])
     mesh = sc.TriangleMesh(np.array(verts), np.array(tris))
-    bvh = sc.build_bvh(mesh, leaf_size=2)
+    bvh = sc.build_bvh(mesh)
     leaf_tris = []
     for n in range(len(bvh.count)):
         if bvh.count[n] > 0:
+            assert bvh.count[n] <= LEAF_SIZE
             leaf_tris += bvh.tri_order[bvh.start[n] : bvh.start[n] + bvh.count[n]].tolist()
-    assert sorted(leaf_tris) == list(range(8))
+    assert (bvh.count > 0).sum() > 2
+    assert sorted(leaf_tris) == list(range(12))
 
 
 def test_segment_crosses_triangle():
@@ -213,6 +218,37 @@ def test_packet_mixing_axis_aligned_and_oblique_segments_matches_brute():
     slow = np.array([segment_occluded_brute(mesh, p, q) for p, q in zip(a, b)])
     assert (fast == slow).all()
     assert 0 < fast.sum() < len(fast)
+
+
+def test_negative_zero_directions_and_flat_leaf_boxes_match_brute():
+    # a floor and a ceiling split first along z, so every leaf box is flat in
+    # z; origins sit on those planes and on the leaf boxes' x and y planes
+    quads = [(x, y, z) for z in (0.0, 4.0) for x in range(3) for y in range(3)]
+    verts, tris = [], []
+    for x, y, z in quads:
+        i = len(verts)
+        verts += [(x, y, z), (x + 1, y, z), (x + 1, y + 1, z), (x, y + 1, z)]
+        tris += [(i, i + 1, i + 2), (i, i + 2, i + 3)]
+    mesh = sc.TriangleMesh(np.array(verts, float), np.array(tris))
+    bvh = sc.build_bvh(mesh)
+    leaf = bvh.count > 0
+    assert (bvh.boxes[leaf, 0, 2] == bvh.boxes[leaf, 1, 2]).all()
+    rng = np.random.default_rng(11)
+    o = rng.integers(0, [7, 7, 9], (800, 3)) * 0.5
+    o[:400, 2] = rng.choice([0.0, 4.0], 400)  # on the flat boxes' planes
+    d = rng.integers(-2, 3, (800, 3)) * 0.5
+    o, d = o[(d != 0).any(axis=1)], d[(d != 0).any(axis=1)]
+    # b - a never gives -0.0, so the walk gets these directions directly
+    neg = np.where((d == 0) & (rng.random(d.shape) < 0.5), -0.0, d)
+    assert (np.signbit(neg) & (neg == 0)).any(axis=1).sum() > 100
+    corners = mesh.corners()
+    oracle = np.array([_segment_hits_triangles(p, q, *corners).any() for p, q in zip(o, neg)])
+    assert (_segments_occluded_impl(bvh, o, neg) == oracle).all()
+    assert (_segments_occluded_impl(bvh, o, d) == oracle).all()
+    assert 0 < oracle.sum() < len(oracle)
+    fast = segments_occluded(bvh, o, o + d)
+    slow = np.array([segment_occluded_brute(mesh, p, p + q) for p, q in zip(o, d)])
+    assert (fast == slow).all()
 
 
 def test_matrix_memory_is_bounded_by_the_packet():
