@@ -17,7 +17,8 @@ LEAF_SIZE = 4  # most triangles in a leaf
 # self-occlude
 DEFAULT_EPS_REL = 1e-6
 # pairs per BVH walk in visibility_matrix and refine_grid: bounds the walk's
-# working memory, whatever N x M is, and sets how many walks it takes
+# working memory, whatever N x M is, and sets how many walks it takes; the walk
+# finishes a subtree in one step once its segments x triangles fit in it
 PACKET_SEGMENTS = 8192
 
 
@@ -27,17 +28,18 @@ class Bvh:
     layout the walk reads.
 
     Nodes are numbered breadth first, so an internal node's children are the
-    consecutive nodes left and left + 1. A leaf references a contiguous range
+    consecutive nodes left and left + 1. Every node holds a contiguous range
     of the triangles in leaf order.
     """
 
     boxes: np.ndarray  # (nodes, 2, 3, 1) lo and hi corners
     left: np.ndarray  # (nodes,) child index, -1 for leaves
     right: np.ndarray  # (nodes,) left + 1, -1 for leaves
-    start: np.ndarray  # (nodes,) leaf triangle range start
-    count: np.ndarray  # (nodes,) leaf triangle count, 0 for internal
+    start: np.ndarray  # (nodes,) first triangle of the node's range
+    count: np.ndarray  # (nodes,) triangles in the node's range
     tri_order: np.ndarray  # permutation of triangle indices
     tri: np.ndarray  # (3, 3, T, 1) rows of a, b - a and c - a in leaf order
+    leaf_boxes: np.ndarray  # (T, 2, 3, 1) the box of each triangle's leaf, leaf order
 
     @property
     def n_triangles(self) -> int:
@@ -54,7 +56,7 @@ def build_bvh(mesh: TriangleMesh) -> Bvh:
 
     order = np.arange(mesh.n_triangles)
     ranges = [(0, mesh.n_triangles)]  # node i holds order[lo:hi] of ranges[i]
-    nodes = []  # (lo, hi, left child, leaf start, leaf count) of node i
+    nodes = []  # (lo, hi, left child, range start, range count) of node i
     for lo_i, hi_i in ranges:  # splits append the children's ranges
         idx = order[lo_i:hi_i]
         lo, hi = tri_lo[idx].min(axis=0), tri_hi[idx].max(axis=0)
@@ -65,24 +67,28 @@ def build_bvh(mesh: TriangleMesh) -> Bvh:
         axis = int(np.argmax(hi - lo))  # argmax takes first on ties: x, y, z
         order[lo_i:hi_i] = idx[np.argsort(centroids[idx, axis], kind="stable")]
         mid = lo_i + n // 2
-        nodes.append((lo, hi, len(ranges), 0, 0))
+        nodes.append((lo, hi, len(ranges), lo_i, n))
         ranges += [(lo_i, mid), (mid, hi_i)]
 
     lo, hi, left, start, count = (np.array(column) for column in zip(*nodes))
     del nodes  # freed, and tri filled in place, to keep the build's peak memory low
+    boxes = np.stack([lo, hi], axis=1)[..., None]
+    leaves = np.flatnonzero(left < 0)
+    leaves = leaves[np.argsort(start[leaves])]  # leaf order
     tri = np.empty((3, 3, len(order), 1))
     first = a[order]
     tri[0, ..., 0] = first.T
     np.subtract(b[order].T, first.T, out=tri[1, ..., 0])
     np.subtract(c[order].T, first.T, out=tri[2, ..., 0])
     return Bvh(
-        boxes=np.stack([lo, hi], axis=1)[..., None],
+        boxes=boxes,
         left=left,
         right=np.where(left < 0, -1, left + 1),
         start=start,
         count=count,
         tri_order=order,
         tri=tri,
+        leaf_boxes=np.repeat(boxes[leaves], count[leaves], axis=0),
     )
 
 
@@ -117,8 +123,11 @@ def _segment_hits_triangles(o, d, a, b, c):
 
 def _shrunk(origins, targets):
     """The segments' origins and directions, both ends pulled in by DEFAULT_EPS_REL x length."""
-    origins = np.asarray(origins, dtype=np.float64)
-    d = np.asarray(targets, dtype=np.float64) - origins
+    origins = np.asarray(origins, dtype=np.float64).reshape(len(origins), 3)
+    targets = np.asarray(targets, dtype=np.float64).reshape(len(targets), 3)
+    if not (np.isfinite(origins).all() and np.isfinite(targets).all()):
+        raise ValueError("segment endpoints must be finite")
+    d = targets - origins
     lengths = np.linalg.norm(d, axis=1)
     if (lengths == 0).any():
         raise ValueError("segment endpoints coincide")
@@ -151,9 +160,9 @@ def _slab_hits(box, r):
     return enter <= exit_
 
 
-def _leaf_hits(r, tri):
-    """Moller-Trumbore of A segments, r (2, 3, A) rows of o and d, against one
-    leaf's L triangles, tri (3, 3, L, 1) rows of a, b - a and c - a; bool (A,).
+def _triangle_hits(r, tri):
+    """Moller-Trumbore of A segments, r (2, 3, A) rows of o and d, against L
+    triangles, tri (3, 3, L, 1) rows of a, b - a and c - a; bool (L, A).
     Products and sums are those of np.cross and np.einsum (which adds the x, z,
     then y terms); from tvec on, the (L, A) arrays are worked in place."""
     (ox, oy, oz), (dx, dy, dz) = r
@@ -181,15 +190,22 @@ def _leaf_hits(r, tri):
     tol = 1e-12
     hit = ~near_parallel & (u >= -tol) & (v >= -tol) & (t >= -tol) & (t <= 1.0 + tol)
     hit &= np.add(u, v, out=u) <= 1.0 + tol
-    return np.logical_or.reduce(hit, axis=0)
+    return hit
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # 1 / 0 and 0 * inf in the slab test
 def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Packet traversal of the BVH: each internal node slab-tests both children
-    against the segments that reached it, each leaf runs Moller-Trumbore on them."""
+    against the segments that reached it, each leaf runs Moller-Trumbore on them.
+
+    A subtree whose segments x triangles fit in PACKET_SEGMENTS is finished in
+    one step: a segment is occluded when, for some triangle, both the slab test
+    of the triangle's leaf box and Moller-Trumbore hit. The bits are the walk's:
+    a parent box is the min / max of its children's, and IEEE subtraction and
+    multiplication are monotone, so a segment that hits a leaf box hits every
+    box on the path to it (also where 0 * inf gives NaN)."""
     occluded = np.zeros(len(o), dtype=bool)
-    boxes, tri = bvh.boxes, bvh.tri
+    boxes, tri, leaf_boxes = bvh.boxes, bvh.tri, bvh.leaf_boxes
     left, count, start = bvh.left.tolist(), bvh.count.tolist(), bvh.start.tolist()
     ray = np.ascontiguousarray(np.stack([o, 1.0 / d, d]).transpose(0, 2, 1))  # o, 1/d, d
     stack = [(0, np.flatnonzero(_slab_hits(boxes[:1], ray[:2])[0]))]
@@ -198,11 +214,14 @@ def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarra
         act = act[~occluded[act]]
         if act.size == 0:
             continue
-        if count[node]:
-            leaf = tri[:, :, start[node] : start[node] + count[node]]
-            occluded[act[_leaf_hits(ray[::2].take(act, axis=2), leaf)]] = True
+        lc, n = left[node], count[node]
+        if lc < 0 or act.size * n <= PACKET_SEGMENTS:
+            span = slice(start[node], start[node] + n)
+            hit = _triangle_hits(ray[::2].take(act, axis=2), tri[:, :, span])
+            if lc >= 0:  # a leaf's own box was tested by its parent
+                hit &= _slab_hits(leaf_boxes[span], ray[:2].take(act, axis=2))
+            occluded[act[np.logical_or.reduce(hit, axis=0)]] = True
             continue
-        lc = left[node]
         hit = _slab_hits(boxes[lc : lc + 2], ray[:2].take(act, axis=2))
         stack += [(lc + 1, act[hit[1]]), (lc, act[hit[0]])]  # the left child pops first
     return occluded

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 import surfcover as sc
+from surfcover import visibility
 from surfcover.refine import _vis_columns
 from surfcover.visibility import (
     LEAF_SIZE,
     PACKET_SEGMENTS,
     _segment_hits_triangles,
     _segments_occluded_impl,
+    _shrunk,
+    _slab_hits,
+    _triangle_hits,
     load_spvm,
     save_spvm,
     segment_occluded_brute,
@@ -26,7 +30,7 @@ def single_triangle():
 
 def test_single_leaf_tree():
     bvh = sc.build_bvh(single_triangle())
-    assert (bvh.count > 0).sum() == 1
+    assert (bvh.left < 0).sum() == 1
     assert bvh.n_triangles == 1
 
 
@@ -49,10 +53,18 @@ def test_leaves_partition_triangles():
     bvh = sc.build_bvh(mesh)
     leaf_tris = []
     for n in range(len(bvh.count)):
-        if bvh.count[n] > 0:
+        span = slice(bvh.start[n], bvh.start[n] + bvh.count[n])
+        if bvh.left[n] < 0:
             assert bvh.count[n] <= LEAF_SIZE
-            leaf_tris += bvh.tri_order[bvh.start[n] : bvh.start[n] + bvh.count[n]].tolist()
-    assert (bvh.count > 0).sum() > 2
+            assert (bvh.leaf_boxes[span] == bvh.boxes[n]).all()
+            leaf_tris += bvh.tri_order[span].tolist()
+        else:  # an internal node's range is its children's, joined in order
+            lc = bvh.left[n]
+            assert bvh.start[lc] == bvh.start[n]
+            assert bvh.start[lc + 1] == bvh.start[n] + bvh.count[lc]
+            assert bvh.count[lc] + bvh.count[lc + 1] == bvh.count[n]
+    assert (bvh.left < 0).sum() > 2
+    assert bvh.count[0] == 12
     assert sorted(leaf_tris) == list(range(12))
 
 
@@ -220,18 +232,23 @@ def test_packet_mixing_axis_aligned_and_oblique_segments_matches_brute():
     assert 0 < fast.sum() < len(fast)
 
 
-def test_negative_zero_directions_and_flat_leaf_boxes_match_brute():
-    # a floor and a ceiling split first along z, so every leaf box is flat in
-    # z; origins sit on those planes and on the leaf boxes' x and y planes
+def floor_and_ceiling():
+    """3 x 3 unit quads at z = 0 and z = 4: the tree splits first along z, so
+    every leaf box is flat in z."""
     quads = [(x, y, z) for z in (0.0, 4.0) for x in range(3) for y in range(3)]
     verts, tris = [], []
     for x, y, z in quads:
         i = len(verts)
         verts += [(x, y, z), (x + 1, y, z), (x + 1, y + 1, z), (x, y + 1, z)]
         tris += [(i, i + 1, i + 2), (i, i + 2, i + 3)]
-    mesh = sc.TriangleMesh(np.array(verts, float), np.array(tris))
+    return sc.TriangleMesh(np.array(verts, float), np.array(tris))
+
+
+def test_negative_zero_directions_and_flat_leaf_boxes_match_brute():
+    # origins sit on the flat leaf boxes' z planes and on their x and y planes
+    mesh = floor_and_ceiling()
     bvh = sc.build_bvh(mesh)
-    leaf = bvh.count > 0
+    leaf = bvh.left < 0
     assert (bvh.boxes[leaf, 0, 2] == bvh.boxes[leaf, 1, 2]).all()
     rng = np.random.default_rng(11)
     o = rng.integers(0, [7, 7, 9], (800, 3)) * 0.5
@@ -263,3 +280,143 @@ def test_matrix_memory_is_bounded_by_the_packet():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def segments_occluded_per_leaf_ref(bvh, o, d):
+    """The walk without collapsed subtrees: every internal node slab-tests both
+    children, every leaf runs Moller-Trumbore on the segments that reached it."""
+    occluded = np.zeros(len(o), dtype=bool)
+    ray = np.stack([o, 1.0 / d, d]).transpose(0, 2, 1)
+    stack = [(0, np.flatnonzero(_slab_hits(bvh.boxes[:1], ray[:2])[0]))]
+    while stack:
+        node, act = stack.pop()
+        lc = bvh.left[node]
+        if lc >= 0:
+            hit = _slab_hits(bvh.boxes[lc : lc + 2], ray[:2][..., act])
+            stack += [(lc, act[hit[0]]), (lc + 1, act[hit[1]])]
+            continue
+        span = slice(bvh.start[node], bvh.start[node] + bvh.count[node])
+        occluded[act[_triangle_hits(ray[::2][..., act], bvh.tri[:, :, span]).any(axis=0)]] = True
+    return occluded
+
+
+def terrain_800():
+    return sc.gen_terrain(3, extent=(10.0, 10.0), cells=20, amplitude=1.2)
+
+
+def office_room():
+    """The unjittered office: walls on round coordinates, 60 triangles."""
+    return sc.gen_room(extent=(10.0, 8.0, 3.0), obstacles=[
+        ((1.5, 1.5, 0.0), (3.0, 2.5, 1.6)), ((6.0, 1.0, 0.0), (7.5, 2.0, 2.0)),
+        ((2.0, 5.0, 0.0), (3.5, 6.5, 1.5)), ((6.5, 5.0, 0.0), (8.0, 6.0, 2.2)),
+    ])
+
+
+def hard_segments(mesh, rng, n):
+    """Shrunk random, half-metre grid and vertex-to-vertex segments around the
+    mesh, as origins and directions; half the zero direction components are -0.0."""
+    lo, hi = mesh.bounds()
+    lo, hi = lo - 0.5, hi + 0.5
+    grid = np.round(rng.uniform(lo, hi, (2, n, 3)) * 2) / 2
+    same = rng.random((n, 3)) < 0.4
+    grid[1][same] = grid[0][same]
+    vert = mesh.vertices[rng.integers(0, len(mesh.vertices), (2, n))]
+    a = np.vstack([rng.uniform(lo, hi, (n, 3)), grid[0], vert[0]])
+    b = np.vstack([rng.uniform(lo, hi, (n, 3)), grid[1], vert[1]])
+    keep = (a != b).any(axis=1)
+    o, d = _shrunk(a[keep], b[keep])
+    assert (d == 0).any(axis=1).sum() > n // 2
+    return o, np.where((d == 0) & (rng.random(d.shape) < 0.5), -0.0, d)
+
+
+@pytest.mark.parametrize("make", [terrain_800, office_room])
+def test_collapsed_subtrees_give_the_per_leaf_walks_bits(make, monkeypatch):
+    mesh = make()
+    bvh = sc.build_bvh(mesh)
+    o, d = hard_segments(mesh, np.random.default_rng(5), 3000)
+    ref = segments_occluded_per_leaf_ref(bvh, o, d)
+    assert 0.05 < ref.mean() < 0.95
+    spans = []
+
+    def recorded(r, tri):
+        spans.append(tri.shape[2])
+        return _triangle_hits(r, tri)
+
+    monkeypatch.setattr(visibility, "_triangle_hits", recorded)
+    assert (_segments_occluded_impl(bvh, o, d) == ref).all()
+    # a leaf holds at most LEAF_SIZE triangles, so larger spans are collapsed subtrees
+    assert max(spans) > LEAF_SIZE
+
+
+def test_collapsed_subtrees_keep_the_visibility_matrix(monkeypatch):
+    mesh = terrain_800()
+    bvh = sc.build_bvh(mesh)
+    samples = sc.sample_surface(mesh, pitch=1.0)
+    cands = sc.generate_candidates_plane(3.0, (0.5, 0.5, 9.5, 9.5), 3.0)
+    vm = sc.visibility_matrix(bvh, samples, cands)
+    monkeypatch.setattr(visibility, "_segments_occluded_impl", segments_occluded_per_leaf_ref)
+    ref = sc.visibility_matrix(bvh, samples, cands)
+    assert (vm.bits == ref.bits).all()
+    assert 0 < vm.bits.sum() < vm.bits.size
+
+
+def test_a_grazing_segment_keeps_the_per_leaf_walks_bit():
+    # office sample 792 to candidate 13 crosses the shared edge of two triangles
+    # exactly: Moller-Trumbore hits both, but the slab test of their leaf box
+    # rounds to a miss. One segment collapses the whole tree at the root, where
+    # only the leaf-box test keeps the walk's bit.
+    mesh = office_room()
+    bvh = sc.build_bvh(mesh)
+    p = sc.sample_surface(mesh, pitch=0.7).positions[792]
+    c = sc.generate_candidates_plane(2.8, (1.0, 1.0, 9.0, 7.0), 1.5).positions[13]
+    o, d = _shrunk([p], [c])
+    hit = _triangle_hits(np.stack([o.T, d.T]), bvh.tri)[:, 0]
+    assert hit.sum() == 2
+    with np.errstate(divide="ignore"):
+        assert not _slab_hits(bvh.leaf_boxes[hit], np.stack([o.T, 1.0 / d.T])).any()
+    assert (segments_occluded(bvh, [p], [c]) == segments_occluded_per_leaf_ref(bvh, o, d)).all()
+
+
+@pytest.mark.parametrize("make", [terrain_800, office_room, floor_and_ceiling])
+def test_a_child_box_hit_implies_a_parent_box_hit(make):
+    # the collapsed step tests only leaf boxes; it relies on this for every box on the path
+    mesh = make()
+    bvh = sc.build_bvh(mesh)
+    rng = np.random.default_rng(13)
+    n = 2000
+    lo, hi = mesh.bounds()
+    o = rng.uniform(lo - 0.5, hi + 0.5, (n, 3))
+    node = rng.integers(0, len(bvh.left), n)
+    planes = bvh.boxes[node[:, None], rng.integers(0, 2, (n, 3)), np.arange(3), 0]
+    on = rng.random((n, 3)) < 0.6
+    o[on] = planes[on]  # on a plane of some node's box
+    d = rng.integers(-3, 4, (n, 3)) * rng.uniform(0.25, 4.0, (n, 1))
+    d = np.where((d == 0) & (rng.random((n, 3)) < 0.5), -0.0, d)
+    keep = (d != 0).any(axis=1)
+    o, d, on = o[keep], d[keep], on[keep]
+    assert ((d == 0) & on).any(axis=1).sum() > 200  # 0 * inf = NaN in the slab test
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.stack([o, 1.0 / d]).transpose(0, 2, 1)
+        hits = np.concatenate([_slab_hits(bvh.boxes[i : i + 64], r)
+                               for i in range(0, len(bvh.left), 64)])
+    inner = np.flatnonzero(bvh.left >= 0)
+    for child in (bvh.left[inner], bvh.right[inner]):
+        assert hits[child].any()
+        assert not (hits[child] & ~hits[inner]).any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_endpoints_raise(bad):
+    bvh = sc.build_bvh(single_triangle())
+    with pytest.raises(ValueError, match="finite"):
+        segments_occluded(bvh, [(0, 0, 0), (0, bad, 0)], [(0, 0, 2), (0, 0, 2)])
+    with pytest.raises(ValueError, match="finite"):
+        sc.segment_occluded(bvh, (0, 0, 0), (bad, 0, 2))
+
+
+def test_no_segments_give_an_empty_answer():
+    bvh = sc.build_bvh(single_triangle())
+    for empty in ([], np.empty((0, 3))):
+        out = segments_occluded(bvh, empty, empty)
+        assert out.shape == (0,) and out.dtype == bool
