@@ -102,7 +102,7 @@ def solve_problem2(
             break
         mid = (lo + hi) // 2
         r = float(radii[mid])
-        res = step(r)
+        res = top if mid == len(radii) - 1 else step(r)
         if res.status is SolveStatus.OPTIMAL:
             best = (r, res)
             hi = mid - 1
@@ -160,19 +160,16 @@ def two_phase_coverage(
     neighborhood: float,
     threshold: float | None = None,
     rounds: int = 3,
-    time_limit: float | None = None,
     bounds=None,
 ) -> PipelineReport:
     """Coarse ILP then per-sensor grid refinement, for the visibility (problem
     1) and cumulative (problem 3) objectives."""
     t0 = time.perf_counter()
     if instance.kind is QualityKind.VISIBILITY:
-        placement, report, _ = solve_problem1(instance, k, time_limit=time_limit)
+        placement, report, _ = solve_problem1(instance, k)
         problem = 1
     elif instance.kind is QualityKind.LAMBERT_INVERSE_SQUARE:
-        placement, report, _ = solve_problem3(
-            instance, k, threshold, time_limit=time_limit
-        )
+        placement, report, _ = solve_problem3(instance, k, threshold)
         problem = 3
     else:
         raise ValueError("use two_phase_quality for the best-quality objective")

@@ -247,22 +247,13 @@ def save_obj(mesh: TriangleMesh, path) -> None:
 # Surface sampling
 
 
-def _triangle_lattice(a, b, c, m: int) -> np.ndarray:
-    """Centroids of the m^2 congruent sub-triangles of triangle (a, b, c)."""
-    pts = []
-    for i in range(m):
-        for j in range(m - i):
-            # upward sub-triangle (i, j), (i+1, j), (i, j+1)
-            u = (3 * i + 1) / (3 * m)
-            v = (3 * j + 1) / (3 * m)
-            pts.append((u, v))
-            if i + j <= m - 2:
-                # downward sub-triangle (i+1, j), (i, j+1), (i+1, j+1)
-                u = (3 * i + 2) / (3 * m)
-                v = (3 * j + 2) / (3 * m)
-                pts.append((u, v))
-    uv = np.array(pts)
-    return a + uv[:, :1] * (b - a) + uv[:, 1:] * (c - a)
+def _lattice(m: int) -> np.ndarray:
+    """Barycentric (u, v) of the centroids of a triangle's m^2 congruent
+    sub-triangles, (m^2, 2): row by row, each upward sub-triangle (i, j),
+    (i+1, j), (i, j+1) followed by its downward neighbour when there is one."""
+    i, j, down = np.indices((m, m, 2)).reshape(3, -1)
+    keep = i + j + down < m
+    return np.column_stack([3 * i + 1 + down, 3 * j + 1 + down])[keep] / (3 * m)
 
 
 def sample_surface(mesh: TriangleMesh, pitch: float, drop_downward: float = 0.0) -> SampleSet:
@@ -271,7 +262,9 @@ def sample_surface(mesh: TriangleMesh, pitch: float, drop_downward: float = 0.0)
     Each triangle is subdivided into m^2 congruent sub-triangles with m chosen
     so sub-triangle edges are at most `pitch`; one sample sits at each
     sub-triangle centroid and carries weight area/m^2. Samples whose face
-    normal has z-component below -drop_downward are discarded.
+    normal has z-component below -drop_downward are discarded. The lattice
+    depends only on m, so each distinct m's lattice is built once; samples
+    come triangle by triangle in mesh order.
     """
     if pitch <= 0:
         raise ValueError("pitch must be positive")
@@ -279,29 +272,25 @@ def sample_surface(mesh: TriangleMesh, pitch: float, drop_downward: float = 0.0)
     if not -1.0 <= tau <= 1.0:
         raise ValueError("drop_downward threshold must be in [-1, 1]")
     normals = mesh.face_normals()
-    areas = mesh.areas()
-    A, B, C = mesh.corners()
-    positions, out_normals, weights = [], [], []
-    for t in range(mesh.n_triangles):
-        if normals[t, 2] < -tau:
-            continue
-        a, b, c = A[t], B[t], C[t]
-        longest = max(
-            np.linalg.norm(b - a), np.linalg.norm(c - b), np.linalg.norm(a - c)
-        )
-        m = max(1, math.ceil(longest / pitch))
-        pts = _triangle_lattice(a, b, c, m)
-        positions.append(pts)
-        out_normals.append(np.repeat(normals[t : t + 1], len(pts), axis=0))
-        weights.append(np.full(len(pts), areas[t] / len(pts)))
-    if not positions:
+    kept = np.flatnonzero(normals[:, 2] >= -tau)
+    if not kept.size:
         raise EmptySampleError(
             "all faces were filtered out (surface faces downward?); no target surface left"
         )
+    a, b, c = (x[kept] for x in mesh.corners())
+    longest = np.linalg.norm([b - a, c - b, a - c], axis=2).max(axis=0)
+    m = np.maximum(1, np.ceil(longest / pitch)).astype(np.int64)
+    count = m * m  # samples per triangle
+    tri = np.repeat(np.arange(len(kept)), count)  # the triangle of each sample
+    levels, level_of = np.unique(m, return_inverse=True)
+    table = np.concatenate([_lattice(level) for level in levels])  # level after level
+    table_start = (np.cumsum(levels**2) - levels**2)[level_of]  # triangle's first table row
+    sample_start = np.cumsum(count) - count  # triangle's first sample
+    uv = table[(table_start - sample_start)[tri] + np.arange(len(tri))]
     return SampleSet(
-        positions=np.concatenate(positions),
-        normals=np.concatenate(out_normals),
-        weights=np.concatenate(weights),
+        positions=a[tri] + uv[:, :1] * (b - a)[tri] + uv[:, 1:] * (c - a)[tri],
+        normals=normals[kept][tri],
+        weights=(mesh.areas()[kept] / count)[tri],
         grid_pitch=float(pitch),
     )
 

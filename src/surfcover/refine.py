@@ -108,20 +108,21 @@ def _violator_scan(p: np.ndarray):
     return first_outside
 
 
-def min_sphere_fixed_plane(points, h_plane: float, seed: int = 0) -> ConstrainedSphere:
+def min_sphere_fixed_plane(points, h_plane: float) -> ConstrainedSphere:
     """Smallest sphere containing `points` with its center on z = h_plane.
 
     Randomized incremental in the style of Welzl's minimum enclosing disc
     algorithm with boundary sets of at most three points solved in closed
-    form; the shuffle is seeded so results are reproducible. Each level of the
-    search finds its next violator with one batched scan of the shuffled
-    points, so it visits the points in the same order as a per-point loop.
+    form; the shuffle has the fixed seed 0 so results are reproducible. Each
+    level of the search finds its next violator with one batched scan of the
+    shuffled points, so it visits the points in the same order as a per-point
+    loop.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
         raise ValueError("expected a non-empty (n, 3) point array")
     order = list(range(len(pts)))
-    random.Random(seed).shuffle(order)
+    random.Random(0).shuffle(order)
     first_outside = _violator_scan(pts[order])  # takes positions in the shuffle order
 
     def make(basis: list[int]):

@@ -31,18 +31,14 @@ def gen_terrain(
     z *= amplitude
     vertices = np.column_stack([gx.ravel(), gy.ravel(), z.ravel()])
 
-    def vid(i, j):
-        return i * (cells + 1) + j
-
-    tris = []
-    for i in range(cells):
-        for j in range(cells):
-            # counter-clockwise seen from above: normals point up
-            tris.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
-            tris.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
+    v = np.arange((cells + 1) ** 2).reshape(cells + 1, cells + 1)  # vertex (i, j)
+    v00, v10, v11, v01 = v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]
+    # two triangles per cell (i, j), cells in row order, counter-clockwise
+    # seen from above: normals point up
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
     return TriangleMesh(
         vertices=vertices,
-        triangles=np.array(tris, dtype=np.int64),
+        triangles=tris,
         name=f"terrain-seed{seed}",
     )
 

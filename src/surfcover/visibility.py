@@ -34,7 +34,6 @@ class Bvh:
 
     boxes: np.ndarray  # (nodes, 2, 3, 1) lo and hi corners
     left: np.ndarray  # (nodes,) child index, -1 for leaves
-    right: np.ndarray  # (nodes,) left + 1, -1 for leaves
     start: np.ndarray  # (nodes,) first triangle of the node's range
     count: np.ndarray  # (nodes,) triangles in the node's range
     tri_order: np.ndarray  # permutation of triangle indices
@@ -83,7 +82,6 @@ def build_bvh(mesh: TriangleMesh) -> Bvh:
     return Bvh(
         boxes=boxes,
         left=left,
-        right=np.where(left < 0, -1, left + 1),
         start=start,
         count=count,
         tri_order=order,
@@ -127,8 +125,11 @@ def _shrunk(origins, targets):
     targets = np.asarray(targets, dtype=np.float64).reshape(len(targets), 3)
     if not (np.isfinite(origins).all() and np.isfinite(targets).all()):
         raise ValueError("segment endpoints must be finite")
-    d = targets - origins
-    lengths = np.linalg.norm(d, axis=1)
+    with np.errstate(over="ignore"):
+        d = targets - origins
+        lengths = np.linalg.norm(d, axis=1)
+    if not np.isfinite(lengths).all():
+        raise ValueError("segment lengths must be finite")
     if (lengths == 0).any():
         raise ValueError("segment endpoints coincide")
     e = DEFAULT_EPS_REL * lengths

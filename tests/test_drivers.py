@@ -149,6 +149,18 @@ def _probed_radii(monkeypatch, inst, spend=0.0, **kwargs):
     return out, radii
 
 
+def test_problem2_does_not_solve_the_largest_radius_twice(monkeypatch):
+    # radii are 1 and sqrt(10); only the largest covers both samples, so the
+    # bisection climbs to it after the top probe has already proved it
+    samples = make_sample_set([[0, 0, 0], [3, 0, 0]])
+    cands = sc.CandidateSet(positions=[[0, 0, 1]])
+    inst = sc.build_instance(samples, cands, all_visible(samples, cands), QualityKind.VISIBILITY)
+    (r, placement, res), radii = _probed_radii(monkeypatch, inst, k=1, rho=1.0)
+    assert radii == [math.sqrt(10.0), 1.0]
+    assert r == math.sqrt(10.0) and placement == (0,)
+    assert res.status is SolveStatus.OPTIMAL
+
+
 def test_problem2_time_limit_bounds_the_whole_search(monkeypatch):
     # each step spends 20 ms, so 50 ms covers the first two and a half of
     # the nine steps; the search must share the limit, not restart it

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -83,6 +84,53 @@ def test_halving_pitch_at_least_doubles_samples():
     n1 = len(sc.sample_surface(mesh, pitch=1.5))
     n2 = len(sc.sample_surface(mesh, pitch=0.75))
     assert n2 >= 2 * n1
+
+
+def sample_surface_per_triangle_ref(mesh, pitch, drop_downward):
+    """The per-triangle loop that the per-level lattice replaced: the same
+    lattice order, level rule and weights, one triangle at a time."""
+    normals, areas = mesh.face_normals(), mesh.areas()
+    positions, out_normals, weights = [], [], []
+    for t, (a, b, c) in enumerate(zip(*mesh.corners())):
+        if normals[t, 2] < -drop_downward:
+            continue
+        longest = max(np.linalg.norm(b - a), np.linalg.norm(c - b), np.linalg.norm(a - c))
+        m = max(1, math.ceil(longest / pitch))
+        uv = []
+        for i in range(m):
+            for j in range(m - i):
+                uv.append(((3 * i + 1) / (3 * m), (3 * j + 1) / (3 * m)))
+                if i + j <= m - 2:
+                    uv.append(((3 * i + 2) / (3 * m), (3 * j + 2) / (3 * m)))
+        uv = np.array(uv)
+        positions.append(a + uv[:, :1] * (b - a) + uv[:, 1:] * (c - a))
+        out_normals.append(np.repeat(normals[t : t + 1], len(uv), axis=0))
+        weights.append(np.full(len(uv), areas[t] / len(uv)))
+    return np.concatenate(positions), np.concatenate(out_normals), np.concatenate(weights)
+
+
+def _reference_meshes():
+    rng = np.random.default_rng(31)
+    lo = rng.uniform(0.3, 2.0, (2, 3)) * [1.0, 1.0, 0.0] + [[0.0, 0.0, 0.0], [2.6, 1.4, 0.0]]
+    obstacles = [(tuple(b), tuple(b + rng.uniform(0.4, 1.3, 3))) for b in lo]
+    yield sc.gen_room(extent=(6.0, 4.0, 3.0), obstacles=obstacles), 0.65  # jittered room
+    yield sc.gen_terrain(seed=4, cells=12, amplitude=1.1), 0.35
+    yield box_mesh(lo=(0.1, -0.2, 0.3), hi=(1.7, 0.9, 2.2)), 0.4
+    for scale, pitch in ((0.1, 0.02), (1.0, 0.5), (1.0, 0.25), (10.0, 3.0)):
+        vertices = rng.normal(size=(12, 3)) * scale
+        vertices[:4] = np.round(vertices[:4] / pitch) * pitch  # edges at pitch multiples
+        triangles = np.array([rng.choice(12, 3, replace=False) for _ in range(20)])
+        yield sc.TriangleMesh(vertices, triangles), pitch
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.3])
+def test_sample_surface_matches_per_triangle_loop(tau):
+    for mesh, pitch in _reference_meshes():
+        ref = sample_surface_per_triangle_ref(mesh, pitch, tau)
+        s = sc.sample_surface(mesh, pitch, drop_downward=tau)
+        for got, want in zip((s.positions, s.normals, s.weights), ref):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 def test_candidates_plane_grid():

@@ -17,6 +17,16 @@ def test_terrain_deterministic():
     assert (a.triangles == b.triangles).all()
 
 
+def test_terrain_triangles_match_per_cell_loop():
+    for cells in (1, 2, 7, 20):
+        ref = []
+        for i in range(cells):
+            for j in range(cells):
+                v00, v10 = i * (cells + 1) + j, (i + 1) * (cells + 1) + j
+                ref += [[v00, v10, v10 + 1], [v00, v10 + 1, v00 + 1]]
+        assert np.array_equal(sc.gen_terrain(seed=0, cells=cells).triangles, ref)
+
+
 def test_terrain_amplitude_bound():
     mesh = sc.gen_terrain(seed=1, cells=10, amplitude=0.7)
     assert np.abs(mesh.vertices[:, 2]).max() <= 4 * 0.7 + 1e-12
