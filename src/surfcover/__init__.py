@@ -14,8 +14,6 @@ from .coverage import (
     QualityKind,
     build_instance,
     evaluate,
-    phi_inverse_distance,
-    phi_lambert,
 )
 from .drivers import (
     InfeasibleError,

@@ -42,31 +42,6 @@ class CoincidentPointError(ValueError):
     """Sample and sensor coincide; quality is undefined there."""
 
 
-def phi_inverse_distance(p, c) -> float:
-    """Quality 1/||p - c|| (1/m)."""
-    d = float(np.linalg.norm(np.asarray(c, float) - np.asarray(p, float)))
-    if d == 0.0:
-        raise CoincidentPointError("sample and sensor coincide")
-    return 1.0 / d
-
-
-def phi_lambert(p, n, c) -> float:
-    """Lambertian inverse-square quality max(0, <n, unit(c-p)>) / ||c-p||^2.
-
-    The cosine factor is clamped at zero for sensors behind the surface's
-    tangent plane so the quality stays non-negative.
-    """
-    p = np.asarray(p, float)
-    c = np.asarray(c, float)
-    n = np.asarray(n, float)
-    d = c - p
-    dist = float(np.linalg.norm(d))
-    if dist == 0.0:
-        raise CoincidentPointError("sample and sensor coincide")
-    cosine = float(n @ d) / dist
-    return max(0.0, cosine) / dist**2
-
-
 def sensor_offsets(points: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(N, M, 3) offsets from `points` (N, 3) to sensor `positions` (M, 3) and
     their (N, M) lengths: the one sample-to-sensor distance expression."""

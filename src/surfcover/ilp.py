@@ -98,8 +98,9 @@ class SolveResult:
       certificate.
     * gap: (dual_bound - primal) / max(1, |primal|) for a result stopped by
       the clock, else 0.
-    * nodes: B&B nodes visited; 1 for an infeasibility proved at the root, 0
-      when the warm start settles the model.
+    * nodes: B&B nodes visited; a node with one pick left closes its last
+      level in place and counts once. 1 for an infeasibility proved at the
+      root, 0 when the warm start settles the model.
     * elapsed: wall seconds.
     """
 
@@ -204,9 +205,10 @@ class _PackedCover:
     def expand(self, state, value: int, free: np.ndarray, budget: int):
         """Branching scores of `free` (newly covered samples) and an upper
         bound on the subtree: the `budget` best gains, capped by the union of
-        every free column, which no selection can exceed."""
+        every free column, which no selection can exceed. The gains are
+        signed, so negating them sorts them in descending order."""
         fresh = self.cols[free] & ~state
-        gains = np.bitwise_count(fresh).sum(axis=1)
+        gains = np.bitwise_count(fresh).sum(axis=1, dtype=np.int64)
         reach = self.value(np.bitwise_or.reduce(fresh, axis=0))
         return gains, value + min(int(_top_sum(gains, budget)), reach)
 
@@ -226,14 +228,17 @@ class _QualitySums:
         return int(meets_threshold(state, self.threshold).sum())
 
     def values_with(self, state, cands: np.ndarray) -> np.ndarray:
-        """Covered count of `state` plus each single candidate."""
-        return meets_threshold(state[:, None] + self.phi[:, cands], self.threshold).sum(axis=0)
+        """Covered count of `state` plus each single candidate. Adding phi >= 0
+        never lowers an IEEE sum, so covered rows stay covered and only the
+        open rows are gathered, here and in `expand`."""
+        open_rows = np.flatnonzero(~meets_threshold(state, self.threshold))
+        sums = state[open_rows][:, None] + self.phi[open_rows][:, cands]
+        return state.size - open_rows.size + meets_threshold(sums, self.threshold).sum(axis=0)
 
     def expand(self, state, value: int, free: np.ndarray, budget: int):
         """Branching scores of `free` (summed progress toward each open
         sample's deficit) and an upper bound on the subtree: each open sample
-        independently takes its `budget` best free contributions. Samples
-        already covered stay covered, so only open rows are gathered."""
+        independently takes its `budget` best free contributions."""
         open_rows = np.flatnonzero(~meets_threshold(state, self.threshold))
         need = self.threshold - state[open_rows]
         sub = self.phi[open_rows][:, free]
@@ -292,6 +297,7 @@ def _greedy_incumbent(scorer, m: int, k: int, deadline: float | None):
 # Lagrangian root test of the feasibility kind
 _LAGRANGE_STEPS = 600
 _LAGRANGE_PATIENCE = 20  # steps without a better bound before the step factor halves
+_LAGRANGE_STALLS = 3  # halvings in a row without a better bound before the steps stop
 _PROOF_TOL = 1e-6
 
 
@@ -304,8 +310,9 @@ def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float | 
     lam in [0, 1]^N gives an upper bound on the covered count of any
     k-selection, so the minimum found is valid however far the steps got.
     Stops at a proof (L < target - tol), once a step's own selection covers
-    the target (no proof exists), after a fixed step count or at the
-    deadline. Rows no candidate covers add nothing at lam_i = 1 and are left
+    the target (no proof exists), after `_LAGRANGE_STALLS` halvings of the
+    step factor in a row with no better bound, after a fixed step count or at
+    the deadline. Rows no candidate covers add nothing at lam_i = 1 and are left
     out; the others start at lam_i = 1 / (number of candidates covering i)."""
     cols = np.ascontiguousarray(cover[cover.any(axis=1)].T, dtype=np.float64)
     m, rows = cols.shape
@@ -318,13 +325,15 @@ def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float | 
         top = np.argpartition(weights, m - k)[m - k :]
         top = top[weights[top] > 0]
         value = rows - lam.sum() + weights[top].sum()  # lam stays in [0, 1]
-        stale += 1
+        stale += 1  # steps since the last better bound
         if value < best:
             best, stale = value, 0
-        elif stale == _LAGRANGE_PATIENCE:
-            factor, stale = factor / 2, 0
+        elif stale % _LAGRANGE_PATIENCE == 0:
+            factor /= 2
         hits = cols[top].sum(axis=0)
         if best < target - _PROOF_TOL or np.count_nonzero(hits) >= target:
+            break
+        if stale == _LAGRANGE_STALLS * _LAGRANGE_PATIENCE:
             break
         grad = hits - (lam < 1.0)
         norm = grad @ grad
@@ -351,10 +360,13 @@ def solve(
     marginal gains, samples any free candidate can still reach): the first
     term is valid by submodularity, the second because no selection covers
     more than the union of the free columns. For the threshold kind each open
-    sample takes its `budget` best free contributions. The feasibility kind
-    exits early once the coverage target is met. When its warm start misses
-    the target, a Lagrangian bound (`_lagrangian_bound`) is tried first: if
-    it falls below the target, infeasibility is proved at the root.
+    sample takes its `budget` best free contributions. A node with one pick
+    left scores every free candidate in one pass and counts as one node; it
+    keeps what the per-child search would, the first maximum in branching
+    order. The feasibility kind exits early once the coverage target is met.
+    When its warm start misses the target, a Lagrangian bound
+    (`_lagrangian_bound`) is tried first: if it falls below the target,
+    infeasibility is proved at the root.
     """
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
@@ -378,10 +390,10 @@ def solve(
             root_proof, nodes = lagrangian, 1
 
     def bound(state, value, free, selected) -> int:
-        budget = k - len(selected)
-        if budget == 0 or free.size == 0:
+        # a stacked node always has budget left: last levels are closed in place
+        if free.size == 0:
             return value
-        return scorer.expand(state, value, free, budget)[1]
+        return scorer.expand(state, value, free, k - len(selected))[1]
 
     root = (scorer.root, scorer.value(scorer.root), np.arange(m), [])
     stack = [] if k == 0 or found_target or root_proof is not None else [root]
@@ -399,11 +411,25 @@ def solve(
             if target is not None and inc_value >= target:
                 found_target = True
                 break
-        budget = k - len(selected)
-        if budget == 0 or free.size == 0:
+        if free.size == 0:
             continue
+        budget = k - len(selected)
         scores, ub = scorer.expand(state, value, free, budget)
         if ub <= inc_value:
+            continue
+        if budget == 1:
+            # the DFS would visit these leaves by descending score, lowest
+            # index first, and stop at the first that meets a target or else
+            # keep the first maximum (a pruned sibling is worth <= incumbent)
+            order = free[np.argsort(-scores, kind="stable")]
+            vals = scorer.values_with(state, order)
+            best = int(np.argmax(vals))
+            if target is not None and vals[best] >= target:
+                best, found_target = int(np.argmax(vals >= target)), True
+            if vals[best] > inc_value:
+                incumbent, inc_value = selected + [int(order[best])], int(vals[best])
+            if found_target:
+                break
             continue
         pick = int(free[int(np.argmax(scores))])
         rest = free[free != pick]

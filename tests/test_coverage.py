@@ -12,36 +12,58 @@ from surfcover.export import sample_colors
 from conftest import all_visible, make_sample_set
 
 
+# Scalar references for the expressions `quality_matrix` evaluates in bulk.
+
+
+def phi_inverse_distance(p, c) -> float:
+    """Quality 1/||p - c|| (1/m)."""
+    d = float(np.linalg.norm(np.asarray(c, float) - np.asarray(p, float)))
+    if d == 0.0:
+        raise CoincidentPointError("sample and sensor coincide")
+    return 1.0 / d
+
+
+def phi_lambert(p, n, c) -> float:
+    """Lambertian inverse-square quality max(0, <n, unit(c-p)>) / ||c-p||^2,
+    clamped at zero for sensors behind the surface's tangent plane."""
+    d = np.asarray(c, float) - np.asarray(p, float)
+    dist = float(np.linalg.norm(d))
+    if dist == 0.0:
+        raise CoincidentPointError("sample and sensor coincide")
+    cosine = float(np.asarray(n, float) @ d) / dist
+    return max(0.0, cosine) / dist**2
+
+
 def test_phi_inverse_distance_axis():
-    assert sc.phi_inverse_distance((0, 0, 0), (0, 0, 2)) == pytest.approx(0.5)
+    assert phi_inverse_distance((0, 0, 0), (0, 0, 2)) == pytest.approx(0.5)
 
 
 def test_phi_inverse_distance_345():
-    assert sc.phi_inverse_distance((0, 0, 0), (3, 4, 0)) == pytest.approx(0.2)
+    assert phi_inverse_distance((0, 0, 0), (3, 4, 0)) == pytest.approx(0.2)
 
 
 def test_phi_inverse_distance_singularity():
     with pytest.raises(CoincidentPointError):
-        sc.phi_inverse_distance((1, 1, 1), (1, 1, 1))
+        phi_inverse_distance((1, 1, 1), (1, 1, 1))
 
 
 def test_phi_lambert_normal_incidence():
-    assert sc.phi_lambert((0, 0, 0), (0, 0, 1), (0, 0, 2)) == pytest.approx(0.25)
+    assert phi_lambert((0, 0, 0), (0, 0, 1), (0, 0, 2)) == pytest.approx(0.25)
 
 
 def test_phi_lambert_oblique():
     # cos 45deg / 8
-    val = sc.phi_lambert((0, 0, 0), (0, 0, 1), (2, 0, 2))
+    val = phi_lambert((0, 0, 0), (0, 0, 1), (2, 0, 2))
     assert val == pytest.approx(1 / (np.sqrt(2) * 8))
 
 
 def test_phi_lambert_backface_clamp():
-    assert sc.phi_lambert((0, 0, 0), (0, 0, 1), (0, 0, -2)) == 0.0
+    assert phi_lambert((0, 0, 0), (0, 0, 1), (0, 0, -2)) == 0.0
 
 
 def test_phi_lambert_singularity():
     with pytest.raises(CoincidentPointError):
-        sc.phi_lambert((0, 0, 0), (0, 0, 1), (0, 0, 0))
+        phi_lambert((0, 0, 0), (0, 0, 1), (0, 0, 0))
 
 
 def _tiny_instance(kind, vis_bits=None):
@@ -71,8 +93,8 @@ def test_build_instance_entries_match_hand_evaluation():
     inst = _tiny_instance(sc.QualityKind.INVERSE_DISTANCE)
     expected = np.array(
         [
-            [sc.phi_inverse_distance((0, 0, 0), (0, 0, 2)), sc.phi_inverse_distance((0, 0, 0), (3, 4, 0))],
-            [sc.phi_inverse_distance((1, 0, 0), (0, 0, 2)), sc.phi_inverse_distance((1, 0, 0), (3, 4, 0))],
+            [phi_inverse_distance((0, 0, 0), (0, 0, 2)), phi_inverse_distance((0, 0, 0), (3, 4, 0))],
+            [phi_inverse_distance((1, 0, 0), (0, 0, 2)), phi_inverse_distance((1, 0, 0), (3, 4, 0))],
         ]
     )
     assert np.allclose(inst.phi, expected)
@@ -82,7 +104,7 @@ def test_build_instance_lambert_matches_pointwise():
     inst = _tiny_instance(sc.QualityKind.LAMBERT_INVERSE_SQUARE)
     for i in range(2):
         for j in range(2):
-            expected = sc.phi_lambert(
+            expected = phi_lambert(
                 inst.samples.positions[i], inst.samples.normals[i], inst.candidates.positions[j]
             )
             assert inst.phi[i, j] == pytest.approx(expected)

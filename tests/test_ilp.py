@@ -1,3 +1,4 @@
+import math
 import sys
 import time
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 import surfcover as sc
+from surfcover import drivers, ilp
 from surfcover.ilp import IlpModel, ModelKind, SolveStatus, _lagrangian_bound
 
+from _bnb_reference import reference_solve
 from _lputil import solve_lp_file
 from conftest import all_visible, make_sample_set
 
@@ -391,7 +394,8 @@ def test_unproved_infeasibility_falls_back_to_branching():
 
 
 def test_time_limit_bounds_the_lagrangian_steps():
-    # without the clock, the 600 subgradient steps on 120,000 rows take seconds
+    # without the clock, the subgradient steps on 120,000 rows take far
+    # longer than the limits below
     model = _k4_edges(20000)
     t0 = time.perf_counter()
     res = sc.solve(model, time_limit=0.001)
@@ -401,3 +405,101 @@ def test_time_limit_bounds_the_lagrangian_steps():
     t0 = time.perf_counter()
     assert _lagrangian_bound(model.cover, 2, model.coverage_target, t0 + 0.01) >= 100000
     assert time.perf_counter() - t0 < 0.01 + 0.5
+
+
+def test_lagrangian_steps_stop_once_the_halvings_stall(monkeypatch):
+    # no bound proves the K4 model, and its best bound, 6, is met early: the
+    # steps stop after a few halvings without a better bound instead of
+    # running to the step cap. With a deadline the clock is read once a step.
+    model = _k4_edges(1)
+    steps = 0
+    clock = time.perf_counter
+
+    def counting_clock():
+        nonlocal steps
+        steps += 1
+        return clock()
+
+    monkeypatch.setattr(ilp.time, "perf_counter", counting_clock)
+    bound = _lagrangian_bound(model.cover, 2, model.coverage_target, math.inf)
+    monkeypatch.undo()
+    assert steps < 100
+    assert bound == 6.0
+
+
+def _same_answer(a, b):
+    return (a.placement, a.primal, a.status, a.dual_bound) == (
+        b.placement, b.primal, b.status, b.dual_bound)
+
+
+def test_solve_matches_the_per_child_reference_search():
+    rng = np.random.default_rng(67)
+    kinds = list(ModelKind)
+    for t in range(3000):
+        n, m, k = int(rng.integers(1, 90)), int(rng.integers(1, 10)), int(rng.integers(0, 6))
+        model = _random_model(rng, kinds[t % 3], n, m, k)
+        a, ref = sc.solve(model), reference_solve(model)
+        assert _same_answer(a, ref), (t, a, ref)
+        assert a.nodes <= ref.nodes
+
+
+def test_feasibility_stops_at_the_first_selection_that_meets_the_target():
+    # a target one above the warm start makes the B&B run; the search stops
+    # at the first selection that reaches it, which may cover fewer samples
+    # than a selection the search has not reached yet
+    rng = np.random.default_rng(71)
+    short_of_the_maximum = 0
+    for _ in range(1000):
+        n, m, k = int(rng.integers(20, 80)), int(rng.integers(8, 16)), int(rng.integers(2, 6))
+        bits = rng.random((n, m)) < rng.uniform(0.05, 0.25)
+        _, warm = ilp._greedy_incumbent(ilp._PackedCover(bits), m, min(k, m), None)
+        best = sc.solve(IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, bits, k)).primal
+        if best < warm + 2:
+            continue
+        model = IlpModel(ModelKind.FEASIBILITY_COVER, bits, k, radius=1.0, rho=(warm + 1) / n)
+        a, ref = sc.solve(model), reference_solve(model)
+        assert _same_answer(a, ref)
+        assert a.status is SolveStatus.OPTIMAL and a.nodes > 0
+        short_of_the_maximum += a.primal < best
+    assert short_of_the_maximum >= 3
+
+
+@pytest.fixture(scope="module")
+def room_models():
+    """Every model the drivers solve on the criterion-5 room: P1 at k=1..6,
+    P3 at k=1..3 and P2 at k=1..4 at each radius of its bisection."""
+    mesh = sc.gen_room(extent=(6, 4, 3), obstacles=[((2, 1.5, 0), (3.5, 2.5, 1.0))])
+    samples = sc.sample_surface(mesh, pitch=0.65)
+    candidates = sc.generate_candidates_plane(2.8, (0.4, 0.4, 5.6, 3.6), 0.62)
+    vm = sc.visibility_matrix(sc.build_bvh(mesh), samples, candidates)
+    vis = sc.build_instance(samples, candidates, vm, sc.QualityKind.VISIBILITY)
+    lam = sc.build_instance(samples, candidates, vm, sc.QualityKind.LAMBERT_INVERSE_SQUARE)
+    models = []
+
+    def recording_solve(model, **kwargs):
+        models.append(model)
+        return ilp.solve(model, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(drivers, "solve", recording_solve)
+        for k in range(1, 7):
+            sc.solve_problem1(vis, k)
+        for k in range(1, 4):
+            sc.solve_problem3(lam, k, threshold=0.05)
+        for k in range(1, 5):
+            sc.solve_problem2(vis, k, rho=0.9)
+    return models
+
+
+def test_solve_matches_the_per_child_reference_search_on_the_room(room_models):
+    kinds = {kind: sum(m.kind is kind for m in room_models) for kind in ModelKind}
+    assert kinds[ModelKind.MAX_VISIBILITY_COVERAGE] == 6
+    assert kinds[ModelKind.THRESHOLD_COVERAGE] == 3
+    assert kinds[ModelKind.FEASIBILITY_COVER] > 4 * 5  # several bisection steps per k
+    nodes = ref_nodes = 0
+    for model in room_models:
+        a, ref = sc.solve(model), reference_solve(model)
+        assert _same_answer(a, ref), (model.kind, model.k, model.radius)
+        assert a.nodes <= ref.nodes
+        nodes, ref_nodes = nodes + a.nodes, ref_nodes + ref.nodes
+    assert nodes < ref_nodes
