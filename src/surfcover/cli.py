@@ -246,26 +246,17 @@ def _cmd_refine(args) -> int:
         plane_z = prev.get("params", {}).get("plane_z")
         if plane_z is None:
             raise UsageError("--method onecenter needs a result produced by `approx`")
-        positions, radius = refine.improve_quality_max(
+        positions, objective = refine.improve_quality_max(
             samples, np.array(prev["positions"]), plane_z
         )
-        payload = {
-            **{k: prev[k] for k in ("problem", "k", "params")},
-            "method": "onecenter-refined",
-            "placement": None,
-            "positions": positions.tolist(),
-            "objective": radius,
-            "radius": radius,
-            "solve": None,
-        }
+        extra = {"method": "onecenter-refined", "radius": objective}
     else:
         if None in (args.mesh, args.candidates, args.vis):
             raise UsageError("--method grid needs --mesh, --candidates and --vis")
         if prev["problem"] == 2:
             raise UsageError("--method grid refines problem 1/3 results; use onecenter")
         instance, placement = _result_instance(args, prev)
-        mesh = load_obj(args.mesh)
-        bvh = build_bvh(mesh)
+        bvh = build_bvh(load_obj(args.mesh))
         neighborhood = 2 * args.fine_pitch if args.neighborhood is None else args.neighborhood
         positions, objective = refine.refine_grid(
             instance,
@@ -276,14 +267,15 @@ def _cmd_refine(args) -> int:
             neighborhood=neighborhood,
             threshold=prev.get("params", {}).get("phi"),
         )
-        payload = {
-            **{k: prev[k] for k in ("problem", "k", "params")},
-            "method": "grid-refined",
-            "placement": None,
-            "positions": positions.tolist(),
-            "objective": objective,
-            "solve": None,
-        }
+        extra = {"method": "grid-refined"}
+    payload = {
+        **{k: prev[k] for k in ("problem", "k", "params")},
+        "placement": None,
+        "positions": positions.tolist(),
+        "objective": objective,
+        "solve": None,
+        **extra,
+    }
     _write_result(args.out, payload, args.deterministic)
     return EXIT_OK
 

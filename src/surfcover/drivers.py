@@ -127,6 +127,10 @@ class PhaseReport:
     elapsed: float
     positions: np.ndarray  # (k, 3) sensor positions after the phase
 
+    def to_json_dict(self) -> dict:
+        return {"objective": self.objective, "elapsed": self.elapsed,
+                "positions": self.positions.tolist()}
+
 
 @dataclass(frozen=True)
 class PipelineReport:
@@ -138,16 +142,8 @@ class PipelineReport:
     def to_json_dict(self) -> dict:
         return {
             "problem": self.problem,
-            "phase1": {
-                "objective": self.coarse.objective,
-                "elapsed": self.coarse.elapsed,
-                "positions": self.coarse.positions.tolist(),
-            },
-            "phase2": {
-                "objective": self.refined.objective,
-                "elapsed": self.refined.elapsed,
-                "positions": self.refined.positions.tolist(),
-            },
+            "phase1": self.coarse.to_json_dict(),
+            "phase2": self.refined.to_json_dict(),
             "certified_factor": self.certified_factor,
         }
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import (
+    CoincidentPointError,
     CoverageInstance,
     QualityKind,
     check_placement,
@@ -52,8 +53,7 @@ def _sphere_1p(p, h: float):
 def _sphere_2p(p, q, h: float):
     # center on the intersection of the 3D bisector plane with z = h, at the
     # foot of the perpendicular from p's projection
-    a = p[:2]
-    b = q[:2]
+    a, b = p[:2], q[:2]
     wa = (h - p[2]) ** 2
     wb = (h - q[2]) ** 2
     d = b - a
@@ -108,6 +108,34 @@ def _violator_scan(p: np.ndarray):
     return first_outside
 
 
+def _basis_sphere(pts: np.ndarray, basis: list[int], h: float) -> ConstrainedSphere:
+    """The closed-form sphere with the 1-3 points `basis` of `pts` on its
+    boundary. Collinear projections make three points a 1-D problem, whose
+    basis has at most two points: their 1-center is the largest of the three
+    pairs' minimal spheres."""
+    p = pts[basis[0]]
+    if len(basis) == 1:
+        c, r = _sphere_1p(p, h)
+    elif len(basis) == 2:
+        c, r = _sphere_2p(p, pts[basis[1]], h)
+    else:
+        out = _sphere_3p(p, pts[basis[1]], pts[basis[2]], h)
+        if out is None:
+            pairs = (basis[:2], basis[::2], basis[1:])
+            return max((_pair_sphere(pts, pair, h) for pair in pairs), key=lambda s: s.radius)
+        c, r = out
+    return ConstrainedSphere(c, r, tuple(basis))
+
+
+def _pair_sphere(pts: np.ndarray, pair: list[int], h: float) -> ConstrainedSphere:
+    """The minimal sphere of `pair`: a point's own sphere if it holds the other, else the pair's."""
+    for a, b in (pair, pair[::-1]):
+        c, r = _sphere_1p(pts[a], h)
+        if _within(np.sum((pts[b] - c) ** 2), r**2):
+            return ConstrainedSphere(c, r, (a,))
+    return _basis_sphere(pts, pair, h)
+
+
 def min_sphere_fixed_plane(points, h_plane: float) -> ConstrainedSphere:
     """Smallest sphere containing `points` with its center on z = h_plane.
 
@@ -125,40 +153,17 @@ def min_sphere_fixed_plane(points, h_plane: float) -> ConstrainedSphere:
     random.Random(0).shuffle(order)
     first_outside = _violator_scan(pts[order])  # takes positions in the shuffle order
 
-    def make(basis: list[int]):
-        if len(basis) == 1:
-            c, r = _sphere_1p(pts[basis[0]], h_plane)
-        elif len(basis) == 2:
-            c, r = _sphere_2p(pts[basis[0]], pts[basis[1]], h_plane)
-        else:
-            out = _sphere_3p(pts[basis[0]], pts[basis[1]], pts[basis[2]], h_plane)
-            if out is None:
-                # degenerate triple: best 2-point sphere covering all three
-                best = None
-                for a in range(3):
-                    for b in range(a + 1, 3):
-                        c, r = _sphere_2p(pts[basis[a]], pts[basis[b]], h_plane)
-                        cand = ConstrainedSphere(c, r, (basis[a], basis[b]))
-                        if all(cand.contains(pts[basis[i]]) for i in range(3)):
-                            if best is None or cand.radius < best.radius:
-                                best = cand
-                if best is not None:
-                    return best
-                out = _sphere_2p(pts[basis[0]], pts[basis[1]], h_plane)
-            c, r = out
-        return ConstrainedSphere(c, r, tuple(basis))
-
     n = len(order)
-    sphere = make([order[0]])
+    sphere = _basis_sphere(pts, [order[0]], h_plane)
     i = first_outside(sphere, 1, n)
     while i < n:
-        sphere = make([order[i]])
+        sphere = _basis_sphere(pts, [order[i]], h_plane)
         j = first_outside(sphere, 0, i)
         while j < i:
-            sphere = make([order[i], order[j]])
+            sphere = _basis_sphere(pts, [order[i], order[j]], h_plane)
             l = first_outside(sphere, 0, j)
             while l < j:
-                sphere = make([order[i], order[j], order[l]])
+                sphere = _basis_sphere(pts, [order[i], order[j], order[l]], h_plane)
                 l = first_outside(sphere, l + 1, j)
             j = first_outside(sphere, j + 1, i)
         i = first_outside(sphere, i + 1, n)
@@ -212,23 +217,36 @@ def _local_grid(center: np.ndarray, pitch: float, halfwidth: float, bounds=None)
     gx, gy = np.meshgrid(center[0] + offs, center[1] + offs, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, center[2])])
     if bounds is not None:
-        lo, hi = bounds
-        keep = (
-            (pts[:, 0] >= lo[0] - 1e-9)
-            & (pts[:, 0] <= hi[0] + 1e-9)
-            & (pts[:, 1] >= lo[1] - 1e-9)
-            & (pts[:, 1] <= hi[1] + 1e-9)
-        )
-        pts = pts[keep]
+        lo, hi = (np.asarray(b, dtype=np.float64)[:2] for b in bounds)
+        pts = pts[((pts[:, :2] >= lo - 1e-9) & (pts[:, :2] <= hi + 1e-9)).all(axis=1)]
     # ensure the current location itself is a candidate (index 0)
     return np.vstack([center[None, :], pts])
 
 
-def _vis_columns(bvh: Bvh, samples: SampleSet, positions: np.ndarray) -> np.ndarray:
-    hidden = np.empty(len(samples) * len(positions), dtype=bool)  # position-major
-    for sl, origins, targets in pair_packets(samples.positions, positions):
+def _visible_pairs(bvh: Bvh, samples: SampleSet, positions: np.ndarray, pairs=None):
+    """Visibility of the `pair_packets` pairs `pairs`, or of all N x M when None."""
+    total = len(samples) * len(positions) if pairs is None else len(pairs)
+    hidden = np.empty(total, dtype=bool)
+    for sl, origins, targets in pair_packets(samples.positions, positions, pairs):
         hidden[sl] = segments_occluded(bvh, origins, targets)
-    return ~hidden.reshape(len(positions), len(samples)).T
+    return ~hidden
+
+
+def _grid_scores(bvh, samples, kind, threshold, others, local):
+    """Covered count with the moved sensor at each point of `local`, given the
+    other sensors' per-sample coverage `others`, and the (N, G) qualities
+    where visible. Rows the others cover count everywhere. Hiding a pair only
+    zeroes its quality, so only open pairs that cover their row if visible
+    are traced."""
+    dist, reach = quality_matrix(samples, local, np.ones((len(samples), len(local)), bool), kind)
+    if not dist.all():  # the cumulative kind has raised already
+        raise CoincidentPointError("a local grid point coincides with a sample")
+    open_rows = ~is_covered(kind, others, threshold)
+    pairs = np.stack(np.broadcast_arrays(others[:, None], reach), axis=-1)
+    reachable = is_covered(kind, sample_coverage(kind, pairs), threshold) & open_rows[:, None]
+    pairs = np.flatnonzero(reachable.T)  # position-major, as pair_packets numbers them
+    seen = pairs[_visible_pairs(bvh, samples, local, pairs)] // len(samples)
+    return np.count_nonzero(~open_rows) + np.bincount(seen, minlength=len(local)), reach
 
 
 def refine_grid(
@@ -245,8 +263,10 @@ def refine_grid(
     when the covered count strictly improves.
 
     Serves the visibility and cumulative kinds (the cumulative kind needs
-    `threshold`); a sample counts as covered by `coverage.is_covered`.
-    Returns the refined sensor positions and the final covered count.
+    `threshold`); a sample counts as covered by `coverage.is_covered`. A grid
+    point's count traces only the samples the other sensors leave open and
+    the point could cover if it saw them; an accepted move traces its full
+    column. Returns the refined sensor positions and the final covered count.
     """
     kind = instance.kind
     if kind is QualityKind.INVERSE_DISTANCE:
@@ -254,29 +274,20 @@ def refine_grid(
     samples = instance.samples
     placement = check_placement(placement, instance.n_candidates)
     positions = instance.candidates.positions[placement]
-
-    def quality_columns(pos: np.ndarray) -> np.ndarray:
-        return quality_matrix(samples, pos, _vis_columns(bvh, samples, pos), kind)[1]
-
-    def covered_count(cols: np.ndarray):
-        """Covered samples of each placement whose columns run along the last axis."""
-        return is_covered(kind, sample_coverage(kind, cols), threshold).sum(axis=0)
-
-    cols = quality_columns(positions)
-    current = float(covered_count(cols))
+    seen = _visible_pairs(bvh, samples, positions).reshape(len(positions), len(samples)).T
+    cols = quality_matrix(samples, positions, seen, kind)[1]
+    current = float(is_covered(kind, sample_coverage(kind, cols), threshold).sum())
     for _ in range(rounds):
         moved = False
         for j in range(len(positions)):
             local = _local_grid(positions[j], pitch_fine, neighborhood, bounds)
-            phi_loc = quality_columns(local)
             others = sample_coverage(kind, np.delete(cols, j, axis=1))
-            # per grid point: the other sensors' coverage and the moved sensor's
-            pairs = np.stack(np.broadcast_arrays(others[:, None], phi_loc), axis=-1)
-            scores = covered_count(pairs)
+            scores, reach = _grid_scores(bvh, samples, kind, threshold, others, local)
             best = int(np.argmax(scores))
             if scores[best] > current + 1e-12 and best != 0:
                 positions[j] = local[best]
-                cols[:, j] = phi_loc[:, best]
+                seen = _visible_pairs(bvh, samples, local[best : best + 1])
+                cols[:, j] = np.where(seen, reach[:, best], 0.0)
                 current = float(scores[best])
                 moved = True
         if not moved:

@@ -263,15 +263,16 @@ class VisibilityMatrix:
             )
 
 
-def pair_packets(points: np.ndarray, positions: np.ndarray):
-    """Yield (slice, origins, targets) packets of at most PACKET_SEGMENTS of the
-    flattened point-to-position pairs: pair p joins point p % N to position
-    p // N. Only one packet's rows exist at a time."""
+def pair_packets(points: np.ndarray, positions: np.ndarray, pairs=None):
+    """Yield (slice, origins, targets) packets of at most PACKET_SEGMENTS pairs
+    of `pairs` (None: all N x M in order), where pair p joins point p % N to
+    position p // N. Only one packet's rows exist at a time."""
     n = len(points)
-    total = n * len(positions)
+    total = n * len(positions) if pairs is None else len(pairs)
     for lo in range(0, total, PACKET_SEGMENTS):
-        p = np.arange(lo, min(lo + PACKET_SEGMENTS, total))
-        yield slice(lo, lo + len(p)), points[p % n], positions[p // n]
+        hi = min(lo + PACKET_SEGMENTS, total)
+        p = np.arange(lo, hi) if pairs is None else pairs[lo:hi]
+        yield slice(lo, hi), points[p % n], positions[p // n]
 
 
 def visibility_matrix(

@@ -1,0 +1,69 @@
+"""Reference grid refinement: the loop that traces every sample against every
+point of each local grid.
+
+`refine.refine_grid` traces only the pairs that can change a grid point's
+covered count; the tests require both to give bit-identical per-point scores,
+positions and objective. The reference shares the library's local grid,
+visibility columns, quality matrix and covered rule, so only the loop differs.
+"""
+
+import numpy as np
+
+from surfcover import refine
+from surfcover.coverage import (
+    QualityKind,
+    check_placement,
+    is_covered,
+    quality_matrix,
+    sample_coverage,
+)
+
+
+def reference_refine_grid(
+    instance,
+    placement,
+    bvh,
+    pitch_fine,
+    rounds,
+    neighborhood,
+    threshold=None,
+    bounds=None,
+    scores_log=None,
+):
+    """`refine_grid` with full visibility columns for every grid point; each
+    grid's scores are appended to `scores_log` when it is given."""
+    kind = instance.kind
+    if kind is QualityKind.INVERSE_DISTANCE:
+        raise ValueError("use two_phase_quality for the best-quality objective")
+    samples = instance.samples
+    placement = check_placement(placement, instance.n_candidates)
+    positions = instance.candidates.positions[placement]
+
+    def quality_columns(pos):
+        seen = refine._visible_pairs(bvh, samples, pos).reshape(len(pos), len(samples)).T
+        return quality_matrix(samples, pos, seen, kind)[1]
+
+    def covered_count(cols):
+        return is_covered(kind, sample_coverage(kind, cols), threshold).sum(axis=0)
+
+    cols = quality_columns(positions)
+    current = float(covered_count(cols))
+    for _ in range(rounds):
+        moved = False
+        for j in range(len(positions)):
+            local = refine._local_grid(positions[j], pitch_fine, neighborhood, bounds)
+            phi_loc = quality_columns(local)
+            others = sample_coverage(kind, np.delete(cols, j, axis=1))
+            pairs = np.stack(np.broadcast_arrays(others[:, None], phi_loc), axis=-1)
+            scores = covered_count(pairs)
+            if scores_log is not None:
+                scores_log.append(scores)
+            best = int(np.argmax(scores))
+            if scores[best] > current + 1e-12 and best != 0:
+                positions[j] = local[best]
+                cols[:, j] = phi_loc[:, best]
+                current = float(scores[best])
+                moved = True
+        if not moved:
+            break
+    return positions, current

@@ -1,13 +1,17 @@
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import surfcover as sc
 from surfcover import refine
-from surfcover.coverage import QualityKind
+from surfcover.coverage import CoincidentPointError, QualityKind
 
+from _refine_reference import reference_refine_grid
 from conftest import all_visible, make_sample_set
 
 
@@ -124,32 +128,14 @@ def _contains_ref(sphere, p, tol=refine.CONTAIN_TOL):
 
 def min_sphere_per_point_ref(points, h_plane):
     """The per-point triple loop that the batched violator scan replaced:
-    the same shuffle, visit order and closed-form bases, one point per test."""
+    the same shuffle, visit order and closed-form bases (the library's), one
+    point per test."""
     pts = np.asarray(points, dtype=np.float64)
     order = list(range(len(pts)))
     random.Random(0).shuffle(order)
 
     def make(basis):
-        if len(basis) == 1:
-            c, r = refine._sphere_1p(pts[basis[0]], h_plane)
-        elif len(basis) == 2:
-            c, r = refine._sphere_2p(pts[basis[0]], pts[basis[1]], h_plane)
-        else:
-            out = refine._sphere_3p(pts[basis[0]], pts[basis[1]], pts[basis[2]], h_plane)
-            if out is None:
-                best = None
-                for a in range(3):
-                    for b in range(a + 1, 3):
-                        c, r = refine._sphere_2p(pts[basis[a]], pts[basis[b]], h_plane)
-                        cand = sc.ConstrainedSphere(c, r, (basis[a], basis[b]))
-                        if all(_contains_ref(cand, pts[basis[i]]) for i in range(3)):
-                            if best is None or cand.radius < best.radius:
-                                best = cand
-                if best is not None:
-                    return best
-                out = refine._sphere_2p(pts[basis[0]], pts[basis[1]], h_plane)
-            c, r = out
-        return sc.ConstrainedSphere(c, r, tuple(basis))
+        return refine._basis_sphere(pts, basis, h_plane)
 
     sphere = make([order[0]])
     for ii in range(1, len(order)):
@@ -234,6 +220,25 @@ def test_min_sphere_scan_matches_per_point_loop_on_collinear_projections(monkeyp
     for pts in sets:
         _assert_same_sphere(pts, 3.0)
     assert forced
+
+
+def test_collinear_triple_is_its_largest_pair_sphere(monkeypatch):
+    # three points whose projections lie on one line, with the 3-point basis
+    # reported degenerate: the sphere is the triple's 1-center
+    monkeypatch.setattr(refine, "_sphere_3p", lambda *args: None)
+    rng = np.random.default_rng(26)
+    supports = set()
+    for _ in range(20):
+        t = rng.uniform(-2, 2, 3)
+        pts = np.column_stack([1.0 + 0.6 * t, -0.5 + 0.8 * t, rng.uniform(-3, 1.5, 3)])
+        h = 2.0
+        sphere = refine._basis_sphere(pts, [0, 1, 2], h)
+        assert all(sphere.contains(p) for p in pts)
+        assert sphere.radius == pytest.approx(grid_search_min_sphere_radius(pts, h), rel=1e-4)
+        for idx in sphere.support:
+            assert np.linalg.norm(pts[idx] - sphere.center) == pytest.approx(sphere.radius)
+        supports.add(len(sphere.support))
+    assert supports == {1, 2}  # one point's sphere wins some triples, a pair's others
 
 
 def test_min_sphere_scan_matches_per_point_loop_on_tolerance_boundary():
@@ -352,3 +357,114 @@ def test_refine_grid_rejects_quality_kind():
     inst = sc.build_instance(samples, coarse, vm, QualityKind.INVERSE_DISTANCE)
     with pytest.raises(ValueError, match="two_phase_quality"):
         sc.refine_grid(inst, (0,), bvh, pitch_fine=0.5, rounds=1, neighborhood=1.0)
+
+
+def _benchmark_scenes():
+    """The scene set-ups of perfbench/workloads.py, which the benchmark's
+    office-refine and room-exact workloads run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS
+
+
+def _scene_instances(workload, seed):
+    scene = workload.setup(seed)
+    vm = sc.visibility_matrix(scene.bvh, scene.samples, scene.candidates)
+    vis = sc.build_instance(scene.samples, scene.candidates, vm, QualityKind.VISIBILITY)
+    lam = sc.build_instance(scene.samples, scene.candidates, vm, QualityKind.LAMBERT_INVERSE_SQUARE)
+    return scene, vis, lam
+
+
+def test_refine_grid_matches_the_full_column_reference(monkeypatch):
+    # bit for bit: every grid's scores, the positions and the objective, on
+    # the benchmark rooms with the solvers' placements and seeded random ones
+    log = []  # the scores of each local grid refine_grid scores
+    grid_scores = refine._grid_scores
+
+    def logged(*args):
+        scores, reach = grid_scores(*args)
+        log.append(scores)
+        return scores, reach
+
+    monkeypatch.setattr(refine, "_grid_scores", logged)
+    workloads = _benchmark_scenes()
+    rng = np.random.default_rng(27)
+    runs = moved = 0
+    for name, threshold in (("office-refine", 0.1), ("room-exact", 0.05)):
+        for seed in (0, 3):
+            scene, vis, lam = _scene_instances(workloads[name], seed)
+            m = len(scene.candidates)
+            lo, hi = scene.candidates.positions.min(axis=0), scene.candidates.positions.max(axis=0)
+            for inst, thr in ((vis, None), (lam, threshold)):
+                if thr is None:
+                    solved = sc.solve_problem1(inst, 2)[0]
+                else:
+                    solved = sc.solve_problem3(inst, 2, thr)[0]
+                drawn = rng.choice(m, size=int(rng.integers(1, 4)), replace=False).tolist()
+                for placement in (solved, drawn):
+                    kwargs = dict(pitch_fine=0.3, rounds=2, neighborhood=0.6, threshold=thr,
+                                  bounds=(lo, hi))
+                    ref_log = []
+                    ref_pos, ref_obj = reference_refine_grid(
+                        inst, placement, scene.bvh, scores_log=ref_log, **kwargs
+                    )
+                    log.clear()
+                    pos, obj = sc.refine_grid(inst, placement, scene.bvh, **kwargs)
+                    assert len(log) == len(ref_log)
+                    for got, ref in zip(log, ref_log):
+                        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+                    assert np.array_equal(pos, ref_pos) and obj == ref_obj
+                    runs += 1
+                    moved += not np.array_equal(pos, inst.candidates.positions[list(placement)])
+    assert runs == 16 and moved >= 8  # accepted moves trace their full columns
+
+
+def test_refine_traces_under_half_the_segments_of_the_full_columns(monkeypatch):
+    # office-refine seed 0's P1 and P3 refinements at k=2: the full-column
+    # loop sends N x (k + the grid points); only the open, reachable pairs
+    # and the accepted moves' columns are sent now
+    workload = _benchmark_scenes()["office-refine"]
+    scene, vis, lam = _scene_instances(workload, 0)
+    sent = []
+    traced = refine.segments_occluded
+
+    def counting(bvh, origins, targets):
+        sent.append(len(origins))
+        return traced(bvh, origins, targets)
+
+    monkeypatch.setattr(refine, "segments_occluded", counting)
+    x0, y0, x1, y1 = workload.rect
+    for inst, thr in ((vis, None), (lam, workload.p3_threshold)):
+        if thr is None:
+            placement = sc.solve_problem1(inst, workload.p1_k)[0]
+        else:
+            placement = sc.solve_problem3(inst, workload.p3_k, thr)[0]
+        kwargs = dict(threshold=thr, bounds=((x0, y0), (x1, y1)), **workload.refine)
+        sent.clear()
+        ref = reference_refine_grid(inst, placement, scene.bvh, **kwargs)
+        full = sum(sent)
+        sent.clear()
+        got = sc.refine_grid(inst, placement, scene.bvh, **kwargs)
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+        assert 0 < sum(sent) < full / 2
+
+
+def test_refine_grid_rejects_a_grid_point_on_a_sample():
+    # the point (2.5, 2, 2.8) of the first sensor's grid is also a sample
+    _, bvh, samples, _, _, _ = _coarse_fine_setup()
+    on_grid = make_sample_set(np.vstack([samples.positions, [[2.5, 2.0, 2.8]]]),
+                              np.vstack([samples.normals, [[0.0, 0.0, -1.0]]]))
+    cands = sc.CandidateSet(positions=[[2.0, 2.0, 2.8], [5.0, 3.0, 2.8]])
+    vm = sc.visibility_matrix(bvh, on_grid, cands)
+    for kind, threshold in (
+        (QualityKind.VISIBILITY, None),
+        (QualityKind.LAMBERT_INVERSE_SQUARE, 0.05),
+    ):
+        inst = sc.build_instance(on_grid, cands, vm, kind)
+        with pytest.raises(CoincidentPointError):
+            sc.refine_grid(inst, (0, 1), bvh, pitch_fine=0.5, rounds=1, neighborhood=0.5,
+                           threshold=threshold)
+    assert issubclass(CoincidentPointError, ValueError)

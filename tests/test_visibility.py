@@ -6,7 +6,7 @@ import pytest
 
 import surfcover as sc
 from surfcover import visibility
-from surfcover.refine import _vis_columns
+from surfcover.refine import _visible_pairs
 from surfcover.visibility import (
     LEAF_SIZE,
     PACKET_SEGMENTS,
@@ -210,7 +210,19 @@ def test_matrix_bits_are_c_contiguous(three_packets):
 
 def test_refine_columns_match_matrix(three_packets):
     bvh, samples, cands, vm = three_packets
-    assert (_vis_columns(bvh, samples, cands.positions) == vm.bits).all()
+    cols = _visible_pairs(bvh, samples, cands.positions).reshape(len(cands), len(samples)).T
+    assert (cols == vm.bits).all()
+
+
+def test_listed_pairs_match_matrix(three_packets):
+    # pair p joins sample p % N to candidate p // N, in the order listed;
+    # more than one packet of them, in no particular order
+    bvh, samples, cands, vm = three_packets
+    n = len(samples)
+    pairs = np.random.default_rng(11).permutation(n * len(cands))[: 2 * PACKET_SEGMENTS + 9]
+    seen = _visible_pairs(bvh, samples, cands.positions, pairs)
+    assert (seen == vm.bits[pairs % n, pairs // n]).all()
+    assert _visible_pairs(bvh, samples, cands.positions, pairs[:0]).shape == (0,)
 
 
 def test_packet_mixing_axis_aligned_and_oblique_segments_matches_brute():
