@@ -94,12 +94,16 @@ def _write_result(path, payload: dict, deterministic: bool) -> None:
         fh.write("\n")
 
 
-def _load_trio(args):
+def _load_trio(args, mesh=None):
+    """--samples, --candidates and the --vis computed from them; with `mesh`,
+    a --vis that records a mesh hash (version 1 does not) must be of it."""
     samples = load_sample_set(args.samples)
     candidates = load_candidate_set(args.candidates)
     try:
         vm = load_spvm(args.vis)
         vm.check_consistent(samples, candidates)
+        if mesh is not None and vm.mesh_hash not in (None, mesh.content_hash()):
+            raise ValueError(f"{args.vis} was computed on another mesh than {args.mesh}")
     except ValueError as exc:
         raise UsageError(
             f"{exc}; re-run: surfcover visibility --mesh ... --samples {args.samples} "
@@ -255,8 +259,9 @@ def _cmd_refine(args) -> int:
             raise UsageError("--method grid needs --mesh, --candidates and --vis")
         if prev["problem"] == 2:
             raise UsageError("--method grid refines problem 1/3 results; use onecenter")
-        instance, placement = _result_instance(args, prev)
-        bvh = build_bvh(load_obj(args.mesh))
+        mesh = load_obj(args.mesh)
+        instance, placement = _result_instance(args, prev, mesh)
+        bvh = build_bvh(mesh)
         neighborhood = 2 * args.fine_pitch if args.neighborhood is None else args.neighborhood
         positions, objective = refine.refine_grid(
             instance,
@@ -295,16 +300,17 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _result_instance(args, prev: dict):
-    """The instance of the --in result's problem and the result's placement,
-    checked against it. A result without a candidate placement (`approx`
-    and `refine` write `placement: null`) is a usage error."""
+def _result_instance(args, prev: dict, mesh=None):
+    """The instance of the --in result's problem, its --vis checked against
+    `mesh` when given, and the result's placement, checked against it. A
+    result without a candidate placement (`approx` and `refine` write
+    `placement: null`) is a usage error."""
     if prev.get("placement") is None:
         raise UsageError(
             f"{args.infile}: the result has no candidate placement, only free "
             "positions; use a `solve` result"
         )
-    samples, candidates, vm = _load_trio(args)
+    samples, candidates, vm = _load_trio(args, mesh)
     instance = build_instance(samples, candidates, vm, PROBLEM_KIND[prev["problem"]])
     try:
         placement = check_placement(prev["placement"], instance.n_candidates)

@@ -3,6 +3,7 @@ coarse-solve + local-improvement pipeline."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -79,11 +80,11 @@ def solve_problem2(
     radius and its uncertified incumbent come back with status TIME_LIMIT.
     """
     radii = candidate_radii(instance)
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
+    deadline = math.inf if time_limit is None else time.perf_counter() + time_limit
 
     def step(r: float) -> SolveResult:
         """The exact feasibility solve at radius r in the time left."""
-        left = None if deadline is None else max(0.0, deadline - time.perf_counter())
+        left = max(0.0, deadline - time.perf_counter())
         return solve(build_feasibility_model(instance, k, r, rho), time_limit=left)
 
     hi = len(radii) - 1
@@ -98,7 +99,7 @@ def solve_problem2(
     lo = 0
     best = (float(radii[hi]), top)
     while lo <= hi:
-        if deadline is not None and time.perf_counter() >= deadline:
+        if time.perf_counter() >= deadline:
             break
         mid = (lo + hi) // 2
         r = float(radii[mid])

@@ -257,7 +257,7 @@ def _top_sum(a: np.ndarray, t: int):
     return a.sum(axis=-1)
 
 
-def _greedy_incumbent(scorer, m: int, k: int, deadline: float | None):
+def _greedy_incumbent(scorer, m: int, k: int, deadline: float):
     """Greedy pick + first-improving 1-swaps; deterministic warm start. The
     swap search stops early at the deadline. Returns (selection, value)."""
     selected: list[int] = []
@@ -272,14 +272,10 @@ def _greedy_incumbent(scorer, m: int, k: int, deadline: float | None):
         state = scorer.add(state, selected[-1])
         free = free[free != selected[-1]]
     current = scorer.value(state)
-    improved = True
-    rounds = 0
-    while improved and rounds < 20:
-        improved = False
-        rounds += 1
+    for _ in range(20):  # swap passes, each ending at its first improvement
         cands = np.delete(np.arange(m), selected)
         for si in range(len(selected)):
-            if deadline is not None and time.perf_counter() > deadline:
+            if time.perf_counter() > deadline:
                 return selected, current
             others = selected[:si] + selected[si + 1 :]
             base = functools.reduce(scorer.add, others, scorer.root)
@@ -289,8 +285,9 @@ def _greedy_incumbent(scorer, m: int, k: int, deadline: float | None):
                 j = int(cands[better[0]])
                 selected = others[:si] + [j] + others[si:]
                 current = int(values[better[0]])
-                improved = True
                 break
+        else:  # no swap improves
+            break
     return selected, current
 
 
@@ -301,7 +298,7 @@ _LAGRANGE_STALLS = 3  # halvings in a row without a better bound before the step
 _PROOF_TOL = 1e-6
 
 
-def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float | None) -> float:
+def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float) -> float:
     """Smallest L(lam) met by Polyak subgradient steps toward target - 1, where
 
         L(lam) = sum_i max(0, 1 - lam_i) + (sum of the k largest positive (lam A)_j)
@@ -319,7 +316,7 @@ def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float | 
     lam = 1.0 / cols.sum(axis=0)
     factor, best, stale = 2.0, math.inf, 0
     for _ in range(_LAGRANGE_STEPS):
-        if deadline is not None and time.perf_counter() > deadline:
+        if time.perf_counter() > deadline:
             break
         weights = cols @ lam
         top = np.argpartition(weights, m - k)[m - k :]
@@ -363,55 +360,42 @@ def solve(
     sample takes its `budget` best free contributions. A node with one pick
     left scores every free candidate in one pass and counts as one node; it
     keeps what the per-child search would, the first maximum in branching
-    order. The feasibility kind exits early once the coverage target is met.
-    When its warm start misses the target, a Lagrangian bound
-    (`_lagrangian_bound`) is tried first: if it falls below the target,
-    infeasibility is proved at the root.
+    order. A feasibility model branches on its gains, so its first maximum is
+    also its first candidate that meets the target. The search runs while
+    nodes are stacked and the incumbent is below the target (the coverage
+    target of the feasibility kind, else infinite); the clock stops it with
+    the unexplored nodes left stacked. When the feasibility kind's warm start
+    misses the target, a Lagrangian bound (`_lagrangian_bound`) is tried
+    first: if it falls below the target, infeasibility is proved at the root.
     """
     start = time.perf_counter()
-    deadline = None if time_limit is None else start + time_limit
+    deadline = math.inf if time_limit is None else start + time_limit
     m = model.n_candidates
     k = min(model.k, m)
-    target = model.coverage_target if model.kind is ModelKind.FEASIBILITY_COVER else None
+    feasibility = model.kind is ModelKind.FEASIBILITY_COVER
+    target = model.coverage_target if feasibility else math.inf
     if model.kind is ModelKind.THRESHOLD_COVERAGE:
         scorer = _QualitySums(model.cover, model.threshold)
     else:
         scorer = _PackedCover(model.cover)
 
     incumbent, inc_value = _greedy_incumbent(scorer, m, k, deadline)
-    nodes = 0
-    timed_out = False
-    open_bound = -math.inf  # best bound among subtrees cut off by the clock
-    found_target = target is not None and inc_value >= target
-    root_proof = None  # a Lagrangian bound below the coverage target
-    if target is not None and k > 0 and not found_target:
+    nodes, root_proof = 0, -math.inf  # root_proof: a Lagrangian bound below the target
+    stack = [(scorer.root, scorer.value(scorer.root), np.arange(m), [])] if k > 0 else []
+    if feasibility and stack and inc_value < target:
         lagrangian = _lagrangian_bound(model.cover, k, target, deadline)
         if lagrangian < target - _PROOF_TOL:
-            root_proof, nodes = lagrangian, 1
+            root_proof, nodes, stack = lagrangian, 1, []
 
-    def bound(state, value, free, selected) -> int:
-        # a stacked node always has budget left: last levels are closed in place
-        if free.size == 0:
-            return value
-        return scorer.expand(state, value, free, k - len(selected))[1]
-
-    root = (scorer.root, scorer.value(scorer.root), np.arange(m), [])
-    stack = [] if k == 0 or found_target or root_proof is not None else [root]
-    while stack:
+    while stack and inc_value < target:
         state, value, free, selected = stack.pop()
         nodes += 1
-        if deadline is not None and time.perf_counter() > deadline:
-            # the popped node and everything still stacked is unexplored
-            timed_out = True
-            stack.append((state, value, free, selected))
-            open_bound = max(bound(*node) for node in stack)
+        if time.perf_counter() > deadline:
+            stack.append((state, value, free, selected))  # still unexplored
             break
         if value > inc_value:
             incumbent, inc_value = selected, value
-            if target is not None and inc_value >= target:
-                found_target = True
-                break
-        if free.size == 0:
+        if free.size == 0 or inc_value >= target:
             continue
         budget = k - len(selected)
         scores, ub = scorer.expand(state, value, free, budget)
@@ -419,17 +403,13 @@ def solve(
             continue
         if budget == 1:
             # the DFS would visit these leaves by descending score, lowest
-            # index first, and stop at the first that meets a target or else
-            # keep the first maximum (a pruned sibling is worth <= incumbent)
+            # index first, and keep the first maximum (a pruned sibling is
+            # worth <= incumbent), which is the first to meet a target
             order = free[np.argsort(-scores, kind="stable")]
             vals = scorer.values_with(state, order)
             best = int(np.argmax(vals))
-            if target is not None and vals[best] >= target:
-                best, found_target = int(np.argmax(vals >= target)), True
             if vals[best] > inc_value:
                 incumbent, inc_value = selected + [int(order[best])], int(vals[best])
-            if found_target:
-                break
             continue
         pick = int(free[int(np.argmax(scores))])
         rest = free[free != pick]
@@ -440,18 +420,19 @@ def solve(
     primal = float(inc_value)
     placement = tuple(sorted(incumbent))
     dual, gap = primal, 0.0
-    if found_target:
+    if inc_value >= target:
         status = SolveStatus.OPTIMAL
-    elif timed_out:
+    elif stack:  # the clock stopped the search before the stacked subtrees
+        # a stacked node always has budget left: last levels are closed in place
+        open_bound = max(scorer.expand(s, v, f, k - len(sel))[1] if f.size else v
+                         for s, v, f, sel in stack)
         dual = float(max(primal, open_bound))  # expand's bound is an int
         gap = (dual - primal) / max(1.0, abs(primal))
         # only an optimization model can settle for a gap within tolerance
-        within_tol = target is None and gap <= gap_tol
+        within_tol = not feasibility and gap <= gap_tol
         status = SolveStatus.FEASIBLE if within_tol else SolveStatus.TIME_LIMIT
-    elif target is not None:
-        status, placement = SolveStatus.INFEASIBLE, None
-        if root_proof is not None:
-            dual = max(primal, root_proof)
+    elif feasibility:
+        status, placement, dual = SolveStatus.INFEASIBLE, None, max(primal, root_proof)
     else:
         status = SolveStatus.OPTIMAL
     return SolveResult(
@@ -503,7 +484,7 @@ def _fmt(x: float) -> str:
 def export_lp(model: IlpModel, path) -> None:
     """Write the model in CPLEX LP text format for external MILP solvers."""
     n, m = model.n_samples, model.n_candidates
-    lines = ["Maximize", " obj: " + _join_sum([f"y{i}" for i in range(n)]), "Subject To"]
+    lines = ["Maximize", " obj: " + " + ".join(f"y{i}" for i in range(n)), "Subject To"]
     if model.kind is ModelKind.THRESHOLD_COVERAGE:
         for i in range(n):
             terms = [f"{_fmt(model.threshold)} y{i}"]
@@ -519,11 +500,11 @@ def export_lp(model: IlpModel, path) -> None:
                 if model.cover[i, j]:
                     terms.append(f"- z{j}")
             lines.append(f" cov{i}: " + " ".join(terms) + " <= 0")
-    lines.append(" card: " + _join_sum([f"z{j}" for j in range(m)]) + f" <= {model.k}")
+    lines.append(" card: " + " + ".join(f"z{j}" for j in range(m)) + f" <= {model.k}")
     if model.kind is ModelKind.FEASIBILITY_COVER:
         lines.append(
             " ratio: "
-            + _join_sum([f"y{i}" for i in range(n)])
+            + " + ".join(f"y{i}" for i in range(n))
             + f" >= {model.coverage_target}"
         )
     lines.append("Binary")
@@ -533,7 +514,3 @@ def export_lp(model: IlpModel, path) -> None:
     lines.append("End")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _join_sum(names: list[str]) -> str:
-    return " + ".join(names)

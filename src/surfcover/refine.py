@@ -38,10 +38,10 @@ class ConstrainedSphere:
         return bool(_within(d2, self.radius**2))
 
 
-def _within(d2, r2: float, out=None):
+def _within(d2, r2: float):
     """The one containment rule: squared distance(s) `d2` lie inside the sphere
     of squared radius `r2`, with slack CONTAIN_TOL relative to max(1, r2)."""
-    return np.less_equal(d2, r2 + CONTAIN_TOL * max(1.0, r2), out=out)
+    return np.less_equal(d2, r2 + CONTAIN_TOL * max(1.0, r2))
 
 
 def _sphere_1p(p, h: float):
@@ -88,20 +88,12 @@ def _sphere_3p(p, q, s, h: float):
 
 def _violator_scan(p: np.ndarray):
     """`first_outside(sphere, lo, hi)`: the index of the first of p[lo:hi]
-    that `_within` puts outside `sphere`, or hi if there is none. Works in
-    buffers allocated once for all of `p`."""
-    diff = np.empty_like(p)
-    d2 = np.empty(len(p))
-    inside = np.empty(len(p), dtype=bool)
+    that `_within` puts outside `sphere`, or hi if there is none."""
 
     def first_outside(sphere: ConstrainedSphere, lo: int, hi: int) -> int:
         if lo >= hi:
             return hi
-        dm, sq, ok = diff[: hi - lo], d2[: hi - lo], inside[: hi - lo]
-        np.subtract(p[lo:hi], sphere.center, out=dm)
-        np.square(dm, out=dm)
-        np.add.reduce(dm, axis=1, out=sq)
-        _within(sq, sphere.radius**2, out=ok)
+        ok = _within(np.square(p[lo:hi] - sphere.center).sum(axis=1), sphere.radius**2)
         k = int(ok.argmin())  # the first False; a NaN distance is outside too
         return hi if ok[k] else lo + k
 
@@ -266,7 +258,10 @@ def refine_grid(
     `threshold`); a sample counts as covered by `coverage.is_covered`. A grid
     point's count traces only the samples the other sensors leave open and
     the point could cover if it saw them; an accepted move traces its full
-    column. Returns the refined sensor positions and the final covered count.
+    column. Refinement starts from the instance's quality columns of
+    `placement`, so its starting count is `evaluate`'s objective, and `bvh`
+    must hold the mesh the instance's visibility was computed on. Returns the
+    refined sensor positions and the final covered count.
     """
     kind = instance.kind
     if kind is QualityKind.INVERSE_DISTANCE:
@@ -274,8 +269,7 @@ def refine_grid(
     samples = instance.samples
     placement = check_placement(placement, instance.n_candidates)
     positions = instance.candidates.positions[placement]
-    seen = _visible_pairs(bvh, samples, positions).reshape(len(positions), len(samples)).T
-    cols = quality_matrix(samples, positions, seen, kind)[1]
+    cols = instance.phi[:, placement]  # a copy: moves never write into the instance
     current = float(is_covered(kind, sample_coverage(kind, cols), threshold).sum())
     for _ in range(rounds):
         moved = False

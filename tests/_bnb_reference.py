@@ -7,6 +7,8 @@ The reference takes no time limit and shares the solver's scorers, warm start
 and Lagrangian root test, so only the search loop differs.
 """
 
+import math
+
 import numpy as np
 
 from surfcover import ilp
@@ -22,12 +24,12 @@ def reference_solve(model: ilp.IlpModel) -> SolveResult:
     else:
         scorer = ilp._PackedCover(model.cover)
 
-    incumbent, inc_value = ilp._greedy_incumbent(scorer, m, k, None)
+    incumbent, inc_value = ilp._greedy_incumbent(scorer, m, k, math.inf)
     nodes = 0
     found_target = target is not None and inc_value >= target
     root_proof = None
     if target is not None and k > 0 and not found_target:
-        lagrangian = ilp._lagrangian_bound(model.cover, k, target, None)
+        lagrangian = ilp._lagrangian_bound(model.cover, k, target, math.inf)
         if lagrangian < target - ilp._PROOF_TOL:
             root_proof, nodes = lagrangian, 1
 

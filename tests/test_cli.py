@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -339,6 +340,36 @@ def test_grid_refine_rejects_problem2_result(workdir):
                  *_trio_args(samples, cands, vis),
                  "--in", str(p2), "--out", str(d / "x.json")])
     assert code == 2
+
+
+def test_grid_refine_rejects_a_vis_built_on_another_mesh(workdir, tmp_path, capsys):
+    # refinement starts from the --vis columns and traces moves through
+    # --mesh, so the two must hold the same occluders
+    d, mesh, samples, cands, vis = workdir
+    solved = d / "p1.json"
+    if not solved.exists():
+        assert main(["solve", "--problem", "1", "--k", "2",
+                     *_trio_args(samples, cands, vis), "--out", str(solved)]) == 0
+    boxed = tmp_path / "room_boxed.obj"
+    sc.save_obj(sc.gen_room(obstacles=[
+        ((1.0, 1.0, 0.0), (3.0, 2.2, 0.7)),
+        ((4.5, 0.5, 0.0), (5.5, 3.5, 1.1)),
+        ((3.4, 2.6, 0.0), (4.2, 3.4, 1.5)),
+    ]), str(boxed))
+
+    def refine(vis_file):
+        return main(["refine", "--method", "grid", "--rounds", "1",
+                     "--fine-pitch", "0.4", "--mesh", str(boxed),
+                     *_trio_args(samples, cands, vis_file),
+                     "--in", str(solved), "--out", str(tmp_path / "x.json")])
+
+    assert refine(vis) == 2
+    assert "re-run" in capsys.readouterr().err
+    # a version-1 file records no mesh hash, so nothing can be compared
+    version1 = tmp_path / "v1.spvm"
+    sc.save_spvm(replace(sc.load_spvm(str(vis)), mesh_hash=None), str(version1))
+    assert sc.load_spvm(str(version1)).mesh_hash is None
+    assert refine(version1) == 0
 
 
 def test_export_ply(workdir):

@@ -354,7 +354,7 @@ def test_lagrangian_bound_never_undercuts_the_optimum():
         n, m, k = int(rng.integers(1, 40)), int(rng.integers(1, 8)), int(rng.integers(1, 4))
         model = IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, rng.random((n, m)) < 0.3, k)
         best = sc.brute_force_solve(model).primal
-        assert _lagrangian_bound(model.cover, min(k, m), int(best) + 1, None) >= best - 1e-9
+        assert _lagrangian_bound(model.cover, min(k, m), int(best) + 1, math.inf) >= best - 1e-9
 
 
 def test_feasibility_status_matches_brute_force_over_many_models():
@@ -365,7 +365,7 @@ def test_feasibility_status_matches_brute_force_over_many_models():
         model = _random_model(rng, ModelKind.FEASIBILITY_COVER, n, m, k)
         a = _assert_matches_brute_force(model)
         if a.status is SolveStatus.INFEASIBLE:
-            lagrangian = _lagrangian_bound(model.cover, min(k, m), model.coverage_target, None)
+            lagrangian = _lagrangian_bound(model.cover, min(k, m), model.coverage_target, math.inf)
             if lagrangian < model.coverage_target - 1e-6:
                 root_proofs += 1
                 assert a.nodes == 1
@@ -452,7 +452,7 @@ def test_feasibility_stops_at_the_first_selection_that_meets_the_target():
     for _ in range(1000):
         n, m, k = int(rng.integers(20, 80)), int(rng.integers(8, 16)), int(rng.integers(2, 6))
         bits = rng.random((n, m)) < rng.uniform(0.05, 0.25)
-        _, warm = ilp._greedy_incumbent(ilp._PackedCover(bits), m, min(k, m), None)
+        _, warm = ilp._greedy_incumbent(ilp._PackedCover(bits), m, min(k, m), math.inf)
         best = sc.solve(IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, bits, k)).primal
         if best < warm + 2:
             continue
@@ -462,6 +462,29 @@ def test_feasibility_stops_at_the_first_selection_that_meets_the_target():
         assert a.status is SolveStatus.OPTIMAL and a.nodes > 0
         short_of_the_maximum += a.primal < best
     assert short_of_the_maximum >= 3
+
+
+def test_packed_values_never_increase_in_branching_order():
+    # a node's last pick keeps the first maximum of `values_with` in this
+    # order; for the feasibility kind that is also the first value to meet
+    # the target only because the values never increase along it
+    rng = np.random.default_rng(73)
+    crossing = 0
+    for _ in range(2000):
+        n, m = int(rng.integers(1, 200)), int(rng.integers(1, 24))
+        scorer = ilp._PackedCover(rng.random((n, m)) < rng.uniform(0.02, 0.6))
+        # a random covered mask, packed the way the cover columns are
+        state = ilp._PackedCover(rng.random((n, 1)) < rng.uniform(0.0, 0.8)).cols[0]
+        free = np.flatnonzero(rng.random(m) < rng.uniform(0.2, 1.0))
+        if free.size == 0:  # a stacked node always has a free candidate
+            continue
+        gains, _ = scorer.expand(state, scorer.value(state), free, 1)
+        order = np.argsort(-gains, kind="stable")
+        vals = scorer.values_with(state, free[order])
+        assert (vals[1:] <= vals[:-1]).all()  # unsigned: np.diff would wrap
+        assert (vals == scorer.value(state) + gains[order]).all()
+        crossing += scorer.cols.shape[1] > 1
+    assert crossing > 1000
 
 
 @pytest.fixture(scope="module")

@@ -412,7 +412,9 @@ def test_refine_grid_matches_the_full_column_reference(monkeypatch):
                         inst, placement, scene.bvh, scores_log=ref_log, **kwargs
                     )
                     log.clear()
+                    phi = inst.phi.copy()
                     pos, obj = sc.refine_grid(inst, placement, scene.bvh, **kwargs)
+                    assert np.array_equal(inst.phi, phi)  # moves never write into the instance
                     assert len(log) == len(ref_log)
                     for got, ref in zip(log, ref_log):
                         assert got.dtype == ref.dtype and np.array_equal(got, ref)
