@@ -35,8 +35,7 @@ def solve_problem1(
     """Maximize the number of samples visible to at least one of k sensors."""
     model = build_visibility_model(instance, k)
     result = solve(model, time_limit=time_limit, gap_tol=gap_tol)
-    placement = result.placement or ()
-    return placement, evaluate(instance, placement), result
+    return result.placement, evaluate(instance, result.placement), result
 
 
 def solve_problem3(
@@ -50,8 +49,7 @@ def solve_problem3(
     threshold."""
     model = build_cumulative_model(instance, k, threshold)
     result = solve(model, time_limit=time_limit, gap_tol=gap_tol)
-    placement = result.placement or ()
-    return placement, evaluate(instance, placement, threshold=threshold), result
+    return result.placement, evaluate(instance, result.placement, threshold=threshold), result
 
 
 def candidate_radii(instance: CoverageInstance) -> np.ndarray:
@@ -95,7 +93,7 @@ def solve_problem2(
             f"largest radius {radii[hi]:.6g}"
         )
     if top.status is not SolveStatus.OPTIMAL:
-        return float(radii[hi]), top.placement or (), top
+        return float(radii[hi]), top.placement, top
     lo = 0
     best = (float(radii[hi]), top)
     while lo <= hi:
@@ -113,7 +111,7 @@ def solve_problem2(
             break
     else:  # the search ended without running out of time
         r_star, res = best
-        return r_star, res.placement or (), res
+        return r_star, res.placement, res
     r_star, feasible = best
     return r_star, feasible.placement, replace(feasible, status=SolveStatus.TIME_LIMIT)
 

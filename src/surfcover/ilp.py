@@ -142,8 +142,8 @@ def build_visibility_model(instance: CoverageInstance, k: int) -> IlpModel:
 def build_cumulative_model(instance: CoverageInstance, k: int, threshold: float) -> IlpModel:
     if instance.kind is not QualityKind.LAMBERT_INVERSE_SQUARE:
         raise ValueError("cumulative model requires a Lambert inverse-square instance")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if threshold is None or not 0 < threshold < math.inf:  # NaN fails both
+        raise ValueError("threshold must be positive and finite")
     _check_budget(k)
     return IlpModel(
         kind=ModelKind.THRESHOLD_COVERAGE,
@@ -156,7 +156,7 @@ def build_cumulative_model(instance: CoverageInstance, k: int, threshold: float)
 def build_feasibility_model(
     instance: CoverageInstance, k: int, radius: float, rho: float
 ) -> IlpModel:
-    if radius < 0:
+    if not radius >= 0:  # NaN fails; an infinite radius keeps every visible pair
         raise ValueError("radius must be nonnegative")
     if not 0 <= rho <= 1:  # rho == 0 demands nothing: a degenerate edge, allowed
         raise ValueError("rho must be in [0, 1]")
@@ -198,19 +198,21 @@ class _PackedCover:
     def value(self, state) -> int:
         return int(np.bitwise_count(state).sum())
 
-    def values_with(self, state, cands: np.ndarray) -> np.ndarray:
-        """Covered count of `state` plus each single candidate."""
-        return self.value(state) + np.bitwise_count(self.cols[cands] & ~state).sum(axis=1)
-
     def expand(self, state, value: int, free: np.ndarray, budget: int):
-        """Branching scores of `free` (newly covered samples) and an upper
-        bound on the subtree: the `budget` best gains, capped by the union of
-        every free column, which no selection can exceed. The gains are
-        signed, so negating them sorts them in descending order."""
+        """Branching scores of `free` (newly covered samples), an upper bound
+        on the subtree and, with one pick left, the closing values: the
+        covered count with each free candidate added (None with more picks
+        left). One pick left bounds the subtree by the best closing value;
+        more by the `budget` best gains, capped by the union of every free
+        column, which no selection can exceed. The gains are signed, so
+        negating them sorts them in descending order."""
         fresh = self.cols[free] & ~state
         gains = np.bitwise_count(fresh).sum(axis=1, dtype=np.int64)
+        if budget == 1:
+            closed = value + gains
+            return gains, int(closed.max(initial=value)), closed
         reach = self.value(np.bitwise_or.reduce(fresh, axis=0))
-        return gains, value + min(int(_top_sum(gains, budget)), reach)
+        return gains, value + min(int(_top_sum(gains, budget)), reach), None
 
 
 class _QualitySums:
@@ -227,31 +229,29 @@ class _QualitySums:
     def value(self, state) -> int:
         return int(meets_threshold(state, self.threshold).sum())
 
-    def values_with(self, state, cands: np.ndarray) -> np.ndarray:
-        """Covered count of `state` plus each single candidate. Adding phi >= 0
-        never lowers an IEEE sum, so covered rows stay covered and only the
-        open rows are gathered, here and in `expand`."""
-        open_rows = np.flatnonzero(~meets_threshold(state, self.threshold))
-        sums = state[open_rows][:, None] + self.phi[open_rows][:, cands]
-        return state.size - open_rows.size + meets_threshold(sums, self.threshold).sum(axis=0)
-
     def expand(self, state, value: int, free: np.ndarray, budget: int):
         """Branching scores of `free` (summed progress toward each open
-        sample's deficit) and an upper bound on the subtree: each open sample
-        independently takes its `budget` best free contributions."""
+        sample's deficit), an upper bound on the subtree and, with one pick
+        left, the closing values (None with more picks left). Adding phi >= 0
+        never lowers an IEEE sum, so covered rows stay covered and only the
+        open rows are gathered. One pick left bounds the subtree by the best
+        closing value; with more, each open sample independently takes its
+        `budget` best free contributions."""
         open_rows = np.flatnonzero(~meets_threshold(state, self.threshold))
-        need = self.threshold - state[open_rows]
+        sums = state[open_rows]
+        need = self.threshold - sums
         sub = self.phi[open_rows][:, free]
         scores = np.minimum(sub, need[:, None]).sum(axis=0)
+        if budget == 1:
+            closed = value + meets_threshold(sums[:, None] + sub, self.threshold).sum(axis=0)
+            return scores, int(closed.max(initial=value)), closed
         reachable = need <= _top_sum(sub, budget) + THRESHOLD_TOL
-        return scores, value + int(reachable.sum())
+        return scores, value + int(reachable.sum()), None
 
 
 def _top_sum(a: np.ndarray, t: int):
     """Sum of the t largest entries along the last axis."""
     f = a.shape[-1]
-    if t == 1:  # the common last pick; max is far cheaper than partition
-        return a.max(axis=-1)
     if t < f:
         a = np.partition(a, f - t, axis=-1)[..., f - t :]
     return a.sum(axis=-1)
@@ -264,7 +264,7 @@ def _greedy_incumbent(scorer, m: int, k: int, deadline: float):
     state = scorer.root
     free = np.arange(m)
     for _ in range(k):
-        scores, _ = scorer.expand(state, 0, free, k - len(selected))  # bound unused
+        scores, _, _ = scorer.expand(state, 0, free, k - len(selected))  # scores only
         best = int(np.argmax(scores))  # argmax keeps lowest index on ties
         if scores[best] <= 0:
             break
@@ -279,7 +279,7 @@ def _greedy_incumbent(scorer, m: int, k: int, deadline: float):
                 return selected, current
             others = selected[:si] + selected[si + 1 :]
             base = functools.reduce(scorer.add, others, scorer.root)
-            values = scorer.values_with(base, cands)
+            _, _, values = scorer.expand(base, scorer.value(base), cands, 1)
             better = np.flatnonzero(values > current)
             if better.size:
                 j = int(cands[better[0]])
@@ -352,16 +352,17 @@ def solve(
     derives its state from its parent's by adding one column: the boolean
     kinds OR a packed uint64 cover column into the covered mask, the threshold
     kind adds a quality column to the per-sample sums. One pass over the free
-    columns gives both the branching scores and the dual bound. For the
-    boolean kinds the bound is covered + min(sum of the `budget` best
-    marginal gains, samples any free candidate can still reach): the first
-    term is valid by submodularity, the second because no selection covers
-    more than the union of the free columns. For the threshold kind each open
-    sample takes its `budget` best free contributions. A node with one pick
-    left scores every free candidate in one pass and counts as one node; it
-    keeps what the per-child search would, the first maximum in branching
-    order. A feasibility model branches on its gains, so its first maximum is
-    also its first candidate that meets the target. The search runs while
+    columns (`expand`) gives the branching scores, the dual bound and, with
+    one pick left, the closing values. With more picks left, the boolean
+    kinds bound by covered + min(sum of the `budget` best marginal gains,
+    samples any free candidate can still reach): the first term is valid by
+    submodularity, the second because no selection covers more than the union
+    of the free columns; for the threshold kind each open sample takes its
+    `budget` best free contributions. With one pick left the bound is exact,
+    the best closing value, and the node counts as one node; it keeps what
+    the per-child search would, the first maximum in branching order. A
+    feasibility model branches on its gains, so its first maximum is also
+    its first candidate that meets the target. The search runs while
     nodes are stacked and the incumbent is below the target (the coverage
     target of the feasibility kind, else infinite); the clock stops it with
     the unexplored nodes left stacked. When the feasibility kind's warm start
@@ -393,23 +394,22 @@ def solve(
         if time.perf_counter() > deadline:
             stack.append((state, value, free, selected))  # still unexplored
             break
+        # a node with one pick left never beats the incumbent here (a k-set
+        # holding its picks came first), so one that meets a target branches
+        # and the loop test then stops the search
         if value > inc_value:
             incumbent, inc_value = selected, value
-        if free.size == 0 or inc_value >= target:
-            continue
         budget = k - len(selected)
-        scores, ub = scorer.expand(state, value, free, budget)
+        scores, ub, closed = scorer.expand(state, value, free, budget)
         if ub <= inc_value:
             continue
         if budget == 1:
             # the DFS would visit these leaves by descending score, lowest
             # index first, and keep the first maximum (a pruned sibling is
             # worth <= incumbent), which is the first to meet a target
-            order = free[np.argsort(-scores, kind="stable")]
-            vals = scorer.values_with(state, order)
-            best = int(np.argmax(vals))
-            if vals[best] > inc_value:
-                incumbent, inc_value = selected + [int(order[best])], int(vals[best])
+            order = np.argsort(-scores, kind="stable")
+            best = order[int(np.argmax(closed[order]))]
+            incumbent, inc_value = selected + [int(free[best])], ub
             continue
         pick = int(free[int(np.argmax(scores))])
         rest = free[free != pick]
@@ -424,8 +424,7 @@ def solve(
         status = SolveStatus.OPTIMAL
     elif stack:  # the clock stopped the search before the stacked subtrees
         # a stacked node always has budget left: last levels are closed in place
-        open_bound = max(scorer.expand(s, v, f, k - len(sel))[1] if f.size else v
-                         for s, v, f, sel in stack)
+        open_bound = max(scorer.expand(s, v, f, k - len(sel))[1] for s, v, f, sel in stack)
         dual = float(max(primal, open_bound))  # expand's bound is an int
         gap = (dual - primal) / max(1.0, abs(primal))
         # only an optimization model can settle for a gap within tolerance

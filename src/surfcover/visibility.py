@@ -327,9 +327,9 @@ def load_spvm(path) -> VisibilityMatrix:
         n, m, shash, chash = _read_header(fh, "<4Q", path)
         mhash = _read_header(fh, "<Q", path)[0] if version == SPVM_VERSION else None
         row_bytes = (m + 7) // 8
-        raw = np.frombuffer(fh.read(n * row_bytes), dtype=np.uint8)
+        raw = np.frombuffer(fh.read(), dtype=np.uint8)  # sized by the file, not the header
     if raw.size != n * row_bytes:
-        raise ValueError(f"{path}: truncated SPVM payload")
+        raise ValueError(f"{path}: SPVM payload of {raw.size} B, header says {n} x {row_bytes}")
     bits = np.unpackbits(raw.reshape(n, row_bytes), axis=1, bitorder="little")[:, :m]
     return VisibilityMatrix(
         bits=bits.astype(bool), sample_hash=shash, candidate_hash=chash, mesh_hash=mhash

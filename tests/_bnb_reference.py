@@ -46,7 +46,7 @@ def reference_solve(model: ilp.IlpModel) -> SolveResult:
         budget = k - len(selected)
         if budget == 0 or free.size == 0:
             continue
-        scores, ub = scorer.expand(state, value, free, budget)
+        scores, ub, _ = scorer.expand(state, value, free, budget)
         if ub <= inc_value:
             continue
         pick = int(free[int(np.argmax(scores))])

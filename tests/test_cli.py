@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -267,16 +268,21 @@ def test_zero_neighborhood_reaches_refine_grid(workdir, monkeypatch):
 
 
 def test_truncated_cache_is_stale(workdir, tmp_path, capsys):
+    # a cut-off file, and headers whose N x ceil(M/8) payload is larger than
+    # memory (N = 2^40) or than an index (N = M = 2^62) over an empty payload
     d, mesh, samples, cands, vis = workdir
     cache = tmp_path / "vis.spvm"
-    cache.write_bytes(b"SPVM")
-    code = main(["solve", "--problem", "1", "--k", "1", *_trio_args(samples, cands, cache),
-                 "--out", str(tmp_path / "x.json")])
-    assert code == 2
-    assert "re-run" in capsys.readouterr().err
-    assert main(["visibility", "--mesh", str(mesh), "--samples", str(samples),
-                 "--candidates", str(cands), "--out", str(cache)]) == 0
-    assert (sc.load_spvm(str(cache)).bits == sc.load_spvm(str(vis)).bits).all()
+    headers = [b"SPVM" + struct.pack("<I5Q", 2, n, m, 0, 0, 0)
+               for n, m in ((2**40, 1), (2**62, 2**62))]
+    for content in (b"SPVM", *headers):
+        cache.write_bytes(content)
+        code = main(["solve", "--problem", "1", "--k", "1", *_trio_args(samples, cands, cache),
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "re-run" in capsys.readouterr().err
+        assert main(["visibility", "--mesh", str(mesh), "--samples", str(samples),
+                     "--candidates", str(cands), "--out", str(cache)]) == 0
+        assert (sc.load_spvm(str(cache)).bits == sc.load_spvm(str(vis)).bits).all()
 
 
 def test_sweep_csv_monotone(workdir):

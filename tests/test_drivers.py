@@ -47,8 +47,11 @@ def test_problem3_k0_rejects_bad_threshold():
     rng = np.random.default_rng(0)
     inst = random_instance(rng, 8, 4, QualityKind.LAMBERT_INVERSE_SQUARE)
     for k in (0, 1):
-        with pytest.raises(ValueError, match="threshold must be positive"):
-            sc.solve_problem3(inst, k, -1.0)
+        for threshold in (-1.0, None, math.nan, math.inf):
+            with pytest.raises(ValueError, match="threshold must be positive"):
+                sc.solve_problem3(inst, k, threshold)
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        sc.two_phase_coverage(inst, None, k=1, pitch_fine=0.5, neighborhood=1.0)
 
 
 def test_problem1_k_equals_m_covers_everything_coverable():

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import time
@@ -131,6 +132,15 @@ def test_feasibility_line_k2_r4():
     inst = line_instance()
     res = sc.solve(sc.build_feasibility_model(inst, k=2, radius=4.0, rho=1.0))
     assert res.status is SolveStatus.OPTIMAL
+
+
+def test_feasibility_model_rejects_a_negative_or_nan_radius():
+    inst = vis_instance(EXAMPLE_BITS)
+    for radius in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            sc.build_feasibility_model(inst, 1, radius, 0.5)
+    # an infinite radius keeps every visible pair
+    assert (sc.build_feasibility_model(inst, 1, math.inf, 0.5).cover == EXAMPLE_BITS).all()
 
 
 def test_feasibility_monotone_in_radius():
@@ -465,9 +475,9 @@ def test_feasibility_stops_at_the_first_selection_that_meets_the_target():
 
 
 def test_packed_values_never_increase_in_branching_order():
-    # a node's last pick keeps the first maximum of `values_with` in this
-    # order; for the feasibility kind that is also the first value to meet
-    # the target only because the values never increase along it
+    # a node's last pick keeps the first maximum of the closing values in
+    # this order; for the feasibility kind that is also the first value to
+    # meet the target only because the values never increase along it
     rng = np.random.default_rng(73)
     crossing = 0
     for _ in range(2000):
@@ -476,15 +486,59 @@ def test_packed_values_never_increase_in_branching_order():
         # a random covered mask, packed the way the cover columns are
         state = ilp._PackedCover(rng.random((n, 1)) < rng.uniform(0.0, 0.8)).cols[0]
         free = np.flatnonzero(rng.random(m) < rng.uniform(0.2, 1.0))
-        if free.size == 0:  # a stacked node always has a free candidate
-            continue
-        gains, _ = scorer.expand(state, scorer.value(state), free, 1)
-        order = np.argsort(-gains, kind="stable")
-        vals = scorer.values_with(state, free[order])
-        assert (vals[1:] <= vals[:-1]).all()  # unsigned: np.diff would wrap
-        assert (vals == scorer.value(state) + gains[order]).all()
+        gains, _, closed = scorer.expand(state, scorer.value(state), free, 1)
+        vals = closed[np.argsort(-gains, kind="stable")]
+        assert (vals[1:] <= vals[:-1]).all()
+        assert (closed == scorer.value(state) + gains).all()
         crossing += scorer.cols.shape[1] > 1
     assert crossing > 1000
+
+
+def test_a_stopped_search_never_bounds_below_the_optimum(monkeypatch):
+    # a clock that advances one tick per read stops the search after a few
+    # pops; the stacked nodes' bounds, exact with one pick left, must still
+    # cover every selection the search did not reach
+    rng = np.random.default_rng(83)
+    kinds = list(ModelKind)
+    ticks = [0.0]
+
+    def tick():
+        ticks[0] += 1.0
+        return ticks[0]
+
+    monkeypatch.setattr(ilp.time, "perf_counter", tick)
+    stopped = 0
+    for t in range(1500):
+        n, m, k = int(rng.integers(1, 90)), int(rng.integers(2, 12)), int(rng.integers(2, 6))
+        model = _random_model(rng, kinds[t % 3], n, m, k)
+        best = sc.brute_force_solve(model).primal
+        ticks[0] = 0.0
+        res = sc.solve(model, time_limit=float(rng.integers(0, 40)))
+        if res.status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE):
+            stopped += 1
+            assert res.primal <= best <= res.dual_bound, (t, res, best)
+    assert stopped > 300
+
+
+@pytest.mark.parametrize("kind", [ModelKind.MAX_VISIBILITY_COVERAGE, ModelKind.THRESHOLD_COVERAGE])
+def test_one_pick_left_closes_with_exact_values_and_bound(kind):
+    # with one pick left each closing value is the covered count of the
+    # state plus that candidate, and the bound is their best (the state's
+    # own count when no candidate is free)
+    rng = np.random.default_rng(79)
+    for _ in range(1000):
+        n, m = int(rng.integers(1, 150)), int(rng.integers(1, 16))
+        model = _random_model(rng, kind, n, m, 1)
+        if kind is ModelKind.THRESHOLD_COVERAGE:
+            scorer = ilp._QualitySums(model.cover, model.threshold)
+        else:
+            scorer = ilp._PackedCover(model.cover)
+        state = functools.reduce(scorer.add, np.flatnonzero(rng.random(m) < 0.3), scorer.root)
+        free = np.flatnonzero(rng.random(m) < rng.uniform(0.0, 1.0))
+        value = scorer.value(state)
+        _, bound, closed = scorer.expand(state, value, free, 1)
+        assert closed.tolist() == [scorer.value(scorer.add(state, j)) for j in free]
+        assert bound == max(closed.tolist(), default=value)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,16 @@ def test_spvm_v2_keeps_mesh_hash_and_v1_still_loads(tmp_path, room_scene):
         back = load_spvm(p)
         assert back.mesh_hash == mesh_hash
         assert (back.bits == vm.bits).all()
+
+
+@pytest.mark.parametrize("n, m", [(2**40, 1), (2**62, 2**62), (3, 9)])
+def test_spvm_payload_must_match_its_header(tmp_path, n, m):
+    # the payload's length is checked against the header's N x ceil(M/8),
+    # so a corrupt header raises ValueError, not MemoryError or OverflowError
+    p = tmp_path / "bad.spvm"
+    p.write_bytes(b"SPVM" + struct.pack("<I5Q", 2, n, m, 0, 0, 0) + bytes(5))
+    with pytest.raises(ValueError, match="payload"):
+        load_spvm(p)
 
 
 def test_hash_guard_rejects_mismatched_inputs(room_scene):
