@@ -42,7 +42,7 @@ RESULT_VERSION = 1
 
 PROBLEM_KIND = {
     1: QualityKind.VISIBILITY,
-    2: QualityKind.INVERSE_DISTANCE,
+    2: QualityKind.VISIBILITY,
     3: QualityKind.LAMBERT_INVERSE_SQUARE,
 }
 
@@ -83,13 +83,44 @@ AT_LEAST_1 = _checked(int, lambda n: n >= 1, "an integer >= 1")
 K_RANGE = _checked(_k_range, lambda ks: 0 <= ks.start < ks.stop, "A..B with 0 <= A <= B")
 
 
-def _write_result(path, payload: dict, deterministic: bool) -> None:
-    payload = {"format_version": RESULT_VERSION, **payload}
-    if not deterministic:
+def _file(path, io, *args, **kwargs):
+    """`io(*args, **kwargs)`, which reads, writes or checks the file `path`.
+    A missing, unreadable or malformed file is a usage error:
+    `error: <path>: <reason>`."""
+    try:
+        return io(*args, **kwargs)
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+def _load_result(path) -> dict:
+    """The result JSON at `path`; it must be of problem 1, 2 or 3."""
+    with open(path) as fh:
+        result = json.load(fh)
+    if not isinstance(result, dict) or result.get("problem") not in PROBLEM_KIND:
+        raise ValueError("not a result of problem 1, 2 or 3")
+    return result
+
+
+def _write_result(args, fields: dict, positions, placement=None, result=None) -> None:
+    """Write `fields`, the placement (None for free positions), the positions
+    and the solve record as the result JSON of `solve`, `approx` or `refine`,
+    with a timestamp, or with the solve's elapsed time zeroed under
+    --deterministic."""
+    payload = {
+        "format_version": RESULT_VERSION,
+        **fields,
+        "placement": None if placement is None else list(placement),
+        "positions": positions.tolist(),
+        "solve": None if result is None else result.to_json_dict(),
+    }
+    if not args.deterministic:
         payload["timestamp"] = time.time()
-    elif "solve" in payload and payload["solve"]:
+    elif result is not None:
         payload["solve"]["elapsed"] = 0.0
-    with open(path, "w") as fh:
+    with _file(args.out, open, args.out, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -97,16 +128,16 @@ def _write_result(path, payload: dict, deterministic: bool) -> None:
 def _load_trio(args, mesh=None):
     """--samples, --candidates and the --vis computed from them; with `mesh`,
     a --vis that records a mesh hash (version 1 does not) must be of it."""
-    samples = load_sample_set(args.samples)
-    candidates = load_candidate_set(args.candidates)
+    samples = _file(args.samples, load_sample_set, args.samples)
+    candidates = _file(args.candidates, load_candidate_set, args.candidates)
     try:
         vm = load_spvm(args.vis)
         vm.check_consistent(samples, candidates)
         if mesh is not None and vm.mesh_hash not in (None, mesh.content_hash()):
-            raise ValueError(f"{args.vis} was computed on another mesh than {args.mesh}")
-    except ValueError as exc:
+            raise ValueError(f"computed on another mesh than {args.mesh}")
+    except (OSError, ValueError) as exc:
         raise UsageError(
-            f"{exc}; re-run: surfcover visibility --mesh ... --samples {args.samples} "
+            f"{args.vis}: {exc}; re-run: surfcover visibility --mesh ... --samples {args.samples} "
             f"--candidates {args.candidates} --out {args.vis}"
         ) from exc
     return samples, candidates, vm
@@ -124,14 +155,14 @@ def _cmd_gen_scene(args) -> int:
                 ((4.5, 0.5, 0.0), (5.5, 3.5, 1.1)),
             ],
         )
-    save_obj(mesh, args.out)
+    _file(args.out, save_obj, mesh, args.out)
     return EXIT_OK
 
 
 def _cmd_sample(args) -> int:
-    mesh = load_obj(args.mesh)
+    mesh = _file(args.mesh, load_obj, args.mesh)
     samples = sample_surface(mesh, pitch=args.pitch, drop_downward=args.tau)
-    save_json(samples, args.out)
+    _file(args.out, save_json, samples, args.out)
     return EXIT_OK
 
 
@@ -140,14 +171,14 @@ def _cmd_candidates(args) -> int:
     if x0 > x1 or y0 > y1:
         raise UsageError("--rect needs X0 <= X1 and Y0 <= Y1")
     cands = generate_candidates_plane(args.plane_z, (x0, y0, x1, y1), args.pitch)
-    save_json(cands, args.out)
+    _file(args.out, save_json, cands, args.out)
     return EXIT_OK
 
 
 def _cmd_visibility(args) -> int:
-    samples = load_sample_set(args.samples)
-    candidates = load_candidate_set(args.candidates)
-    mesh = load_obj(args.mesh)
+    samples = _file(args.samples, load_sample_set, args.samples)
+    candidates = _file(args.candidates, load_candidate_set, args.candidates)
+    mesh = _file(args.mesh, load_obj, args.mesh)
     mesh_hash = mesh.content_hash()
     if os.path.exists(args.out):
         try:
@@ -155,10 +186,10 @@ def _cmd_visibility(args) -> int:
             cached.check_consistent(samples, candidates)
             if cached.mesh_hash == mesh_hash:  # None (version 1) never matches
                 return EXIT_OK  # cache hit keyed by content hashes
-        except ValueError:
-            pass  # stale or foreign file: recompute below
+        except (OSError, ValueError):
+            pass  # stale, foreign or unreadable file: recompute below
     vm = visibility_matrix(build_bvh(mesh), samples, candidates)
-    save_spvm(replace(vm, mesh_hash=mesh_hash), args.out)
+    _file(args.out, save_spvm, replace(vm, mesh_hash=mesh_hash), args.out)
     return EXIT_OK
 
 
@@ -206,47 +237,35 @@ def _cmd_solve(args) -> int:
     gap_tol = 0.0 if args.gap is None else args.gap
     placement, objective, result, extra = _solve_problem(args, instance, args.k, gap_tol)
     params = {2: {"rho": _rho(args)}, 3: {"phi": args.phi}}.get(args.problem, {})
-    payload = {
-        "problem": args.problem,
-        "k": args.k,
-        "params": params,
-        "placement": list(placement),
-        "positions": instance.candidates.positions[list(placement)].tolist(),
-        "objective": objective,
-        "solve": result.to_json_dict(),
-        **extra,
-    }
-    _write_result(args.out, payload, args.deterministic)
+    fields = {"problem": args.problem, "k": args.k, "params": params, "objective": objective}
+    positions = instance.candidates.positions[list(placement)]
+    _write_result(args, {**fields, **extra}, positions, placement, result)
     if result.status is SolveStatus.TIME_LIMIT:
         return EXIT_TIME_LIMIT
     return EXIT_OK
 
 
 def _cmd_approx(args) -> int:
-    samples = load_sample_set(args.samples)
+    samples = _file(args.samples, load_sample_set, args.samples)
     plane = clustering.PlaneDeployment(height=args.plane_z)
     centers = clustering.farthest_point_clustering(samples, args.k, plane)
     radius = clustering.coverage_radius(centers, samples)
-    payload = {
+    fields = {
         "problem": 2,
         "method": "farthest-point-clustering",
         "k": args.k,
         "params": {"plane_z": args.plane_z},
-        "placement": None,
-        "positions": centers.positions.tolist(),
         "objective": radius,
         "radius": radius,
-        "solve": None,
     }
-    _write_result(args.out, payload, args.deterministic)
+    _write_result(args, fields, centers.positions)
     return EXIT_OK
 
 
 def _cmd_refine(args) -> int:
-    with open(args.infile) as fh:
-        prev = json.load(fh)
+    prev = _file(args.infile, _load_result, args.infile)
     if args.method == "onecenter":
-        samples = load_sample_set(args.samples)
+        samples = _file(args.samples, load_sample_set, args.samples)
         plane_z = prev.get("params", {}).get("plane_z")
         if plane_z is None:
             raise UsageError("--method onecenter needs a result produced by `approx`")
@@ -259,7 +278,7 @@ def _cmd_refine(args) -> int:
             raise UsageError("--method grid needs --mesh, --candidates and --vis")
         if prev["problem"] == 2:
             raise UsageError("--method grid refines problem 1/3 results; use onecenter")
-        mesh = load_obj(args.mesh)
+        mesh = _file(args.mesh, load_obj, args.mesh)
         instance, placement = _result_instance(args, prev, mesh)
         bvh = build_bvh(mesh)
         neighborhood = 2 * args.fine_pitch if args.neighborhood is None else args.neighborhood
@@ -273,15 +292,8 @@ def _cmd_refine(args) -> int:
             threshold=prev.get("params", {}).get("phi"),
         )
         extra = {"method": "grid-refined"}
-    payload = {
-        **{k: prev[k] for k in ("problem", "k", "params")},
-        "placement": None,
-        "positions": positions.tolist(),
-        "objective": objective,
-        "solve": None,
-        **extra,
-    }
-    _write_result(args.out, payload, args.deterministic)
+    fields = {k: prev[k] for k in ("problem", "k", "params")}
+    _write_result(args, {**fields, "objective": objective, **extra}, positions)
     return EXIT_OK
 
 
@@ -293,7 +305,7 @@ def _cmd_sweep(args) -> int:
         _, objective, result, _ = _solve_problem(args, instance, k, gap_tol=0.0)
         elapsed = 0.0 if args.deterministic else time.perf_counter() - t0
         rows.append((k, objective, result.gap, elapsed))
-    with open(args.out, "w", newline="") as fh:
+    with _file(args.out, open, args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "objective", "gap", "elapsed"])
         writer.writerows(rows)
@@ -312,22 +324,18 @@ def _result_instance(args, prev: dict, mesh=None):
         )
     samples, candidates, vm = _load_trio(args, mesh)
     instance = build_instance(samples, candidates, vm, PROBLEM_KIND[prev["problem"]])
-    try:
-        placement = check_placement(prev["placement"], instance.n_candidates)
-    except ValueError as exc:
-        raise UsageError(f"{args.infile}: {exc}") from exc
+    placement = _file(args.infile, check_placement, prev["placement"], instance.n_candidates)
     return instance, placement
 
 
 def _cmd_export(args) -> int:
-    with open(args.infile) as fh:
-        prev = json.load(fh)
+    prev = _file(args.infile, _load_result, args.infile)
     instance, placement = _result_instance(args, prev)
     colors = export.sample_colors(
         instance, placement, threshold=prev.get("params", {}).get("phi"),
         radius=prev.get("radius"),
     )
-    export.write_ply(args.out, instance.samples.positions, colors)
+    _file(args.out, export.write_ply, args.out, instance.samples.positions, colors)
     return EXIT_OK
 
 

@@ -1,13 +1,14 @@
 """Coverage quality functions and aggregate coverage evaluation.
 
-Three sensor models are supported: pure visibility (covered iff any selected
-sensor sees the sample), best-quality (per-sample coverage is the maximum
-single-sensor quality, quality = 1/distance), and cumulative quality
-(per-sample coverage is the sum of Lambertian inverse-square contributions of
-all visible sensors, covered iff the sum reaches a threshold, see
-`meets_threshold`). `sensor_offsets` is the one sample-to-sensor distance
-expression, `quality_matrix` builds the distances and qualities of all three
-models, and `is_covered` is their one covered rule.
+Two quality models are built here: pure visibility (covered iff any selected
+sensor sees the sample) and cumulative quality (per-sample coverage is the
+sum of Lambertian inverse-square contributions of all visible sensors,
+covered iff the sum reaches a threshold, see `meets_threshold`). Problem 2,
+best-quality coverage, runs on the visibility model: a sample is covered
+when a selected sensor sees it from within a radius
+(`CoverageInstance.covers_within`). `sensor_offsets` is the one
+sample-to-sensor distance expression, `quality_matrix` builds the distances
+and qualities of both models, and `is_covered` is their one covered rule.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ def meets_threshold(sums, threshold: float):
 
 class QualityKind(enum.Enum):
     VISIBILITY = "visibility"
-    INVERSE_DISTANCE = "inverse-distance"
     LAMBERT_INVERSE_SQUARE = "lambert-inverse-square"
 
 
@@ -65,19 +65,14 @@ def quality_matrix(
             f"sample {i} coincides with visible candidate {j}; quality undefined"
         )
     safe = np.where(dist == 0, 1.0, dist)
-    if kind is QualityKind.INVERSE_DISTANCE:
-        phi = np.where(vis, 1.0 / safe, 0.0)
-    elif kind is QualityKind.LAMBERT_INVERSE_SQUARE:
-        cosine = np.einsum("nmk,nk->nm", diff, samples.normals) / safe
-        phi = np.where(vis, np.maximum(cosine, 0.0) / safe**2, 0.0)
-    else:
-        raise ValueError(f"unknown quality kind {kind}")
-    return dist, phi
+    cosine = np.einsum("nmk,nk->nm", diff, samples.normals) / safe
+    return dist, np.where(vis, np.maximum(cosine, 0.0) / safe**2, 0.0)
 
 
 def sample_coverage(kind: QualityKind, cols: np.ndarray) -> np.ndarray:
     """Per-sample coverage of the quality columns along the last axis: their
-    sum for the cumulative kind, their maximum (0 for no column) otherwise."""
+    sum for the cumulative kind, their maximum (0 for no column) for the
+    visibility kind."""
     if kind is QualityKind.LAMBERT_INVERSE_SQUARE:
         return cols.sum(axis=-1)
     return cols.max(axis=-1, initial=0.0)
@@ -85,7 +80,7 @@ def sample_coverage(kind: QualityKind, cols: np.ndarray) -> np.ndarray:
 
 def is_covered(kind: QualityKind, f: np.ndarray, threshold: float | None = None) -> np.ndarray:
     """The one "is covered" rule on per-sample coverage `f`: the cumulative
-    kind needs `meets_threshold`, the other kinds any positive coverage."""
+    kind needs `meets_threshold`, the visibility kind any positive coverage."""
     if kind is QualityKind.LAMBERT_INVERSE_SQUARE:
         if threshold is None:
             raise ValueError("cumulative quality kind requires a threshold")
@@ -175,18 +170,12 @@ def evaluate(
     """Aggregate coverage of a placement under the instance's quality kind.
 
     A sample counts as covered by the rule of `is_covered`; the cumulative
-    kind needs a threshold for it. The reported objective is the covered
-    count, except for the best-quality kind where it is the minimum
-    per-sample coverage (the max-min objective).
+    kind needs a threshold for it. The objective is the covered count.
     """
     f = per_sample_coverage(instance, selected)
     covered = np.flatnonzero(is_covered(instance.kind, f, threshold))
-    if instance.kind is QualityKind.INVERSE_DISTANCE:
-        objective = float(f.min()) if len(f) and len(selected) else 0.0
-    else:
-        objective = float(len(covered))
     return CoverageReport(
         covered_ids=frozenset(int(i) for i in covered),
-        objective=objective,
+        objective=float(len(covered)),
         per_sample_f=f,
     )

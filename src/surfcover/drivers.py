@@ -126,10 +126,6 @@ class PhaseReport:
     elapsed: float
     positions: np.ndarray  # (k, 3) sensor positions after the phase
 
-    def to_json_dict(self) -> dict:
-        return {"objective": self.objective, "elapsed": self.elapsed,
-                "positions": self.positions.tolist()}
-
 
 @dataclass(frozen=True)
 class PipelineReport:
@@ -137,14 +133,6 @@ class PipelineReport:
     coarse: PhaseReport
     refined: PhaseReport
     certified_factor: float | None  # problem 2 only
-
-    def to_json_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "phase1": self.coarse.to_json_dict(),
-            "phase2": self.refined.to_json_dict(),
-            "certified_factor": self.certified_factor,
-        }
 
 
 def two_phase_coverage(
@@ -163,11 +151,9 @@ def two_phase_coverage(
     if instance.kind is QualityKind.VISIBILITY:
         placement, report, _ = solve_problem1(instance, k)
         problem = 1
-    elif instance.kind is QualityKind.LAMBERT_INVERSE_SQUARE:
+    else:
         placement, report, _ = solve_problem3(instance, k, threshold)
         problem = 3
-    else:
-        raise ValueError("use two_phase_quality for the best-quality objective")
     coarse_pos = instance.candidates.positions[list(placement)]
     coarse = PhaseReport(report.objective, time.perf_counter() - t0, coarse_pos)
 

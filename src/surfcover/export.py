@@ -32,17 +32,20 @@ def sample_colors(
 ) -> np.ndarray:
     """(N, 3) uint8 colors: best/assigned sensor's palette entry, white if the
     sample is uncovered. With a problem-2 `radius`, a sample is covered only
-    when a selected candidate sees it from within that radius."""
+    when a selected candidate sees it from within that radius, and takes the
+    colour of the nearest selected candidate that sees it."""
     n = instance.n_samples
     colors = np.tile(np.array(UNCOVERED, dtype=np.uint8), (n, 1))
     selected = check_placement(selected, instance.n_candidates)
     if not selected:
         return colors
-    cols = instance.phi[:, selected]
-    best = cols.argmax(axis=1)
     if radius is None:
+        cols = instance.phi[:, selected]
+        best = cols.argmax(axis=1)
         covered = is_covered(instance.kind, sample_coverage(instance.kind, cols), threshold)
     else:
+        seen = instance.vis.bits[:, selected]
+        best = np.where(seen, instance.dist[:, selected], np.inf).argmin(axis=1)
         covered = instance.covers_within(radius)[:, selected].any(axis=1)
     for rank in range(len(selected)):
         mask = covered & (best == rank)

@@ -12,7 +12,6 @@ import numpy as np
 from .coverage import (
     CoincidentPointError,
     CoverageInstance,
-    QualityKind,
     check_placement,
     is_covered,
     quality_matrix,
@@ -264,8 +263,6 @@ def refine_grid(
     refined sensor positions and the final covered count.
     """
     kind = instance.kind
-    if kind is QualityKind.INVERSE_DISTANCE:
-        raise ValueError("use two_phase_quality for the best-quality objective")
     samples = instance.samples
     placement = check_placement(placement, instance.n_candidates)
     positions = instance.candidates.positions[placement]

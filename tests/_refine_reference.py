@@ -10,13 +10,7 @@ visibility columns, quality matrix and covered rule, so only the loop differs.
 import numpy as np
 
 from surfcover import refine
-from surfcover.coverage import (
-    QualityKind,
-    check_placement,
-    is_covered,
-    quality_matrix,
-    sample_coverage,
-)
+from surfcover.coverage import check_placement, is_covered, quality_matrix, sample_coverage
 
 
 def reference_refine_grid(
@@ -33,8 +27,6 @@ def reference_refine_grid(
     """`refine_grid` with full visibility columns for every grid point; each
     grid's scores are appended to `scores_log` when it is given."""
     kind = instance.kind
-    if kind is QualityKind.INVERSE_DISTANCE:
-        raise ValueError("use two_phase_quality for the best-quality objective")
     samples = instance.samples
     placement = check_placement(placement, instance.n_candidates)
     positions = instance.candidates.positions[placement]

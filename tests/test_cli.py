@@ -8,6 +8,7 @@ import pytest
 
 import surfcover as sc
 from surfcover.cli import main
+from surfcover.export import PALETTE
 
 
 @pytest.fixture(scope="module")
@@ -399,13 +400,23 @@ def test_export_of_problem2_colours_only_samples_within_the_radius(workdir):
     assert main(["export", "--in", str(solved),
                  *_trio_args(samples, cands, vis), "--out", str(out)]) == 0
     result = json.loads(solved.read_text())
+    placement = result["placement"]
     body = out.read_text().split("end_header\n", 1)[1].strip().splitlines()
-    coloured = sum(line.split()[3:] != ["255", "255", "255"] for line in body)
+    colours = np.array([line.split()[3:] for line in body], dtype=int)
+    coloured = (colours != 255).any(axis=1)
     s, c = sc.load_sample_set(str(samples)), sc.load_candidate_set(str(cands))
-    instance = sc.build_instance(s, c, sc.load_spvm(str(vis)), sc.QualityKind.INVERSE_DISTANCE)
-    within = instance.covers_within(result["radius"])[:, result["placement"]].any(axis=1)
-    assert coloured == within.sum() < instance.vis.bits[:, result["placement"]].any(axis=1).sum()
-    assert coloured >= 0.8 * len(s)
+    seen = sc.load_spvm(str(vis)).bits[:, placement]
+    instance = sc.build_instance(s, c, sc.load_spvm(str(vis)), sc.QualityKind.VISIBILITY)
+    within = instance.covers_within(result["radius"])[:, placement].any(axis=1)
+    assert (coloured == within).all()
+    assert within.sum() < seen.any(axis=1).sum()
+    assert coloured.sum() >= 0.8 * len(s)
+    # each coloured sample takes the colour of the nearest selected candidate that sees it
+    dist = np.linalg.norm(s.positions[:, None, :] - c.positions[placement][None, :, :], axis=2)
+    nearest = np.where(seen, dist, np.inf).argmin(axis=1)
+    assert (np.sum(seen, axis=1)[coloured] > 1).any()  # some samples have a choice
+    expected = np.array(PALETTE)[nearest % len(PALETTE)]
+    assert (colours[coloured] == expected[coloured]).all()
 
 
 def test_export_empty_placement_all_white(workdir):
@@ -473,3 +484,41 @@ def test_out_of_range_result_placement_exits_2(workdir, capsys, command):
                  *_trio_args(samples, cands, vis), "--out", str(d / "bad.out")])
     assert code == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing mesh", "zero-area face", "problem 5", "no problem",
+                                  "not JSON", "no positions", "no out directory", "missing vis"])
+def test_bad_input_file_exits_2_with_one_error_line(workdir, tmp_path, capsys, case):
+    d, mesh, samples, cands, vis = workdir
+    trio = _trio_args(samples, cands, vis)
+    bad, out = tmp_path / "bad", str(tmp_path / "out")
+    if case in ("missing mesh", "zero-area face"):
+        if case == "zero-area face":
+            bad.write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nv 0 1 0\nf 1 2 4\nf 1 2 3\n")
+        argv = ["sample", "--mesh", str(bad), "--pitch", "0.5", "--out", out]
+    elif case in ("problem 5", "no problem"):
+        assert main(["solve", "--problem", "1", "--k", "1", *trio, "--out", str(bad)]) == 0
+        result = json.loads(bad.read_text())
+        result["problem"] = 5
+        if case == "no problem":
+            del result["problem"]
+        bad.write_text(json.dumps(result))
+        argv = ["export", "--in", str(bad), *trio, "--out", out]
+    elif case == "not JSON":
+        bad.write_text("{not json")
+        argv = ["refine", "--method", "onecenter", "--samples", str(samples),
+                "--in", str(bad), "--out", out]
+    elif case == "no positions":
+        sample_set = json.loads(samples.read_text())
+        del sample_set["positions"]
+        bad.write_text(json.dumps(sample_set))
+        argv = ["approx", "--samples", str(bad), "--k", "1", "--plane-z", "2.8", "--out", out]
+    elif case == "no out directory":
+        bad = tmp_path / "missing" / "result.json"
+        argv = ["solve", "--problem", "1", "--k", "1", *trio, "--out", str(bad)]
+    else:
+        argv = ["solve", "--problem", "1", "--k", "1", *_trio_args(samples, cands, bad),
+                "--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err

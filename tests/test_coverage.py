@@ -12,15 +12,7 @@ from surfcover.export import sample_colors
 from conftest import all_visible, make_sample_set
 
 
-# Scalar references for the expressions `quality_matrix` evaluates in bulk.
-
-
-def phi_inverse_distance(p, c) -> float:
-    """Quality 1/||p - c|| (1/m)."""
-    d = float(np.linalg.norm(np.asarray(c, float) - np.asarray(p, float)))
-    if d == 0.0:
-        raise CoincidentPointError("sample and sensor coincide")
-    return 1.0 / d
+# Scalar reference for the expression `quality_matrix` evaluates in bulk.
 
 
 def phi_lambert(p, n, c) -> float:
@@ -32,19 +24,6 @@ def phi_lambert(p, n, c) -> float:
         raise CoincidentPointError("sample and sensor coincide")
     cosine = float(np.asarray(n, float) @ d) / dist
     return max(0.0, cosine) / dist**2
-
-
-def test_phi_inverse_distance_axis():
-    assert phi_inverse_distance((0, 0, 0), (0, 0, 2)) == pytest.approx(0.5)
-
-
-def test_phi_inverse_distance_345():
-    assert phi_inverse_distance((0, 0, 0), (3, 4, 0)) == pytest.approx(0.2)
-
-
-def test_phi_inverse_distance_singularity():
-    with pytest.raises(CoincidentPointError):
-        phi_inverse_distance((1, 1, 1), (1, 1, 1))
 
 
 def test_phi_lambert_normal_incidence():
@@ -85,19 +64,8 @@ def test_build_instance_visibility_kind_is_bits():
 
 
 def test_build_instance_masking():
-    inst = _tiny_instance(sc.QualityKind.INVERSE_DISTANCE, vis_bits=np.zeros((2, 2)))
+    inst = _tiny_instance(sc.QualityKind.LAMBERT_INVERSE_SQUARE, vis_bits=np.zeros((2, 2)))
     assert (inst.phi == 0).all()
-
-
-def test_build_instance_entries_match_hand_evaluation():
-    inst = _tiny_instance(sc.QualityKind.INVERSE_DISTANCE)
-    expected = np.array(
-        [
-            [phi_inverse_distance((0, 0, 0), (0, 0, 2)), phi_inverse_distance((0, 0, 0), (3, 4, 0))],
-            [phi_inverse_distance((1, 0, 0), (0, 0, 2)), phi_inverse_distance((1, 0, 0), (3, 4, 0))],
-        ]
-    )
-    assert np.allclose(inst.phi, expected)
 
 
 def test_build_instance_lambert_matches_pointwise():
@@ -146,7 +114,9 @@ def test_build_instance_coincident_error():
     samples = make_sample_set([[0, 0, 0]])
     cands = sc.CandidateSet(positions=[[0, 0, 0]])
     with pytest.raises(CoincidentPointError, match="sample 0"):
-        sc.build_instance(samples, cands, all_visible(samples, cands), sc.QualityKind.INVERSE_DISTANCE)
+        sc.build_instance(
+            samples, cands, all_visible(samples, cands), sc.QualityKind.LAMBERT_INVERSE_SQUARE
+        )
 
 
 def test_evaluate_empty_placement():
@@ -235,7 +205,7 @@ def test_cumulative_dominates_best_sensor(inst_parts, seed):
 @given(random_instances())
 def test_adding_sensor_never_decreases_coverage(inst_parts):
     samples, cands, vm = inst_parts
-    inst = sc.build_instance(samples, cands, vm, sc.QualityKind.INVERSE_DISTANCE)
+    inst = sc.build_instance(samples, cands, vm, sc.QualityKind.LAMBERT_INVERSE_SQUARE)
     m = len(cands)
     before = per_sample_coverage(inst, list(range(m - 1)))
     after = per_sample_coverage(inst, list(range(m)))

@@ -272,22 +272,3 @@ def test_two_phase_coverage_room(room_scene):
     assert report.problem == 1
     assert report.refined.objective >= report.coarse.objective
     assert report.certified_factor is None
-
-
-def test_two_phase_coverage_rejects_quality_kind():
-    rng = np.random.default_rng(9)
-    inst = random_instance(rng, 6, 3, QualityKind.INVERSE_DISTANCE)
-    with pytest.raises(ValueError, match="best-quality"):
-        sc.two_phase_coverage(inst, None, k=1, pitch_fine=0.5, neighborhood=1.0)
-
-
-def test_pipeline_report_json_round_trip():
-    rng = np.random.default_rng(10)
-    pts = np.column_stack([rng.uniform(0, 5, (10, 2)), np.zeros(10)])
-    report = sc.two_phase_quality(make_sample_set(pts), k=2, plane=sc.PlaneDeployment(2.0))
-    d = report.to_json_dict()
-    assert d["problem"] == 2
-    assert len(d["phase2"]["positions"]) == 2
-    import json
-
-    json.dumps(d)  # must be serializable as-is

@@ -351,14 +351,6 @@ def test_refine_grid_cumulative_requires_threshold():
         sc.refine_grid(inst, (0,), bvh, pitch_fine=0.5, rounds=1, neighborhood=1.0)
 
 
-def test_refine_grid_rejects_quality_kind():
-    _, bvh, samples, rect, coarse, _ = _coarse_fine_setup()
-    vm = sc.visibility_matrix(bvh, samples, coarse)
-    inst = sc.build_instance(samples, coarse, vm, QualityKind.INVERSE_DISTANCE)
-    with pytest.raises(ValueError, match="two_phase_quality"):
-        sc.refine_grid(inst, (0,), bvh, pitch_fine=0.5, rounds=1, neighborhood=1.0)
-
-
 def _benchmark_scenes():
     """The scene set-ups of perfbench/workloads.py, which the benchmark's
     office-refine and room-exact workloads run."""
