@@ -92,15 +92,23 @@ def _file(path, io, *args, **kwargs):
     except KeyError as exc:
         raise UsageError(f"{path}: missing key {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+        raise UsageError(_with_path(path, exc)) from exc
 
 
-def _load_result(path) -> dict:
-    """The result JSON at `path`; it must be of problem 1, 2 or 3."""
+def _with_path(path, exc: Exception) -> str:
+    """`exc`'s message prefixed with `path`, unless the loader named it first."""
+    return str(exc) if str(exc).startswith(f"{path}:") else f"{path}: {exc}"
+
+
+def _load_result(path, keys=()) -> dict:
+    """The result JSON at `path`, of problem 1, 2 or 3 and with every key of `keys`."""
     with open(path) as fh:
         result = json.load(fh)
     if not isinstance(result, dict) or result.get("problem") not in PROBLEM_KIND:
         raise ValueError("not a result of problem 1, 2 or 3")
+    missing = [key for key in keys if key not in result]
+    if missing:
+        raise KeyError(missing[0])
     return result
 
 
@@ -137,8 +145,8 @@ def _load_trio(args, mesh=None):
             raise ValueError(f"computed on another mesh than {args.mesh}")
     except (OSError, ValueError) as exc:
         raise UsageError(
-            f"{args.vis}: {exc}; re-run: surfcover visibility --mesh ... --samples {args.samples} "
-            f"--candidates {args.candidates} --out {args.vis}"
+            f"{_with_path(args.vis, exc)}; re-run: surfcover visibility --mesh ... "
+            f"--samples {args.samples} --candidates {args.candidates} --out {args.vis}"
         ) from exc
     return samples, candidates, vm
 
@@ -263,10 +271,11 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    prev = _file(args.infile, _load_result, args.infile)
+    keys = ("k", "params", "positions") if args.method == "onecenter" else ("k", "params")
+    prev = _file(args.infile, _load_result, args.infile, keys)
     if args.method == "onecenter":
         samples = _file(args.samples, load_sample_set, args.samples)
-        plane_z = prev.get("params", {}).get("plane_z")
+        plane_z = prev["params"].get("plane_z")
         if plane_z is None:
             raise UsageError("--method onecenter needs a result produced by `approx`")
         positions, objective = refine.improve_quality_max(
@@ -289,7 +298,7 @@ def _cmd_refine(args) -> int:
             pitch_fine=args.fine_pitch,
             rounds=args.rounds,
             neighborhood=neighborhood,
-            threshold=prev.get("params", {}).get("phi"),
+            threshold=prev["params"].get("phi"),
         )
         extra = {"method": "grid-refined"}
     fields = {k: prev[k] for k in ("problem", "k", "params")}

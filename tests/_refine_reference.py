@@ -1,11 +1,20 @@
-"""Reference grid refinement: the loop that traces every sample against every
-point of each local grid.
+"""Reference refinement loops.
 
-`refine.refine_grid` traces only the pairs that can change a grid point's
-covered count; the tests require both to give bit-identical per-point scores,
-positions and objective. The reference shares the library's local grid,
-visibility columns, quality matrix and covered rule, so only the loop differs.
+`reference_refine_grid` is grid refinement that traces every sample against
+every point of each local grid. `refine.refine_grid` traces only the pairs
+that can change a grid point's covered count; the tests require both to give
+bit-identical per-point scores, positions and objective. The reference shares
+the library's local grid, visibility columns, quality matrix and covered
+rule, so only the loop differs.
+
+`min_sphere_welzl` is the plane-constrained 1-center by Welzl's randomized
+incremental search, one point per containment test. `refine.min_sphere_fixed_plane`
+pivots on the farthest point instead; the tests require the same radius to a
+relative 1e-12. Both share the library's closed-form bases and containment
+rule.
 """
+
+import random
 
 import numpy as np
 
@@ -59,3 +68,33 @@ def reference_refine_grid(
         if not moved:
             break
     return positions, current
+
+
+def min_sphere_welzl(points, h_plane):
+    """Welzl's triple loop over a shuffle with the fixed seed 0, with the
+    library's closed-form bases `refine._basis_sphere` and its containment
+    rule `ConstrainedSphere.contains`."""
+    pts = np.asarray(points, dtype=np.float64)
+    order = list(range(len(pts)))
+    random.Random(0).shuffle(order)
+
+    def make(basis):
+        return refine._basis_sphere(pts, basis, h_plane)
+
+    sphere = make([order[0]])
+    for ii in range(1, len(order)):
+        i = order[ii]
+        if sphere.contains(pts[i]):
+            continue
+        sphere = make([i])
+        for jj in range(ii):
+            j = order[jj]
+            if sphere.contains(pts[j]):
+                continue
+            sphere = make([i, j])
+            for ll in range(jj):
+                l = order[ll]
+                if sphere.contains(pts[l]):
+                    continue
+                sphere = make([i, j, l])
+    return sphere

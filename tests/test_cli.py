@@ -522,3 +522,46 @@ def test_bad_input_file_exits_2_with_one_error_line(workdir, tmp_path, capsys, c
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+
+
+@pytest.mark.parametrize("method, key", [("grid", "k"), ("grid", "params"), ("onecenter", "k"),
+                                         ("onecenter", "params"), ("onecenter", "positions")])
+def test_refine_of_a_result_without_a_key_exits_2(workdir, tmp_path, capsys, method, key):
+    d, mesh, samples, cands, vis = workdir
+    bad, out = tmp_path / "bad.json", str(tmp_path / "out.json")
+    if method == "grid":
+        assert main(["solve", "--problem", "1", "--k", "1", *_trio_args(samples, cands, vis),
+                     "--out", str(bad)]) == 0
+        argv = ["refine", "--method", "grid", "--mesh", str(mesh), *_trio_args(samples, cands, vis)]
+    else:
+        assert main(["approx", "--samples", str(samples), "--k", "1", "--plane-z", "2.8",
+                     "--out", str(bad)]) == 0
+        argv = ["refine", "--method", "onecenter", "--samples", str(samples)]
+    result = json.loads(bad.read_text())
+    del result[key]
+    bad.write_text(json.dumps(result))
+    assert main([*argv, "--in", str(bad), "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: missing key '{key}'"]
+
+
+def test_malformed_mesh_error_names_its_file_once(tmp_path, capsys):
+    # the OBJ loader's message starts with the path already
+    bad_obj = tmp_path / "bad.obj"
+    bad_obj.write_text("v 0 0\n")
+    assert main(["sample", "--mesh", str(bad_obj), "--pitch", "0.5",
+                 "--out", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad_obj}:1: malformed vertex line: 'v 0 0'"
+    ]
+
+
+def test_non_spvm_vis_error_names_its_file_once(workdir, tmp_path, capsys):
+    # the SPVM loader's message starts with the path already
+    d, mesh, samples, cands, vis = workdir
+    bad_vis = tmp_path / "bad.spvm"
+    bad_vis.write_bytes(b"JUNKJUNKJUNK")
+    assert main(["solve", "--problem", "1", "--k", "1", *_trio_args(samples, cands, bad_vis),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {bad_vis}: not an SPVM file"), err

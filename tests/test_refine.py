@@ -1,6 +1,5 @@
 import importlib.util
 import math
-import random
 import sys
 from pathlib import Path
 
@@ -11,7 +10,7 @@ import surfcover as sc
 from surfcover import refine
 from surfcover.coverage import CoincidentPointError, QualityKind
 
-from _refine_reference import reference_refine_grid
+from _refine_reference import min_sphere_welzl, reference_refine_grid
 from conftest import all_visible, make_sample_set
 
 
@@ -126,42 +125,20 @@ def _contains_ref(sphere, p, tol=refine.CONTAIN_TOL):
     return d2 <= r2 + tol * max(1.0, r2)
 
 
-def min_sphere_per_point_ref(points, h_plane):
-    """The per-point triple loop that the batched violator scan replaced:
-    the same shuffle, visit order and closed-form bases (the library's), one
-    point per test."""
-    pts = np.asarray(points, dtype=np.float64)
-    order = list(range(len(pts)))
-    random.Random(0).shuffle(order)
-
-    def make(basis):
-        return refine._basis_sphere(pts, basis, h_plane)
-
-    sphere = make([order[0]])
-    for ii in range(1, len(order)):
-        i = order[ii]
-        if _contains_ref(sphere, pts[i]):
-            continue
-        sphere = make([i])
-        for jj in range(ii):
-            j = order[jj]
-            if _contains_ref(sphere, pts[j]):
-                continue
-            sphere = make([i, j])
-            for ll in range(jj):
-                l = order[ll]
-                if _contains_ref(sphere, pts[l]):
-                    continue
-                sphere = make([i, j, l])
-    return sphere
-
-
-def _assert_same_sphere(pts, h):
+def _assert_matches_welzl(pts, h):
+    """The pivot's sphere has Welzl's radius to a relative 1e-12, holds every
+    point and has its support on its boundary."""
     got = sc.min_sphere_fixed_plane(pts, h)
-    ref = min_sphere_per_point_ref(pts, h)
-    assert np.array_equal(got.center, ref.center)
-    assert got.radius == ref.radius
-    assert got.support == ref.support
+    assert got.radius == pytest.approx(min_sphere_welzl(pts, h).radius, rel=1e-12, abs=0)
+    _assert_encloses_with_support_on_boundary(got, pts)
+
+
+def _assert_encloses_with_support_on_boundary(sphere, pts):
+    pts = np.asarray(pts, float)
+    assert all(sphere.contains(p) for p in pts)
+    for idx in sphere.support:
+        d = np.linalg.norm(pts[idx] - sphere.center)
+        assert abs(d - sphere.radius) <= 1e-9 * max(1.0, sphere.radius)
 
 
 def _on_tolerance_boundary(sphere):
@@ -185,7 +162,7 @@ def test_min_sphere_scan_matches_per_point_loop_on_random_sets():
     sizes = [1, 2, 3, 4, 5, 8, 13, 400] + [int(n) for n in rng.integers(1, 401, 24)]
     for n in sizes:
         pts = rng.uniform(-5, 5, (n, 3)) * [1.0, 1.0, 0.2]
-        _assert_same_sphere(pts, float(rng.uniform(1, 4)))
+        _assert_matches_welzl(pts, float(rng.uniform(1, 4)))
 
 
 def test_min_sphere_scan_matches_per_point_loop_with_duplicates():
@@ -193,8 +170,8 @@ def test_min_sphere_scan_matches_per_point_loop_with_duplicates():
     for n in (2, 6, 40, 200):
         base = np.round(rng.uniform(-3, 3, (max(1, n // 4), 3)), 1)
         pts = base[rng.integers(0, len(base), n)]  # every point repeats
-        _assert_same_sphere(pts, 2.5)
-        _assert_same_sphere(np.vstack([pts, pts]), 2.5)
+        _assert_matches_welzl(pts, 2.5)
+        _assert_matches_welzl(np.vstack([pts, pts]), 2.5)
 
 
 def test_min_sphere_scan_matches_per_point_loop_on_collinear_projections(monkeypatch):
@@ -204,7 +181,7 @@ def test_min_sphere_scan_matches_per_point_loop_on_collinear_projections(monkeyp
         t = np.round(rng.uniform(-2, 2, n), 1)
         sets.append(np.column_stack([t, 2.0 * t + 1.0, rng.uniform(-1, 0.5, n)]))
     for pts in sets:
-        _assert_same_sphere(pts, 3.0)
+        _assert_matches_welzl(pts, 3.0)
     # Exact collinear triples never violate a 2-point sphere beyond the
     # tolerance, so the degenerate-triple fallback is forced: every 3-point
     # basis is reported collinear, in the search and in the reference alike.
@@ -215,11 +192,15 @@ def test_min_sphere_scan_matches_per_point_loop_on_collinear_projections(monkeyp
         return None
 
     monkeypatch.setattr(refine, "_sphere_3p", collinear)
-    for n in (4, 30, 150):
-        sets.append(rng.uniform(-3, 3, (n, 3)) * [1.0, 1.0, 0.2])
     for pts in sets:
-        _assert_same_sphere(pts, 3.0)
+        _assert_matches_welzl(pts, 3.0)
     assert forced
+    # Where the projections are not collinear, the forced fallback gives
+    # 3-point bases that are too small, so there is no 1-center to match
+    # (Welzl's own sphere can miss a point); the pivot still holds them all.
+    for n in (4, 30, 150):
+        pts = rng.uniform(-3, 3, (n, 3)) * [1.0, 1.0, 0.2]
+        _assert_encloses_with_support_on_boundary(sc.min_sphere_fixed_plane(pts, 3.0), pts)
 
 
 def test_collinear_triple_is_its_largest_pair_sphere(monkeypatch):
@@ -247,21 +228,110 @@ def test_min_sphere_scan_matches_per_point_loop_on_tolerance_boundary():
         base = rng.uniform(-2, 2, (3, 3)) * [1.0, 1.0, 0.1]
         sphere = sc.min_sphere_fixed_plane(base, h)
         pts = np.vstack([base, _on_tolerance_boundary(sphere)])
-        _assert_same_sphere(pts, h)
-        _assert_same_sphere(pts[::-1], h)
+        _assert_matches_welzl(pts, h)
+        _assert_matches_welzl(pts[::-1], h)
 
 
-def test_contains_and_scan_agree_on_tolerance_boundary():
+def test_contains_and_scan_agree_on_tolerance_boundary(monkeypatch):
+    # The search returns its first sphere unchanged exactly when its stop test
+    # puts every point inside it; `contains` must say the same of each point.
+    basis_sphere = refine._basis_sphere
     for radius in (0.4, 1.0, 7.0):
         sphere = sc.ConstrainedSphere(np.array([0.5, -1.0, 2.0]), radius, ())
         pts = _on_tolerance_boundary(sphere)
-        first_outside = refine._violator_scan(pts)
         inside = [sphere.contains(q) for q in pts]
         assert inside == [_contains_ref(sphere, q) for q in pts]
         assert any(inside) and not all(inside)
-        for k in range(len(pts)):
-            assert (first_outside(sphere, k, k + 1) == k + 1) == inside[k]
-        assert first_outside(sphere, 0, len(pts)) == inside.index(False)
+
+        def returns_first_sphere(points):
+            first = [sphere]
+            monkeypatch.setattr(
+                refine,
+                "_basis_sphere",
+                lambda p, basis, h: first.pop() if first else basis_sphere(p, basis, h),
+            )
+            return sc.min_sphere_fixed_plane(points, 2.0) is sphere
+
+        assert [returns_first_sphere([q]) for q in pts] == inside
+        assert returns_first_sphere(pts[inside])
+        assert not returns_first_sphere(pts)
+
+
+def test_min_sphere_stops_when_no_pivot_holds_its_support(monkeypatch):
+    # Spheres of two or more points, shrunk by half, hold none of their
+    # points, so the first pivot finds no sphere: the search stops at its
+    # current center, widened to the farthest point.
+    basis_sphere = refine._basis_sphere
+    bases = []
+
+    def shrunk(pts, basis, h):
+        bases.append(list(basis))
+        s = basis_sphere(pts, basis, h)
+        return s if len(basis) == 1 else sc.ConstrainedSphere(s.center, s.radius / 2, s.support)
+
+    monkeypatch.setattr(refine, "_basis_sphere", shrunk)
+    sphere = sc.min_sphere_fixed_plane([[0, 0, 0], [4, 0, 0]], 0.0)
+    assert bases == [[0], [1], [1, 0]]
+    assert np.array_equal(sphere.center, [0, 0, 0])
+    assert (sphere.radius, sphere.support) == (4.0, (1,))
+
+
+def test_min_sphere_stops_when_a_pivot_does_not_grow(monkeypatch):
+    # A first sphere wider than the pair's: the pivot that holds both points
+    # is smaller than it, so the search stops at its current center, widened
+    # to the farthest point, instead of shrinking.
+    basis_sphere = refine._basis_sphere
+    wide = sc.ConstrainedSphere(np.array([0.0, 0.0, 0.0]), 5.0, (0,))
+    bases = []
+
+    def first_wide(pts, basis, h):
+        bases.append(list(basis))
+        return wide if basis == [0] else basis_sphere(pts, basis, h)
+
+    monkeypatch.setattr(refine, "_basis_sphere", first_wide)
+    sphere = sc.min_sphere_fixed_plane([[0, 0, 0], [6, 0, 0]], 0.0)
+    assert bases == [[0], [1], [1, 0]]
+    assert np.array_equal(sphere.center, [0, 0, 0])
+    assert (sphere.radius, sphere.support) == (6.0, (1,))
+
+
+def test_min_sphere_takes_few_pivots(monkeypatch):
+    # each pivot builds one 1-point sphere, of its farthest point, after the
+    # search's first sphere of point 0
+    basis_sphere = refine._basis_sphere
+    singles = []
+
+    def counting(pts, basis, h):
+        if len(basis) == 1:
+            singles.append(basis[0])
+        return basis_sphere(pts, basis, h)
+
+    monkeypatch.setattr(refine, "_basis_sphere", counting)
+    rng = np.random.default_rng(27)
+    most = 0
+    for trial in range(2000):
+        n = int(rng.integers(1, 61))
+        if trial % 3 == 0:
+            pts = rng.uniform(-5, 5, (n, 3)) * [1.0, 1.0, 0.2]
+        elif trial % 3 == 1:  # duplicates
+            pts = np.round(rng.uniform(-3, 3, (n, 3)), 1)[rng.integers(0, n, n)]
+        else:  # integer-grid ties
+            pts = rng.integers(-3, 4, (n, 3)).astype(float)
+        singles.clear()
+        sphere = sc.min_sphere_fixed_plane(pts, float(rng.uniform(0.5, 4)))
+        most = max(most, len(singles) - 1)
+        assert all(sphere.contains(p) for p in pts)
+    assert most <= 20
+
+
+def test_min_sphere_rejects_non_finite_input():
+    with pytest.raises(ValueError, match="finite"):
+        sc.min_sphere_fixed_plane([[0, 0, 0], [math.nan, 1, 0], [2, 2, 0]], 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        sc.min_sphere_fixed_plane([[0, 0, 0], [1, math.inf, 0]], 1.0)
+    for h in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sc.min_sphere_fixed_plane([[0, 0, 0], [2, 2, 0]], h)
 
 
 def test_improve_quality_max_fixed_point():
