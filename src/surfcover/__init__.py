@@ -57,7 +57,6 @@ from .visibility import (
     build_bvh,
     load_spvm,
     save_spvm,
-    segment_occluded,
     visibility_matrix,
 )
 

@@ -101,11 +101,13 @@ def _with_path(path, exc: Exception) -> str:
 
 
 def _load_result(path, keys=()) -> dict:
-    """The result JSON at `path`, of problem 1, 2 or 3 and with every key of `keys`."""
+    """The result JSON at `path`: problem 1, 2 or 3, every key of `keys`, any `params` an object."""
     with open(path) as fh:
         result = json.load(fh)
     if not isinstance(result, dict) or result.get("problem") not in PROBLEM_KIND:
         raise ValueError("not a result of problem 1, 2 or 3")
+    if not isinstance(result.get("params", {}), dict):
+        raise ValueError("params must be a JSON object")
     missing = [key for key in keys if key not in result]
     if missing:
         raise KeyError(missing[0])

@@ -29,20 +29,20 @@ class Bvh:
 
     Nodes are numbered breadth first, so an internal node's children are the
     consecutive nodes left and left + 1. Every node holds a contiguous range
-    of the triangles in leaf order.
+    of the leaves in leaf order; a leaf's unused triangle slots hold zeros.
     """
 
     boxes: np.ndarray  # (nodes, 2, 3, 1) lo and hi corners
     left: np.ndarray  # (nodes,) child index, -1 for leaves
-    start: np.ndarray  # (nodes,) first triangle of the node's range
-    count: np.ndarray  # (nodes,) triangles in the node's range
-    tri_order: np.ndarray  # permutation of triangle indices
-    tri: np.ndarray  # (3, 3, T, 1) rows of a, b - a and c - a in leaf order
-    leaf_boxes: np.ndarray  # (T, 2, 3, 1) the box of each triangle's leaf, leaf order
+    start: np.ndarray  # (nodes,) first leaf of the node's range
+    count: np.ndarray  # (nodes,) leaves in the node's range
+    tri_order: np.ndarray  # (LEAF_SIZE, L) triangle index of each leaf slot, -1 if unused
+    tri: np.ndarray  # (3, 3, LEAF_SIZE, L) rows of a, b - a and c - a of each leaf slot
+    leaf_boxes: np.ndarray  # (L, 2, 3, 1) the box of each leaf, leaf order
 
     @property
     def n_triangles(self) -> int:
-        return len(self.tri_order)
+        return int((self.tri_order >= 0).sum())
 
 
 def build_bvh(mesh: TriangleMesh) -> Bvh:
@@ -70,23 +70,25 @@ def build_bvh(mesh: TriangleMesh) -> Bvh:
         ranges += [(lo_i, mid), (mid, hi_i)]
 
     lo, hi, left, start, count = (np.array(column) for column in zip(*nodes))
-    del nodes  # freed, and tri filled in place, to keep the build's peak memory low
+    del nodes  # freed to keep the build's peak memory low
     boxes = np.stack([lo, hi], axis=1)[..., None]
     leaves = np.flatnonzero(left < 0)
     leaves = leaves[np.argsort(start[leaves])]  # leaf order
-    tri = np.empty((3, 3, len(order), 1))
-    first = a[order]
-    tri[0, ..., 0] = first.T
-    np.subtract(b[order].T, first.T, out=tri[1, ..., 0])
-    np.subtract(c[order].T, first.T, out=tri[2, ..., 0])
+    slot = start[leaves] + np.arange(LEAF_SIZE)[:, None]  # (LEAF_SIZE, L) positions in order
+    used = slot < start[leaves] + count[leaves]
+    slot_tri = np.full(slot.shape, -1)
+    slot_tri[used] = order[slot[used]]
+    tri = np.zeros((3, 3) + slot.shape)  # a zero triangle has det = 0, so it never hits
+    tri[:, :, used] = np.stack([a, b - a, c - a])[:, slot_tri[used]].transpose(0, 2, 1)
+    first_leaf = np.searchsorted(start[leaves], start)  # node ranges, counted in leaves
     return Bvh(
         boxes=boxes,
         left=left,
-        start=start,
-        count=count,
-        tri_order=order,
+        start=first_leaf,
+        count=np.searchsorted(start[leaves], start + count) - first_leaf,
+        tri_order=slot_tri,
         tri=tri,
-        leaf_boxes=np.repeat(boxes[leaves], count[leaves], axis=0),
+        leaf_boxes=boxes[leaves],
     )
 
 
@@ -137,13 +139,8 @@ def _shrunk(origins, targets):
     return origins + e[:, None] * u, d - (2 * e)[:, None] * u
 
 
-def segment_occluded(bvh: Bvh, a, b) -> bool:
-    """True iff the shrunk open segment from a to b hits any mesh triangle."""
-    return bool(segments_occluded(bvh, [a], [b])[0])
-
-
 def segments_occluded(bvh: Bvh, origins, targets) -> np.ndarray:
-    """Batched segment_occluded over rows of origins/targets ((n, 3) each)."""
+    """Whether the shrunk open segment from each origin to its target hits a triangle."""
     return _segments_occluded_impl(bvh, *_shrunk(origins, targets))
 
 
@@ -162,10 +159,10 @@ def _slab_hits(box, r):
 
 
 def _triangle_hits(r, tri):
-    """Moller-Trumbore of A segments, r (2, 3, A) rows of o and d, against L
-    triangles, tri (3, 3, L, 1) rows of a, b - a and c - a; bool (L, A).
+    """Moller-Trumbore of A segments, r (2, 3, A) rows of o and d, against
+    triangles, tri (3, 3, S, 1 or A) rows of a, b - a and c - a; bool (S, A).
     Products and sums are those of np.cross and np.einsum (which adds the x, z,
-    then y terms); from tvec on, the (L, A) arrays are worked in place."""
+    then y terms); from tvec on, the (S, A) arrays are worked in place."""
     (ox, oy, oz), (dx, dy, dz) = r
     (ax, ay, az), (e1x, e1y, e1z), (e2x, e2y, e2z) = tri
     p0 = dy * e2z - dz * e2y  # pvec = d x e2
@@ -199,12 +196,13 @@ def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarra
     """Packet traversal of the BVH: each internal node slab-tests both children
     against the segments that reached it, each leaf runs Moller-Trumbore on them.
 
-    A subtree whose segments x triangles fit in PACKET_SEGMENTS is finished in
-    one step: a segment is occluded when, for some triangle, both the slab test
-    of the triangle's leaf box and Moller-Trumbore hit. The bits are the walk's:
-    a parent box is the min / max of its children's, and IEEE subtraction and
-    multiplication are monotone, so a segment that hits a leaf box hits every
-    box on the path to it (also where 0 * inf gives NaN)."""
+    A subtree whose segments x leaves fit in PACKET_SEGMENTS is finished in one
+    step: its leaf boxes are slab-tested once, and Moller-Trumbore runs only on
+    the (leaf, segment) pairs that hit, gathered with the pairs on the last axis
+    (a pair-major gather runs twice as slow). The bits are the walk's: a parent
+    box is the min / max of its children's, and IEEE subtraction and
+    multiplication are monotone, so a segment that hits a leaf box hits every box
+    on the path to it (also where 0 * inf gives NaN)."""
     occluded = np.zeros(len(o), dtype=bool)
     boxes, tri, leaf_boxes = bvh.boxes, bvh.tri, bvh.leaf_boxes
     left, count, start = bvh.left.tolist(), bvh.count.tolist(), bvh.start.tolist()
@@ -215,16 +213,17 @@ def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarra
         act = act[~occluded[act]]
         if act.size == 0:
             continue
-        lc, n = left[node], count[node]
-        if lc < 0 or act.size * n <= PACKET_SEGMENTS:
-            span = slice(start[node], start[node] + n)
-            hit = _triangle_hits(ray[::2].take(act, axis=2), tri[:, :, span])
-            if lc >= 0:  # a leaf's own box was tested by its parent
-                hit &= _slab_hits(leaf_boxes[span], ray[:2].take(act, axis=2))
-            occluded[act[np.logical_or.reduce(hit, axis=0)]] = True
+        lc, lo, n = left[node], start[node], count[node]
+        if lc >= 0 and act.size * n > PACKET_SEGMENTS:
+            hit = _slab_hits(boxes[lc : lc + 2], ray[:2].take(act, axis=2))
+            stack += [(lc + 1, act[hit[1]]), (lc, act[hit[0]])]  # the left child pops first
             continue
-        hit = _slab_hits(boxes[lc : lc + 2], ray[:2].take(act, axis=2))
-        stack += [(lc + 1, act[hit[1]]), (lc, act[hit[0]])]  # the left child pops first
+        leaf, seg = [lo], act  # a leaf: its own box was tested by its parent
+        if lc >= 0:  # a collapsed subtree: the (leaf, segment) pairs whose leaf box hits
+            leaf, seg = np.nonzero(_slab_hits(leaf_boxes[lo : lo + n], ray[:2].take(act, axis=2)))
+            leaf, seg = leaf + lo, act[seg]
+        hit = _triangle_hits(ray[::2].take(seg, axis=2), tri.take(leaf, axis=3))
+        occluded[seg[np.logical_or.reduce(hit, axis=0)]] = True
     return occluded
 
 

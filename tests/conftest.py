@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import surfcover as sc
+from surfcover.visibility import segments_occluded
 
 
 def box_mesh(lo=(0, 0, 0), hi=(1, 1, 1), name="box"):
@@ -27,6 +28,11 @@ def all_visible(samples, candidates):
         sample_hash=samples.content_hash(),
         candidate_hash=candidates.content_hash(),
     )
+
+
+def segment_occluded(bvh, a, b) -> bool:
+    """True iff the shrunk open segment from a to b hits any mesh triangle."""
+    return bool(segments_occluded(bvh, [a], [b])[0])
 
 
 def make_sample_set(positions, normals=None, weights=None, pitch=1.0):

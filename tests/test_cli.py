@@ -544,6 +544,31 @@ def test_refine_of_a_result_without_a_key_exits_2(workdir, tmp_path, capsys, met
     assert capsys.readouterr().err.splitlines() == [f"error: {bad}: missing key '{key}'"]
 
 
+@pytest.mark.parametrize("params", [None, ["phi", 0.1]])
+@pytest.mark.parametrize("command", ["export", "grid", "onecenter"])
+def test_a_result_whose_params_is_not_an_object_exits_2(workdir, tmp_path, capsys, command,
+                                                        params):
+    d, mesh, samples, cands, vis = workdir
+    bad, out = tmp_path / "bad.json", str(tmp_path / "out")
+    trio = _trio_args(samples, cands, vis)
+    if command == "onecenter":
+        assert main(["approx", "--samples", str(samples), "--k", "1", "--plane-z", "2.8",
+                     "--out", str(bad)]) == 0
+        argv = ["refine", "--method", "onecenter", "--samples", str(samples)]
+    else:
+        assert main(["solve", "--problem", "3", "--k", "1", "--phi", "0.05", *trio,
+                     "--out", str(bad)]) == 0
+        argv = (["export", *trio] if command == "export"
+                else ["refine", "--method", "grid", "--mesh", str(mesh), *trio])
+    result = json.loads(bad.read_text())
+    result["params"] = params
+    bad.write_text(json.dumps(result))
+    assert main([*argv, "--in", str(bad), "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: params must be a JSON object"
+    ]
+
+
 def test_malformed_mesh_error_names_its_file_once(tmp_path, capsys):
     # the OBJ loader's message starts with the path already
     bad_obj = tmp_path / "bad.obj"

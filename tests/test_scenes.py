@@ -4,6 +4,8 @@ import pytest
 import surfcover as sc
 from surfcover.visibility import segment_occluded_brute
 
+from conftest import segment_occluded
+
 
 def test_flat_terrain_normals_up():
     mesh = sc.gen_terrain(seed=0, cells=4, amplitude=0.0)
@@ -71,8 +73,8 @@ def test_room_obstacle_occludes_samples_behind_it():
     bvh = sc.build_bvh(mesh)
     corner = np.array([0.3, 0.3, 2.7])
     behind = np.array([5.0, 3.2, 0.05])  # floor point shadowed by the tall box
-    assert sc.segment_occluded(bvh, behind, corner)
-    assert sc.segment_occluded(bvh, behind, corner) == segment_occluded_brute(
+    assert segment_occluded(bvh, behind, corner)
+    assert segment_occluded(bvh, behind, corner) == segment_occluded_brute(
         mesh, behind, corner
     )
 

@@ -22,7 +22,7 @@ from surfcover.visibility import (
     segments_occluded,
 )
 
-from conftest import box_mesh, make_sample_set, square_mesh
+from conftest import box_mesh, make_sample_set, segment_occluded, square_mesh
 
 
 def single_triangle():
@@ -52,37 +52,44 @@ def test_leaves_partition_triangles():
         tris.append([3 * t, 3 * t + 1, 3 * t + 2])
     mesh = sc.TriangleMesh(np.array(verts), np.array(tris))
     bvh = sc.build_bvh(mesh)
-    leaf_tris = []
+    n_leaves = bvh.leaf_boxes.shape[0]
+    assert bvh.tri.shape == (3, 3, LEAF_SIZE, n_leaves)
+    assert bvh.tri_order.shape == (LEAF_SIZE, n_leaves)
     for n in range(len(bvh.count)):
-        span = slice(bvh.start[n], bvh.start[n] + bvh.count[n])
-        if bvh.left[n] < 0:
-            assert bvh.count[n] <= LEAF_SIZE
-            assert (bvh.leaf_boxes[span] == bvh.boxes[n]).all()
-            leaf_tris += bvh.tri_order[span].tolist()
+        if bvh.left[n] < 0:  # a leaf is a range of one leaf, in leaf order
+            assert bvh.count[n] == 1
+            assert (bvh.leaf_boxes[bvh.start[n]] == bvh.boxes[n]).all()
         else:  # an internal node's range is its children's, joined in order
             lc = bvh.left[n]
             assert bvh.start[lc] == bvh.start[n]
             assert bvh.start[lc + 1] == bvh.start[n] + bvh.count[lc]
             assert bvh.count[lc] + bvh.count[lc + 1] == bvh.count[n]
-    assert (bvh.left < 0).sum() > 2
-    assert bvh.count[0] == 12
-    assert sorted(leaf_tris) == list(range(12))
+    assert (bvh.left < 0).sum() == n_leaves > 2
+    assert bvh.count[0] == n_leaves
+    used = bvh.tri_order >= 0
+    assert used[0].all() and (used[:-1] >= used[1:]).all()  # a leaf fills its first slots
+    assert sorted(bvh.tri_order[used].tolist()) == list(range(12))
+    assert bvh.n_triangles == 12
+    a, b, c = mesh.corners()
+    tris = bvh.tri_order[used]
+    assert (bvh.tri[:, :, used] == np.stack([a, b - a, c - a])[:, tris].transpose(0, 2, 1)).all()
+    assert (bvh.tri[:, :, ~used] == 0).all()  # the unused slots hold zero triangles
 
 
 def test_segment_crosses_triangle():
     bvh = sc.build_bvh(single_triangle())
-    assert sc.segment_occluded(bvh, (0, 0, 0), (0, 0, 2))
+    assert segment_occluded(bvh, (0, 0, 0), (0, 0, 2))
 
 
 def test_segment_misses_triangle():
     bvh = sc.build_bvh(single_triangle())
-    assert not sc.segment_occluded(bvh, (5, 5, 0), (5, 5, 2))
+    assert not segment_occluded(bvh, (5, 5, 0), (5, 5, 2))
 
 
 def test_endpoint_on_vertex_not_occluded():
     # leaving a vertex along the normal: eps shrinkage excludes the contact
     bvh = sc.build_bvh(single_triangle())
-    assert not sc.segment_occluded(bvh, (-1, -1, 1), (-1, -1, 3))
+    assert not segment_occluded(bvh, (-1, -1, 1), (-1, -1, 3))
 
 
 def test_segment_symmetry():
@@ -319,8 +326,8 @@ def segments_occluded_per_leaf_ref(bvh, o, d):
             hit = _slab_hits(bvh.boxes[lc : lc + 2], ray[:2][..., act])
             stack += [(lc, act[hit[0]]), (lc + 1, act[hit[1]])]
             continue
-        span = slice(bvh.start[node], bvh.start[node] + bvh.count[node])
-        occluded[act[_triangle_hits(ray[::2][..., act], bvh.tri[:, :, span]).any(axis=0)]] = True
+        leaf_tri = bvh.tri[..., bvh.start[node], None]
+        occluded[act[_triangle_hits(ray[::2][..., act], leaf_tri).any(axis=0)]] = True
     return occluded
 
 
@@ -360,16 +367,38 @@ def test_collapsed_subtrees_give_the_per_leaf_walks_bits(make, monkeypatch):
     o, d = hard_segments(mesh, np.random.default_rng(5), 3000)
     ref = segments_occluded_per_leaf_ref(bvh, o, d)
     assert 0.05 < ref.mean() < 0.95
-    spans = []
+    calls = []
 
-    def recorded(r, tri):
-        spans.append(tri.shape[2])
+    def slab(box, r):
+        hit = _slab_hits(box, r)
+        calls.append(("slab", box, hit))
+        return hit
+
+    def triangles(r, tri):
+        calls.append(("triangles", r, tri))
         return _triangle_hits(r, tri)
 
-    monkeypatch.setattr(visibility, "_triangle_hits", recorded)
+    monkeypatch.setattr(visibility, "_slab_hits", slab)
+    monkeypatch.setattr(visibility, "_triangle_hits", triangles)
     assert (_segments_occluded_impl(bvh, o, d) == ref).all()
-    # a leaf holds at most LEAF_SIZE triangles, so larger spans are collapsed subtrees
-    assert max(spans) > LEAF_SIZE
+    # Moller-Trumbore only runs where a leaf box was hit: a leaf step passes its
+    # one leaf, whose box its parent tested, for all of its segments; a
+    # collapsed step passes exactly the (leaf, segment) pairs whose leaf-box
+    # slab test hit, one leaf per pair
+    leaf_of = {bvh.tri[..., j].tobytes(): j for j in range(bvh.tri.shape[3])}
+    tested = kept = 0
+    for (kind, box, box_hit), (step, r, tri) in zip(calls, calls[1:]):
+        if step != "triangles":
+            continue
+        leaves = [leaf_of[tri[..., k].tobytes()] for k in range(tri.shape[3])]
+        # the pairs' own leaf boxes, (1, 2, 3, K) against their K segments
+        pair_boxes = bvh.leaf_boxes[leaves][..., 0].transpose(1, 2, 0)[None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert _slab_hits(pair_boxes, np.stack([r[0], 1.0 / r[1]])).all()
+        if kind == "slab" and np.shares_memory(box, bvh.leaf_boxes):  # a collapsed step
+            assert len(leaves) == r.shape[2] == box_hit.sum()
+            tested, kept = tested + box_hit.size, kept + len(leaves)
+    assert 0 < kept < tested
 
 
 def test_collapsed_subtrees_keep_the_visibility_matrix(monkeypatch):
@@ -394,11 +423,52 @@ def test_a_grazing_segment_keeps_the_per_leaf_walks_bit():
     p = sc.sample_surface(mesh, pitch=0.7).positions[792]
     c = sc.generate_candidates_plane(2.8, (1.0, 1.0, 9.0, 7.0), 1.5).positions[13]
     o, d = _shrunk([p], [c])
-    hit = _triangle_hits(np.stack([o.T, d.T]), bvh.tri)[:, 0]
+    hit = _triangle_hits(np.stack([o.T, d.T]), bvh.tri[..., None])[..., 0]  # (LEAF_SIZE, L)
     assert hit.sum() == 2
     with np.errstate(divide="ignore"):
-        assert not _slab_hits(bvh.leaf_boxes[hit], np.stack([o.T, 1.0 / d.T])).any()
+        assert not _slab_hits(bvh.leaf_boxes[hit.any(axis=0)], np.stack([o.T, 1.0 / d.T])).any()
     assert (segments_occluded(bvh, [p], [c]) == segments_occluded_per_leaf_ref(bvh, o, d)).all()
+
+
+@pytest.mark.parametrize("packet", [0, 10**9])  # every leaf on its own; the tree in one step
+@pytest.mark.parametrize("scene", ["single triangle", "room"])
+def test_unused_leaf_slots_never_hit(scene, packet, room_scene, monkeypatch):
+    # the unused slots of leaves with fewer than LEAF_SIZE triangles hold zero
+    # triangles at the origin; half the segments pass through it. The room is
+    # centred on the origin: segments through its corner vertex graze every
+    # box there, which the box tests do not yet widen for.
+    if scene == "single triangle":
+        mesh = single_triangle()
+    else:
+        room = room_scene[0]
+        mesh = sc.TriangleMesh(room.vertices - [3.0, 2.0, 1.5], room.triangles)
+    bvh = sc.build_bvh(mesh)
+    unused = bvh.tri_order < 0
+    assert unused.any()
+    rng = np.random.default_rng(17)
+    lo, hi = mesh.bounds()
+    a = rng.uniform(lo - 1, hi + 1, (600, 3))
+    through_origin = -a[:300] * rng.uniform(0.2, 3.0, (300, 1))
+    b = np.vstack([through_origin, rng.uniform(lo - 1, hi + 1, (300, 3))])
+    o, d = _shrunk(a, b)
+    hit = _triangle_hits(np.stack([o.T, d.T]), bvh.tri[..., None])  # (LEAF_SIZE, L, segments)
+    assert not hit[unused].any() and hit.any()
+    leaves_per_call = []
+
+    def recorded(r, tri):
+        leaves_per_call.append(tri.shape[3])
+        return _triangle_hits(r, tri)
+
+    monkeypatch.setattr(visibility, "PACKET_SEGMENTS", packet)
+    monkeypatch.setattr(visibility, "_triangle_hits", recorded)
+    fast = _segments_occluded_impl(bvh, o, d)
+    brute = np.array([segment_occluded_brute(mesh, p, q) for p, q in zip(a, b)])
+    assert (fast == brute).all()
+    assert 0 < brute[:300].sum() < 300
+    if packet == 0 or bvh.left[0] < 0:  # leaf steps only, each on its own leaf
+        assert set(leaves_per_call) == {1}
+    else:  # one collapsed step at the root
+        assert len(leaves_per_call) == 1 and leaves_per_call[0] > 1
 
 
 @pytest.mark.parametrize("make", [terrain_800, office_room, floor_and_ceiling])
@@ -435,7 +505,7 @@ def test_non_finite_endpoints_raise(bad):
     with pytest.raises(ValueError, match="finite"):
         segments_occluded(bvh, [(0, 0, 0), (0, bad, 0)], [(0, 0, 2), (0, 0, 2)])
     with pytest.raises(ValueError, match="finite"):
-        sc.segment_occluded(bvh, (0, 0, 0), (bad, 0, 2))
+        segment_occluded(bvh, (0, 0, 0), (bad, 0, 2))
 
 
 def test_no_segments_give_an_empty_answer():
