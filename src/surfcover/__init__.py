@@ -29,7 +29,6 @@ from .ilp import (
     ModelKind,
     SolveResult,
     SolveStatus,
-    brute_force_solve,
     build_cumulative_model,
     build_feasibility_model,
     build_visibility_model,

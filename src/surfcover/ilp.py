@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -27,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverage import THRESHOLD_TOL, CoverageInstance, QualityKind, meets_threshold
-
-BRUTE_FORCE_CAP = 10**6
 
 
 class ModelKind(enum.Enum):
@@ -68,16 +65,6 @@ class IlpModel:
         if self.kind is not ModelKind.FEASIBILITY_COVER:
             raise ValueError("coverage target only exists for the feasibility kind")
         return math.ceil(self.n_samples * self.rho - 1e-12)
-
-    def covered_count(self, selected) -> int:
-        """Number of samples covered by the given selection (y set greedily)."""
-        selected = list(selected)
-        if not selected:
-            return 0
-        if self.kind is ModelKind.THRESHOLD_COVERAGE:
-            sums = self.cover[:, selected].sum(axis=1)
-            return int(meets_threshold(sums, self.threshold).sum())
-        return int(self.cover[:, selected].any(axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -199,20 +186,27 @@ class _PackedCover:
         return int(np.bitwise_count(state).sum())
 
     def expand(self, state, value: int, free: np.ndarray, budget: int):
-        """Branching scores of `free` (newly covered samples), an upper bound
-        on the subtree and, with one pick left, the closing values: the
-        covered count with each free candidate added (None with more picks
-        left). One pick left bounds the subtree by the best closing value;
-        more by the `budget` best gains, capped by the union of every free
-        column, which no selection can exceed. The gains are signed, so
-        negating them sorts them in descending order."""
+        """One pass over `free` for a state and its whole exclusion chain.
+        Returns the branching scores (newly covered samples) and, with one
+        pick left, the closing values (the covered count with each free
+        candidate added; None with more picks left), both in `free`'s order;
+        the branching order (descending score, lowest index on ties) as
+        positions in `free`; and bounds[s] on the subtree whose free set is
+        the order's suffix s, for s = 0..F (bounds[F] is `value`). The gains
+        descend along the order, so one pick left bounds a suffix by its
+        first closing value, and more by its `budget` first gains, capped by
+        the union of its columns, which no selection can exceed."""
         fresh = self.cols[free] & ~state
         gains = np.bitwise_count(fresh).sum(axis=1, dtype=np.int64)
+        order = np.argsort(-gains, kind="stable")
+        ordered = np.append(gains[order], 0)
         if budget == 1:
-            closed = value + gains
-            return gains, int(closed.max(initial=value)), closed
-        reach = self.value(np.bitwise_or.reduce(fresh, axis=0))
-        return gains, value + min(int(_top_sum(gains, budget)), reach), None
+            return gains, value + gains, order, value + ordered
+        tail = np.cumsum(ordered[::-1])[::-1]  # tail[s]: the gains of suffix s summed
+        top = tail - np.append(tail, np.zeros(budget, np.int64))[budget:]
+        unions = np.bitwise_or.accumulate(fresh[order[::-1]], axis=0)[::-1]
+        reach = np.append(np.bitwise_count(unions).sum(axis=1, dtype=np.int64), 0)
+        return gains, None, order, value + np.minimum(top, reach)
 
 
 class _QualitySums:
@@ -230,31 +224,33 @@ class _QualitySums:
         return int(meets_threshold(state, self.threshold).sum())
 
     def expand(self, state, value: int, free: np.ndarray, budget: int):
-        """Branching scores of `free` (summed progress toward each open
-        sample's deficit), an upper bound on the subtree and, with one pick
-        left, the closing values (None with more picks left). Adding phi >= 0
-        never lowers an IEEE sum, so covered rows stay covered and only the
-        open rows are gathered. One pick left bounds the subtree by the best
-        closing value; with more, each open sample independently takes its
-        `budget` best free contributions."""
+        """As `_PackedCover.expand`, with scores the summed progress toward
+        each open sample's deficit. Adding phi >= 0 never lowers an IEEE sum,
+        so covered rows stay covered and only the open rows are gathered. One
+        pick left bounds a suffix by its best closing value; with more, each
+        open sample independently takes the `budget` best contributions of
+        the suffix. Those sums obey top_t[s] = max over p >= s of
+        (a[p] + top_t-1[p + 1]) in branching order, with a zero row past the
+        end: one add and one running maximum per level, taken row by row
+        (numpy's `maximum.accumulate` down axis 0 walks one column at a
+        time)."""
         open_rows = np.flatnonzero(~meets_threshold(state, self.threshold))
         sums = state[open_rows]
         need = self.threshold - sums
         sub = self.phi[open_rows][:, free]
         scores = np.minimum(sub, need[:, None]).sum(axis=0)
+        order = np.argsort(-scores, kind="stable")
         if budget == 1:
             closed = value + meets_threshold(sums[:, None] + sub, self.threshold).sum(axis=0)
-            return scores, int(closed.max(initial=value)), closed
-        reachable = need <= _top_sum(sub, budget) + THRESHOLD_TOL
-        return scores, value + int(reachable.sum()), None
-
-
-def _top_sum(a: np.ndarray, t: int):
-    """Sum of the t largest entries along the last axis."""
-    f = a.shape[-1]
-    if t < f:
-        a = np.partition(a, f - t, axis=-1)[..., f - t :]
-    return a.sum(axis=-1)
+            best = np.maximum.accumulate(np.append(closed[order], value)[::-1])[::-1]
+            return scores, closed, order, best
+        ordered = sub.T[order]
+        top = np.zeros((free.size + 1, open_rows.size))
+        for _ in range(budget):
+            top[:-1] = ordered + top[1:]
+            for p in range(free.size - 2, -1, -1):
+                np.maximum(top[p], top[p + 1], out=top[p])
+        return scores, None, order, value + (need <= top + THRESHOLD_TOL).sum(axis=1)
 
 
 def _greedy_incumbent(scorer, m: int, k: int, deadline: float):
@@ -264,7 +260,7 @@ def _greedy_incumbent(scorer, m: int, k: int, deadline: float):
     state = scorer.root
     free = np.arange(m)
     for _ in range(k):
-        scores, _, _ = scorer.expand(state, 0, free, k - len(selected))  # scores only
+        scores = scorer.expand(state, 0, free, 1)[0]
         best = int(np.argmax(scores))  # argmax keeps lowest index on ties
         if scores[best] <= 0:
             break
@@ -279,7 +275,7 @@ def _greedy_incumbent(scorer, m: int, k: int, deadline: float):
                 return selected, current
             others = selected[:si] + selected[si + 1 :]
             base = functools.reduce(scorer.add, others, scorer.root)
-            _, _, values = scorer.expand(base, scorer.value(base), cands, 1)
+            values = scorer.expand(base, scorer.value(base), cands, 1)[1]
             better = np.flatnonzero(values > current)
             if better.size:
                 j = int(cands[better[0]])
@@ -351,23 +347,29 @@ def solve(
     the largest greedy score (lowest index on ties), select-first. Each child
     derives its state from its parent's by adding one column: the boolean
     kinds OR a packed uint64 cover column into the covered mask, the threshold
-    kind adds a quality column to the per-sample sums. One pass over the free
-    columns (`expand`) gives the branching scores, the dual bound and, with
-    one pick left, the closing values. With more picks left, the boolean
-    kinds bound by covered + min(sum of the `budget` best marginal gains,
-    samples any free candidate can still reach): the first term is valid by
-    submodularity, the second because no selection covers more than the union
-    of the free columns; for the threshold kind each open sample takes its
-    `budget` best free contributions. With one pick left the bound is exact,
-    the best closing value, and the node counts as one node; it keeps what
-    the per-child search would, the first maximum in branching order. A
-    feasibility model branches on its gains, so its first maximum is also
-    its first candidate that meets the target. The search runs while
-    nodes are stacked and the incumbent is below the target (the coverage
-    target of the feasibility kind, else infinite); the clock stops it with
-    the unexplored nodes left stacked. When the feasibility kind's warm start
-    misses the target, a Lagrangian bound (`_lagrangian_bound`) is tried
-    first: if it falls below the target, infeasibility is proved at the root.
+    kind adds a quality column to the per-sample sums. The exclusion sibling
+    of a pick keeps its parent's state and loses the pick from its free set,
+    so a state's siblings pick down its branching order: one pass over the
+    free columns (`expand`) gives that order, the bound of every link of the
+    chain and, with one pick left, the closing values. A stack entry is one
+    link: the state, its value and picks, the order, the bounds, the closing
+    values in branching order (None with more picks left) and the link s, whose
+    free set is order[s:]. With more picks left, the boolean kinds bound by
+    covered + min(sum of the `budget` best marginal gains, samples any free
+    candidate can still reach): the first term is valid by submodularity, the
+    second because no selection covers more than the union of the free
+    columns; for the threshold kind each open sample takes its `budget` best
+    free contributions. With one pick left the bound is exact, the best
+    closing value, and the node counts as one node; it keeps what the
+    per-child search would, the first maximum in branching order. A
+    feasibility model branches on its gains, so its first maximum is also its
+    first candidate that meets the target. The search runs while nodes are
+    stacked and the incumbent is below the target (the coverage target of the
+    feasibility kind, else infinite); the clock stops it with the unexplored
+    links left stacked, and their bounds give the dual bound. When the
+    feasibility kind's warm start misses the target, a Lagrangian bound
+    (`_lagrangian_bound`) is tried first: if it falls below the target,
+    infeasibility is proved at the root.
     """
     start = time.perf_counter()
     deadline = math.inf if time_limit is None else start + time_limit
@@ -380,52 +382,52 @@ def solve(
     else:
         scorer = _PackedCover(model.cover)
 
+    def chain(state, selected, free):
+        value = scorer.value(state)
+        _, closed, order, bounds = scorer.expand(state, value, free, k - len(selected))
+        closed = None if closed is None else closed[order]
+        return state, value, selected, free[order], bounds, closed, 0
+
     incumbent, inc_value = _greedy_incumbent(scorer, m, k, deadline)
     nodes, root_proof = 0, -math.inf  # root_proof: a Lagrangian bound below the target
-    stack = [(scorer.root, scorer.value(scorer.root), np.arange(m), [])] if k > 0 else []
-    if feasibility and stack and inc_value < target:
+    if feasibility and k > 0 and inc_value < target:
         lagrangian = _lagrangian_bound(model.cover, k, target, deadline)
         if lagrangian < target - _PROOF_TOL:
-            root_proof, nodes, stack = lagrangian, 1, []
+            root_proof, nodes = lagrangian, 1
+    search = k > 0 and not nodes and inc_value < target  # no root proof, target unmet
+    stack = [chain(scorer.root, [], np.arange(m))] if search else []
 
     while stack and inc_value < target:
-        state, value, free, selected = stack.pop()
+        entry = state, value, selected, order, bounds, closed, s = stack.pop()
         nodes += 1
         if time.perf_counter() > deadline:
-            stack.append((state, value, free, selected))  # still unexplored
+            stack.append(entry)  # still unexplored
             break
         # a node with one pick left never beats the incumbent here (a k-set
         # holding its picks came first), so one that meets a target branches
         # and the loop test then stops the search
         if value > inc_value:
             incumbent, inc_value = selected, value
-        budget = k - len(selected)
-        scores, ub, closed = scorer.expand(state, value, free, budget)
-        if ub <= inc_value:
+        if bounds[s] <= inc_value:  # the last bound is the value: a link left has a pick
             continue
-        if budget == 1:
-            # the DFS would visit these leaves by descending score, lowest
-            # index first, and keep the first maximum (a pruned sibling is
-            # worth <= incumbent), which is the first to meet a target
-            order = np.argsort(-scores, kind="stable")
-            best = order[int(np.argmax(closed[order]))]
-            incumbent, inc_value = selected + [int(free[best])], ub
+        if closed is not None:
+            # the DFS would visit these leaves in branching order and keep
+            # the first maximum (a pruned sibling is worth <= incumbent),
+            # which is the first to meet a target
+            incumbent, inc_value = selected + [int(order[np.argmax(closed)])], int(bounds[0])
             continue
-        pick = int(free[int(np.argmax(scores))])
-        rest = free[free != pick]
-        child = scorer.add(state, pick)
-        stack.append((state, value, rest, selected))
-        stack.append((child, scorer.value(child), rest, selected + [pick]))  # value 1 first
+        pick = int(order[s])
+        stack.append((state, value, selected, order, bounds, closed, s + 1))
+        stack.append(chain(scorer.add(state, pick), selected + [pick], np.sort(order[s + 1 :])))
 
     primal = float(inc_value)
     placement = tuple(sorted(incumbent))
     dual, gap = primal, 0.0
     if inc_value >= target:
         status = SolveStatus.OPTIMAL
-    elif stack:  # the clock stopped the search before the stacked subtrees
-        # a stacked node always has budget left: last levels are closed in place
-        open_bound = max(scorer.expand(s, v, f, k - len(sel))[1] for s, v, f, sel in stack)
-        dual = float(max(primal, open_bound))  # expand's bound is an int
+    elif stack:  # the clock stopped the search before the stacked links
+        open_bound = max(bounds[s] for _, _, _, _, bounds, _, s in stack)
+        dual = float(max(primal, open_bound))  # the bounds are ints
         gap = (dual - primal) / max(1.0, abs(primal))
         # only an optimization model can settle for a gap within tolerance
         within_tol = not feasibility and gap <= gap_tol
@@ -436,39 +438,6 @@ def solve(
         status = SolveStatus.OPTIMAL
     return SolveResult(
         status, placement, primal, dual, gap, nodes, time.perf_counter() - start
-    )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-
-
-def brute_force_solve(model: IlpModel) -> SolveResult:
-    """Exhaustive enumeration of all k-subsets; ground truth for tests."""
-    start = time.perf_counter()
-    m = model.n_candidates
-    k = min(model.k, m)
-    if math.comb(m, k) > BRUTE_FORCE_CAP:
-        raise ValueError(f"C({m}, {k}) exceeds the brute-force cap of {BRUTE_FORCE_CAP}")
-    best_value = 0
-    best: tuple[int, ...] = ()
-    count = 0
-    for combo in itertools.combinations(range(m), k):
-        count += 1
-        value = model.covered_count(combo)
-        if value > best_value:
-            best_value, best = value, combo
-    feasible = model.kind is not ModelKind.FEASIBILITY_COVER or (
-        best_value >= model.coverage_target
-    )
-    return SolveResult(
-        status=SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE,
-        placement=best if feasible else None,
-        primal=float(best_value),
-        dual_bound=float(best_value),
-        gap=0.0,
-        nodes=count,
-        elapsed=time.perf_counter() - start,
     )
 
 

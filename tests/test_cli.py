@@ -77,13 +77,15 @@ def test_solve_problem3(workdir):
 
 
 def test_deterministic_flag_gives_identical_bytes(workdir):
+    # problem 3 at k=3 branches down exclusion chains; problem 1 closes early
     d, mesh, samples, cands, vis = workdir
     a, b = d / "det_a.json", d / "det_b.json"
-    argv = ["solve", "--problem", "1", "--k", "2", "--deterministic",
-            *_trio_args(samples, cands, vis)]
-    assert main(argv + ["--out", str(a)]) == 0
-    assert main(argv + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for problem in (["1", "--k", "2"], ["3", "--k", "3", "--phi", "0.05"]):
+        argv = ["solve", "--problem", *problem, "--deterministic",
+                *_trio_args(samples, cands, vis)]
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_phi_on_problem1_is_usage_error(workdir):

@@ -10,6 +10,7 @@ from surfcover.drivers import candidate_radii
 from surfcover import drivers
 from surfcover.ilp import IlpModel, ModelKind, SolveResult, SolveStatus
 
+from _bnb_reference import brute_force_solve, covered_count
 from conftest import all_visible, make_sample_set
 
 
@@ -179,7 +180,7 @@ def test_problem2_time_limit_bounds_the_whole_search(monkeypatch):
     assert radii == all_radii[: len(radii)]  # the same bisection, cut short
     assert r in radii and r >= r_opt  # the last certified radius
     model = sc.build_feasibility_model(inst, 2, r, 0.9)
-    assert model.covered_count(placement) >= model.coverage_target
+    assert covered_count(model, placement) >= model.coverage_target
 
 
 def test_problem2_result_is_a_witnessed_optimum():
@@ -239,7 +240,7 @@ def test_problem3_matches_brute_force():
         phi = float(rng.uniform(0.001, 0.05))
         _, report, result = sc.solve_problem3(inst, k, threshold=phi)
         model = IlpModel(ModelKind.THRESHOLD_COVERAGE, inst.phi, k, threshold=phi)
-        assert result.primal == sc.brute_force_solve(model).primal
+        assert result.primal == brute_force_solve(model).primal
 
 
 def test_two_phase_quality_refines_without_regressing():

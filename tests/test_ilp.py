@@ -10,7 +10,7 @@ import surfcover as sc
 from surfcover import drivers, ilp
 from surfcover.ilp import IlpModel, ModelKind, SolveStatus, _lagrangian_bound
 
-from _bnb_reference import reference_solve
+from _bnb_reference import brute_force_solve, covered_count, node_bound, reference_solve
 from _lputil import solve_lp_file
 from conftest import all_visible, make_sample_set
 
@@ -160,19 +160,19 @@ def test_brute_force_matches_solve_small_random():
         n, m, k = int(rng.integers(2, 12)), int(rng.integers(2, 7)), int(rng.integers(1, 4))
         bits = rng.random((n, m)) < 0.5
         model = IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, bits, k)
-        assert sc.solve(model).primal == sc.brute_force_solve(model).primal
+        assert sc.solve(model).primal == brute_force_solve(model).primal
 
 
 def test_brute_force_k0():
     model = IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, EXAMPLE_BITS, 0)
-    assert sc.brute_force_solve(model).primal == 0.0
+    assert brute_force_solve(model).primal == 0.0
     assert sc.solve(model).primal == 0.0
 
 
 def test_brute_force_cap():
     model = IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, np.ones((2, 60), bool), 20)
     with pytest.raises(ValueError, match="cap"):
-        sc.brute_force_solve(model)
+        brute_force_solve(model)
 
 
 def test_budget_slack_k_above_m():
@@ -257,7 +257,7 @@ def _random_model(rng, kind, n, m, k):
 
 def _assert_matches_brute_force(model):
     """Checks solve(model) against the oracle and returns it."""
-    a, b = sc.solve(model), sc.brute_force_solve(model)
+    a, b = sc.solve(model), brute_force_solve(model)
     assert a.status == b.status
     if a.status is SolveStatus.INFEASIBLE:
         # primal is the best count seen, the true maximum only when the B&B
@@ -267,7 +267,7 @@ def _assert_matches_brute_force(model):
         assert a.dual_bound < model.coverage_target
         return a
     assert len(a.placement) <= model.k
-    assert model.covered_count(a.placement) == a.primal
+    assert covered_count(model, a.placement) == a.primal
     if model.kind is ModelKind.FEASIBILITY_COVER:
         assert a.primal >= model.coverage_target  # stops at the first subset that reaches it
     else:
@@ -351,7 +351,7 @@ def test_lagrangian_value_bounds_the_optimum():
     for _ in range(200):
         n, m, k = int(rng.integers(1, 30)), int(rng.integers(1, 8)), int(rng.integers(1, 4))
         model = IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, rng.random((n, m)) < 0.3, k)
-        best = sc.brute_force_solve(model).primal
+        best = brute_force_solve(model).primal
         for lam in (rng.random(n), rng.random(n) ** 4, (rng.random(n) < 0.5).astype(float)):
             assert _lagrangian_value(model.cover, lam, min(k, m)) >= best - 1e-9
 
@@ -363,7 +363,7 @@ def test_lagrangian_bound_never_undercuts_the_optimum():
     for _ in range(200):
         n, m, k = int(rng.integers(1, 40)), int(rng.integers(1, 8)), int(rng.integers(1, 4))
         model = IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, rng.random((n, m)) < 0.3, k)
-        best = sc.brute_force_solve(model).primal
+        best = brute_force_solve(model).primal
         assert _lagrangian_bound(model.cover, min(k, m), int(best) + 1, math.inf) >= best - 1e-9
 
 
@@ -486,8 +486,9 @@ def test_packed_values_never_increase_in_branching_order():
         # a random covered mask, packed the way the cover columns are
         state = ilp._PackedCover(rng.random((n, 1)) < rng.uniform(0.0, 0.8)).cols[0]
         free = np.flatnonzero(rng.random(m) < rng.uniform(0.2, 1.0))
-        gains, _, closed = scorer.expand(state, scorer.value(state), free, 1)
-        vals = closed[np.argsort(-gains, kind="stable")]
+        gains, closed, order, _ = scorer.expand(state, scorer.value(state), free, 1)
+        assert (order == np.argsort(-gains, kind="stable")).all()
+        vals = closed[order]
         assert (vals[1:] <= vals[:-1]).all()
         assert (closed == scorer.value(state) + gains).all()
         crossing += scorer.cols.shape[1] > 1
@@ -511,7 +512,7 @@ def test_a_stopped_search_never_bounds_below_the_optimum(monkeypatch):
     for t in range(1500):
         n, m, k = int(rng.integers(1, 90)), int(rng.integers(2, 12)), int(rng.integers(2, 6))
         model = _random_model(rng, kinds[t % 3], n, m, k)
-        best = sc.brute_force_solve(model).primal
+        best = brute_force_solve(model).primal
         ticks[0] = 0.0
         res = sc.solve(model, time_limit=float(rng.integers(0, 40)))
         if res.status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE):
@@ -536,9 +537,43 @@ def test_one_pick_left_closes_with_exact_values_and_bound(kind):
         state = functools.reduce(scorer.add, np.flatnonzero(rng.random(m) < 0.3), scorer.root)
         free = np.flatnonzero(rng.random(m) < rng.uniform(0.0, 1.0))
         value = scorer.value(state)
-        _, bound, closed = scorer.expand(state, value, free, 1)
+        _, closed, _, bounds = scorer.expand(state, value, free, 1)
         assert closed.tolist() == [scorer.value(scorer.add(state, j)) for j in free]
-        assert bound == max(closed.tolist(), default=value)
+        assert bounds[0] == max(closed.tolist(), default=value)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.MAX_VISIBILITY_COVERAGE, ModelKind.THRESHOLD_COVERAGE])
+def test_one_pass_orders_and_bounds_the_whole_exclusion_chain(kind):
+    # the exclusion siblings of a state pick in repeated-argmax order, and
+    # the bound of the link whose free set is order[s:] is the one the
+    # per-node oracle gives that free set on its own, to the last bit
+    rng = np.random.default_rng(89)
+    for t in range(600):
+        n, m = int(rng.integers(1, 150)), int(rng.integers(1, 16))
+        model = _random_model(rng, kind, n, m, 1)
+        if kind is ModelKind.THRESHOLD_COVERAGE:
+            if t % 2:  # quarter steps: exact sums, tied scores and needs met exactly
+                phi = np.where(model.cover > 0, rng.integers(1, 4, (n, m)) / 4, 0.0)
+                model = IlpModel(kind, phi, 1, threshold=float(rng.integers(1, 6)) / 4)
+            scorer = ilp._QualitySums(model.cover, model.threshold)
+        else:
+            scorer = ilp._PackedCover(model.cover)
+        state = functools.reduce(scorer.add, np.flatnonzero(rng.random(m) < 0.3), scorer.root)
+        free = np.flatnonzero(rng.random(m) < rng.uniform(0.0, 1.0))
+        budget = int(rng.integers(1, 6))
+        value = scorer.value(state)
+        scores, closed, order, bounds = scorer.expand(state, value, free, budget)
+        assert (closed is None) == (budget > 1)
+        assert len(bounds) == free.size + 1 and bounds[-1] == value
+        rest = free
+        for s in range(free.size + 1):
+            ref_scores, ref_bound = node_bound(scorer, state, value, rest, budget)
+            if s == 0:
+                assert (scores == ref_scores).all()
+            assert bounds[s] == ref_bound, (t, s)
+            if s < free.size:
+                assert free[order[s]] == rest[np.argmax(ref_scores)], (t, s)
+                rest = rest[rest != free[order[s]]]
 
 
 @pytest.fixture(scope="module")
@@ -580,3 +615,29 @@ def test_solve_matches_the_per_child_reference_search_on_the_room(room_models):
         assert a.nodes <= ref.nodes
         nodes, ref_nodes = nodes + a.nodes, ref_nodes + ref.nodes
     assert nodes < ref_nodes
+
+
+# (nodes, placement) of every room model as `ilp.solve` found them while each
+# exclusion sibling was still bounded by a pass of its own: P1 at k=1..6, P3
+# at k=1..3, then P2's bisection steps
+ROOM_SEARCH = [
+    (1, (13,)), (1, (13, 40)), (1, (13, 40)), (1, (13, 40)), (1, (13, 40)), (1, (13, 40)),
+    (1, (27,)), (103, (9, 44)), (1707, (3, 24, 51)),
+    (0, (13,)), (1, None), (1, None), (0, (25,)), (1, None), (0, (28,)), (1, None),
+    (0, (28,)), (0, (28,)), (1, None), (1, None), (1, None), (0, (28,)), (1, None),
+    (0, (28,)), (0, (28,)), (0, (13, 40)), (0, (15, 44)), (1, None), (1, None), (1, None),
+    (1, None), (1, None), (1, None), (0, (15, 44)), (1, None), (1, None), (1, None),
+    (1, None), (0, (15, 44)), (1, None), (1, None), (1, None), (0, (13, 40)),
+    (0, (7, 23, 44)), (1, None), (1, None), (0, (9, 37, 40)), (0, (8, 41, 43)), (1, None),
+    (159, (13, 16, 44)), (149, (13, 16, 44)), (145, (13, 16, 44)), (1, None), (1, None),
+    (1, None), (145, (13, 16, 44)), (1, None), (1, None), (1, None), (0, (13, 40)),
+    (0, (4, 12, 40, 44)), (1, None), (0, (7, 17, 43, 46)), (1, None), (0, (10, 13, 43, 46)),
+    (1, None), (0, (7, 10, 43, 46)), (1, None), (0, (7, 10, 43, 46)), (0, (10, 13, 43, 46)),
+    (0, (10, 13, 43, 46)), (0, (10, 13, 43, 46)), (1, None), (1, None), (1, None),
+    (0, (10, 13, 43, 46)),
+]
+
+
+def test_the_room_search_visits_the_recorded_nodes(room_models):
+    # any change to the search's order, bounds or stop rule shows up here
+    assert [(r.nodes, r.placement) for r in map(sc.solve, room_models)] == ROOM_SEARCH
