@@ -51,6 +51,22 @@ class IlpModel:
     radius: float | None = None  # feasibility kind only
     rho: float | None = None  # feasibility kind only
 
+    def __post_init__(self):
+        """Every model, however built, is checked here; None and NaN fail."""
+        if self.kind is ModelKind.THRESHOLD_COVERAGE:
+            if self.threshold is None or not 0 < self.threshold < math.inf:
+                raise ValueError("threshold must be positive and finite")
+            object.__setattr__(self, "threshold", float(self.threshold))
+        if self.kind is ModelKind.FEASIBILITY_COVER:
+            if self.radius is None or not self.radius >= 0:  # inf keeps every visible pair
+                raise ValueError("radius must be nonnegative")
+            if self.rho is None or not 0 <= self.rho <= 1:  # rho == 0 is a degenerate edge
+                raise ValueError("rho must be in [0, 1]")
+            object.__setattr__(self, "radius", float(self.radius))
+            object.__setattr__(self, "rho", float(self.rho))
+        if self.k < 0:  # k > M is allowed: the cardinality row is simply non-binding
+            raise ValueError("sensor budget k must be non-negative")
+
     @property
     def n_samples(self) -> int:
         return self.cover.shape[0]
@@ -118,49 +134,25 @@ class SolveResult:
 def build_visibility_model(instance: CoverageInstance, k: int) -> IlpModel:
     if instance.kind is not QualityKind.VISIBILITY:
         raise ValueError("visibility model requires a visibility-kind instance")
-    _check_budget(k)
-    return IlpModel(
-        kind=ModelKind.MAX_VISIBILITY_COVERAGE,
-        cover=instance.vis.bits.copy(),
-        k=k,
-    )
+    return IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, instance.vis.bits.copy(), k)
 
 
 def build_cumulative_model(instance: CoverageInstance, k: int, threshold: float) -> IlpModel:
     if instance.kind is not QualityKind.LAMBERT_INVERSE_SQUARE:
         raise ValueError("cumulative model requires a Lambert inverse-square instance")
-    if threshold is None or not 0 < threshold < math.inf:  # NaN fails both
-        raise ValueError("threshold must be positive and finite")
-    _check_budget(k)
-    return IlpModel(
-        kind=ModelKind.THRESHOLD_COVERAGE,
-        cover=instance.phi.copy(),
-        k=k,
-        threshold=float(threshold),
-    )
+    return IlpModel(ModelKind.THRESHOLD_COVERAGE, instance.phi.copy(), k, threshold)
 
 
 def build_feasibility_model(
     instance: CoverageInstance, k: int, radius: float, rho: float
 ) -> IlpModel:
-    if not radius >= 0:  # NaN fails; an infinite radius keeps every visible pair
-        raise ValueError("radius must be nonnegative")
-    if not 0 <= rho <= 1:  # rho == 0 demands nothing: a degenerate edge, allowed
-        raise ValueError("rho must be in [0, 1]")
-    _check_budget(k)
     return IlpModel(
         kind=ModelKind.FEASIBILITY_COVER,
         cover=instance.covers_within(radius),
         k=k,
-        radius=float(radius),
-        rho=float(rho),
+        radius=radius,
+        rho=rho,
     )
-
-
-def _check_budget(k: int) -> None:
-    if k < 0:
-        raise ValueError("sensor budget k must be non-negative")
-    # k > M is allowed; the cardinality row is simply non-binding
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +177,20 @@ class _PackedCover:
     def value(self, state) -> int:
         return int(np.bitwise_count(state).sum())
 
-    def expand(self, state, value: int, free: np.ndarray, budget: int):
+    def expand(self, state, free: np.ndarray, budget: int):
         """One pass over `free` for a state and its whole exclusion chain.
-        Returns the branching scores (newly covered samples) and, with one
-        pick left, the closing values (the covered count with each free
-        candidate added; None with more picks left), both in `free`'s order;
-        the branching order (descending score, lowest index on ties) as
-        positions in `free`; and bounds[s] on the subtree whose free set is
-        the order's suffix s, for s = 0..F (bounds[F] is `value`). The gains
-        descend along the order, so one pick left bounds a suffix by its
-        first closing value, and more by its `budget` first gains, capped by
-        the union of its columns, which no selection can exceed."""
+        The pass counts the state's own value too, so it takes no value
+        argument. Returns the branching scores (newly covered samples) and,
+        with one pick left, the closing values (the covered count with each
+        free candidate added; None with more picks left), both in `free`'s
+        order; the branching order (descending score, lowest index on ties)
+        as positions in `free`; and bounds[s] on the subtree whose free set
+        is the order's suffix s, for s = 0..F (bounds[F] is the state's
+        value). The gains descend along the order, so one pick left bounds a
+        suffix by its first closing value, and more by its `budget` first
+        gains, capped by the union of its columns, which no selection can
+        exceed."""
+        value = self.value(state)
         fresh = self.cols[free] & ~state
         gains = np.bitwise_count(fresh).sum(axis=1, dtype=np.int64)
         order = np.argsort(-gains, kind="stable")
@@ -223,18 +218,20 @@ class _QualitySums:
     def value(self, state) -> int:
         return int(meets_threshold(state, self.threshold).sum())
 
-    def expand(self, state, value: int, free: np.ndarray, budget: int):
+    def expand(self, state, free: np.ndarray, budget: int):
         """As `_PackedCover.expand`, with scores the summed progress toward
         each open sample's deficit. Adding phi >= 0 never lowers an IEEE sum,
-        so covered rows stay covered and only the open rows are gathered. One
-        pick left bounds a suffix by its best closing value; with more, each
-        open sample independently takes the `budget` best contributions of
-        the suffix. Those sums obey top_t[s] = max over p >= s of
-        (a[p] + top_t-1[p + 1]) in branching order, with a zero row past the
-        end: one add and one running maximum per level, taken row by row
-        (numpy's `maximum.accumulate` down axis 0 walks one column at a
+        so covered rows stay covered and only the open rows are gathered; the
+        state's value, bounds[F], counts the rows the open-row mask leaves
+        out. One pick left bounds a suffix by its best closing value; with
+        more, each open sample independently takes the `budget` best
+        contributions of the suffix. Those sums obey top_t[s] = max over
+        p >= s of (a[p] + top_t-1[p + 1]) in branching order, with a zero row
+        past the end: one add and one running maximum per level, taken row by
+        row (numpy's `maximum.accumulate` down axis 0 walks one column at a
         time)."""
         open_rows = np.flatnonzero(~meets_threshold(state, self.threshold))
+        value = state.size - open_rows.size
         sums = state[open_rows]
         need = self.threshold - sums
         sub = self.phi[open_rows][:, free]
@@ -260,7 +257,7 @@ def _greedy_incumbent(scorer, m: int, k: int, deadline: float):
     state = scorer.root
     free = np.arange(m)
     for _ in range(k):
-        scores = scorer.expand(state, 0, free, 1)[0]
+        scores = scorer.expand(state, free, 1)[0]
         best = int(np.argmax(scores))  # argmax keeps lowest index on ties
         if scores[best] <= 0:
             break
@@ -275,7 +272,7 @@ def _greedy_incumbent(scorer, m: int, k: int, deadline: float):
                 return selected, current
             others = selected[:si] + selected[si + 1 :]
             base = functools.reduce(scorer.add, others, scorer.root)
-            values = scorer.expand(base, scorer.value(base), cands, 1)[1]
+            values = scorer.expand(base, cands, 1)[1]
             better = np.flatnonzero(values > current)
             if better.size:
                 j = int(cands[better[0]])
@@ -350,16 +347,17 @@ def solve(
     kind adds a quality column to the per-sample sums. The exclusion sibling
     of a pick keeps its parent's state and loses the pick from its free set,
     so a state's siblings pick down its branching order: one pass over the
-    free columns (`expand`) gives that order, the bound of every link of the
-    chain and, with one pick left, the closing values. A stack entry is one
-    link: the state, its value and picks, the order, the bounds, the closing
-    values in branching order (None with more picks left) and the link s, whose
-    free set is order[s:]. With more picks left, the boolean kinds bound by
-    covered + min(sum of the `budget` best marginal gains, samples any free
-    candidate can still reach): the first term is valid by submodularity, the
-    second because no selection covers more than the union of the free
-    columns; for the threshold kind each open sample takes its `budget` best
-    free contributions. With one pick left the bound is exact, the best
+    free columns (`expand`, which takes no value argument) gives that order,
+    the bound of every link of the chain and, with one pick left, the closing
+    values. A stack entry is one link, (state, picks, order, bounds, closing
+    values, s): the closing values are in branching order (None with more
+    picks left), link s's free set is order[s:], and the state's value is
+    bounds[-1]. With more picks left, the boolean kinds bound by covered +
+    min(sum of the `budget` best marginal gains, samples any free candidate
+    can still reach): the first term is valid by submodularity, the second
+    because no selection covers more than the union of the free columns; for
+    the threshold kind each open sample takes its `budget` best free
+    contributions. With one pick left the bound is exact, the best
     closing value, and the node counts as one node; it keeps what the
     per-child search would, the first maximum in branching order. A
     feasibility model branches on its gains, so its first maximum is also its
@@ -383,10 +381,9 @@ def solve(
         scorer = _PackedCover(model.cover)
 
     def chain(state, selected, free):
-        value = scorer.value(state)
-        _, closed, order, bounds = scorer.expand(state, value, free, k - len(selected))
+        _, closed, order, bounds = scorer.expand(state, free, k - len(selected))
         closed = None if closed is None else closed[order]
-        return state, value, selected, free[order], bounds, closed, 0
+        return state, selected, free[order], bounds, closed, 0
 
     incumbent, inc_value = _greedy_incumbent(scorer, m, k, deadline)
     nodes, root_proof = 0, -math.inf  # root_proof: a Lagrangian bound below the target
@@ -398,7 +395,7 @@ def solve(
     stack = [chain(scorer.root, [], np.arange(m))] if search else []
 
     while stack and inc_value < target:
-        entry = state, value, selected, order, bounds, closed, s = stack.pop()
+        entry = state, selected, order, bounds, closed, s = stack.pop()
         nodes += 1
         if time.perf_counter() > deadline:
             stack.append(entry)  # still unexplored
@@ -406,8 +403,8 @@ def solve(
         # a node with one pick left never beats the incumbent here (a k-set
         # holding its picks came first), so one that meets a target branches
         # and the loop test then stops the search
-        if value > inc_value:
-            incumbent, inc_value = selected, value
+        if bounds[-1] > inc_value:
+            incumbent, inc_value = selected, int(bounds[-1])
         if bounds[s] <= inc_value:  # the last bound is the value: a link left has a pick
             continue
         if closed is not None:
@@ -417,7 +414,7 @@ def solve(
             incumbent, inc_value = selected + [int(order[np.argmax(closed)])], int(bounds[0])
             continue
         pick = int(order[s])
-        stack.append((state, value, selected, order, bounds, closed, s + 1))
+        stack.append((state, selected, order, bounds, closed, s + 1))
         stack.append(chain(scorer.add(state, pick), selected + [pick], np.sort(order[s + 1 :])))
 
     primal = float(inc_value)
@@ -426,7 +423,7 @@ def solve(
     if inc_value >= target:
         status = SolveStatus.OPTIMAL
     elif stack:  # the clock stopped the search before the stacked links
-        open_bound = max(bounds[s] for _, _, _, _, bounds, _, s in stack)
+        open_bound = max(bounds[s] for _, _, _, bounds, _, s in stack)
         dual = float(max(primal, open_bound))  # the bounds are ints
         gap = (dual - primal) / max(1.0, abs(primal))
         # only an optimization model can settle for a gap within tolerance

@@ -48,9 +48,12 @@ def test_problem3_k0_rejects_bad_threshold():
     rng = np.random.default_rng(0)
     inst = random_instance(rng, 8, 4, QualityKind.LAMBERT_INVERSE_SQUARE)
     for k in (0, 1):
-        for threshold in (-1.0, None, math.nan, math.inf):
+        for threshold in (-1.0, 0.0, None, math.nan, math.inf):
             with pytest.raises(ValueError, match="threshold must be positive"):
                 sc.solve_problem3(inst, k, threshold)
+            # a model built directly is checked the same way
+            with pytest.raises(ValueError, match="threshold must be positive"):
+                IlpModel(ModelKind.THRESHOLD_COVERAGE, inst.phi, k, threshold)
     with pytest.raises(ValueError, match="threshold must be positive"):
         sc.two_phase_coverage(inst, None, k=1, pitch_fine=0.5, neighborhood=1.0)
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import sys
 import time
 
@@ -134,13 +135,25 @@ def test_feasibility_line_k2_r4():
     assert res.status is SolveStatus.OPTIMAL
 
 
-def test_feasibility_model_rejects_a_negative_or_nan_radius():
+def test_models_reject_out_of_range_fields():
+    # a model built directly is checked as a built one is, with the same messages
     inst = vis_instance(EXAMPLE_BITS)
-    for radius in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="radius must be nonnegative"):
-            sc.build_feasibility_model(inst, 1, radius, 0.5)
-    # an infinite radius keeps every visible pair
-    assert (sc.build_feasibility_model(inst, 1, math.inf, 0.5).cover == EXAMPLE_BITS).all()
+    built = functools.partial(sc.build_feasibility_model, inst, 1)
+    direct = functools.partial(IlpModel, ModelKind.FEASIBILITY_COVER, EXAMPLE_BITS, 1)
+    for make, radii in ((built, (-1.0, math.nan)), (direct, (None, -1.0, math.nan))):
+        for radius in radii:
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                make(radius=radius, rho=0.5)
+        for rho in (None, math.nan, -0.1, 1.5):
+            with pytest.raises(ValueError, match=re.escape("rho must be in [0, 1]")):
+                make(radius=1.0, rho=rho)
+    rng = np.random.default_rng(5)
+    for kind in ModelKind:
+        with pytest.raises(ValueError, match="sensor budget k must be non-negative"):
+            _random_model(rng, kind, 4, 3, -1)
+    # fields are stored as Python floats; an infinite radius keeps every visible pair
+    assert type(direct(radius=np.float32(np.inf), rho=1).rho) is float
+    assert (built(radius=math.inf, rho=0.5).cover == EXAMPLE_BITS).all()
 
 
 def test_feasibility_monotone_in_radius():
@@ -486,7 +499,7 @@ def test_packed_values_never_increase_in_branching_order():
         # a random covered mask, packed the way the cover columns are
         state = ilp._PackedCover(rng.random((n, 1)) < rng.uniform(0.0, 0.8)).cols[0]
         free = np.flatnonzero(rng.random(m) < rng.uniform(0.2, 1.0))
-        gains, closed, order, _ = scorer.expand(state, scorer.value(state), free, 1)
+        gains, closed, order, _ = scorer.expand(state, free, 1)
         assert (order == np.argsort(-gains, kind="stable")).all()
         vals = closed[order]
         assert (vals[1:] <= vals[:-1]).all()
@@ -537,7 +550,7 @@ def test_one_pick_left_closes_with_exact_values_and_bound(kind):
         state = functools.reduce(scorer.add, np.flatnonzero(rng.random(m) < 0.3), scorer.root)
         free = np.flatnonzero(rng.random(m) < rng.uniform(0.0, 1.0))
         value = scorer.value(state)
-        _, closed, _, bounds = scorer.expand(state, value, free, 1)
+        _, closed, _, bounds = scorer.expand(state, free, 1)
         assert closed.tolist() == [scorer.value(scorer.add(state, j)) for j in free]
         assert bounds[0] == max(closed.tolist(), default=value)
 
@@ -562,7 +575,7 @@ def test_one_pass_orders_and_bounds_the_whole_exclusion_chain(kind):
         free = np.flatnonzero(rng.random(m) < rng.uniform(0.0, 1.0))
         budget = int(rng.integers(1, 6))
         value = scorer.value(state)
-        scores, closed, order, bounds = scorer.expand(state, value, free, budget)
+        scores, closed, order, bounds = scorer.expand(state, free, budget)
         assert (closed is None) == (budget > 1)
         assert len(bounds) == free.size + 1 and bounds[-1] == value
         rest = free
@@ -641,3 +654,20 @@ ROOM_SEARCH = [
 def test_the_room_search_visits_the_recorded_nodes(room_models):
     # any change to the search's order, bounds or stop rule shows up here
     assert [(r.nodes, r.placement) for r in map(sc.solve, room_models)] == ROOM_SEARCH
+
+
+def test_a_threshold_search_counts_each_state_inside_its_expansion(room_models, monkeypatch):
+    # `expand` counts a state's value from the open-row mask it builds anyway;
+    # only the warm start's final count calls `value`
+    model = next(m for m in room_models if m.kind is ModelKind.THRESHOLD_COVERAGE and m.k == 3)
+    calls = [0]
+    value = ilp._QualitySums.value
+
+    def counted(self, state):
+        calls[0] += 1
+        return value(self, state)
+
+    monkeypatch.setattr(ilp._QualitySums, "value", counted)
+    res = sc.solve(model)
+    assert (res.nodes, res.placement) == (1707, (3, 24, 51))
+    assert calls[0] == 1
