@@ -69,7 +69,10 @@ def solve_problem2(
 ) -> tuple[float, tuple[int, ...], SolveResult]:
     """Smallest radius r such that k sensors within distance r (and visible)
     can cover a rho fraction of the samples; binary search over the finite set
-    of pairwise distances, each step an exact feasibility solve.
+    of pairwise distances, each step an exact feasibility solve. Each step's
+    Lagrangian multipliers start the next step's root test: any multipliers
+    bound every radius, and those that prove a radius infeasible prove every
+    smaller one too, since a smaller radius only drops cover entries.
 
     `time_limit` bounds the whole search: each step gets the time left. The
     search stops at the first step that runs out of time, or before a step
@@ -79,11 +82,17 @@ def solve_problem2(
     """
     radii = candidate_radii(instance)
     deadline = math.inf if time_limit is None else time.perf_counter() + time_limit
+    multipliers = None  # of the last step, the next step's Lagrangian start
 
     def step(r: float) -> SolveResult:
-        """The exact feasibility solve at radius r in the time left."""
+        """The exact feasibility solve at radius r in the time left, its
+        Lagrangian root test started where the previous step's ended."""
+        nonlocal multipliers
         left = max(0.0, deadline - time.perf_counter())
-        return solve(build_feasibility_model(instance, k, r, rho), time_limit=left)
+        model = build_feasibility_model(instance, k, r, rho)
+        res = solve(model, time_limit=left, multipliers=multipliers)
+        multipliers = res.multipliers
+        return res
 
     hi = len(radii) - 1
     top = step(float(radii[hi]))

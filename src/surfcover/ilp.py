@@ -20,8 +20,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +42,11 @@ class SolveStatus(enum.Enum):
     TIME_LIMIT = "time-limit"
 
 
+def _check_radius(radius) -> None:
+    if radius is None or not radius >= 0:  # NaN fails; inf keeps every visible pair
+        raise ValueError("radius must be nonnegative")
+
+
 @dataclass(frozen=True)
 class IlpModel:
     kind: ModelKind
@@ -58,12 +64,15 @@ class IlpModel:
                 raise ValueError("threshold must be positive and finite")
             object.__setattr__(self, "threshold", float(self.threshold))
         if self.kind is ModelKind.FEASIBILITY_COVER:
-            if self.radius is None or not self.radius >= 0:  # inf keeps every visible pair
-                raise ValueError("radius must be nonnegative")
+            _check_radius(self.radius)
             if self.rho is None or not 0 <= self.rho <= 1:  # rho == 0 is a degenerate edge
                 raise ValueError("rho must be in [0, 1]")
             object.__setattr__(self, "radius", float(self.radius))
             object.__setattr__(self, "rho", float(self.rho))
+        try:
+            object.__setattr__(self, "k", operator.index(self.k))  # numpy ints too
+        except TypeError:
+            raise ValueError("sensor budget k must be an integer") from None
         if self.k < 0:  # k > M is allowed: the cardinality row is simply non-binding
             raise ValueError("sensor budget k must be non-negative")
 
@@ -94,17 +103,22 @@ class SolveResult:
     * placement: the sorted selected candidates; None when INFEASIBLE.
     * primal: covered count of the best selection found. After an
       INFEASIBLE proof this is the best count the search saw, which is the
-      true maximum only when the B&B ran; a root proof keeps the warm
-      start's count.
+      true maximum only when the B&B ran; a root proof keeps the greedy
+      picks' count.
     * dual_bound: upper bound on the covered count of any selection. An
       INFEASIBLE result's dual_bound is below the coverage target: it is the
       certificate.
     * gap: (dual_bound - primal) / max(1, |primal|) for a result stopped by
       the clock, else 0.
     * nodes: B&B nodes visited; a node with one pick left closes its last
-      level in place and counts once. 1 for an infeasibility proved at the
-      root, 0 when the warm start settles the model.
+      level in place and counts once. 1 when the root's Lagrangian test
+      settles a feasibility model either way, by a proof or by a covering
+      selection; 0 when the greedy picks and their swaps settle the model.
     * elapsed: wall seconds.
+    * multipliers: the Lagrangian multipliers over all N rows that the
+      feasibility root test ended at (the ones of its best bound), or the
+      ones `solve` was given when the test did not run. Not part of the
+      JSON form nor of equality.
     """
 
     status: SolveStatus
@@ -114,6 +128,7 @@ class SolveResult:
     gap: float
     nodes: int
     elapsed: float
+    multipliers: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,6 +161,7 @@ def build_cumulative_model(instance: CoverageInstance, k: int, threshold: float)
 def build_feasibility_model(
     instance: CoverageInstance, k: int, radius: float, rho: float
 ) -> IlpModel:
+    _check_radius(radius)  # before `covers_within` compares against it
     return IlpModel(
         kind=ModelKind.FEASIBILITY_COVER,
         cover=instance.covers_within(radius),
@@ -250,9 +266,9 @@ class _QualitySums:
         return scores, None, order, value + (need <= top + THRESHOLD_TOL).sum(axis=1)
 
 
-def _greedy_incumbent(scorer, m: int, k: int, deadline: float):
-    """Greedy pick + first-improving 1-swaps; deterministic warm start. The
-    swap search stops early at the deadline. Returns (selection, value)."""
+def _greedy_picks(scorer, m: int, k: int):
+    """Greedy picks, each the largest gain (lowest index on ties), until k
+    picks or no gain. Returns (selection, value)."""
     selected: list[int] = []
     state = scorer.root
     free = np.arange(m)
@@ -264,7 +280,12 @@ def _greedy_incumbent(scorer, m: int, k: int, deadline: float):
         selected.append(int(free[best]))
         state = scorer.add(state, selected[-1])
         free = free[free != selected[-1]]
-    current = scorer.value(state)
+    return selected, scorer.value(state)
+
+
+def _improve_by_swaps(scorer, m: int, selected: list[int], current: int, deadline: float):
+    """First-improving 1-swaps from a selection worth `current`; stops early
+    at the deadline. Returns (selection, value)."""
     for _ in range(20):  # swap passes, each ending at its first improvement
         cands = np.delete(np.arange(m), selected)
         for si in range(len(selected)):
@@ -291,7 +312,9 @@ _LAGRANGE_STALLS = 3  # halvings in a row without a better bound before the step
 _PROOF_TOL = 1e-6
 
 
-def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float) -> float:
+def _lagrangian_bound(
+    cover: np.ndarray, k: int, target: int, deadline: float, start: np.ndarray | None = None
+):
     """Smallest L(lam) met by Polyak subgradient steps toward target - 1, where
 
         L(lam) = sum_i max(0, 1 - lam_i) + (sum of the k largest positive (lam A)_j)
@@ -303,11 +326,18 @@ def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float) -
     the target (no proof exists), after `_LAGRANGE_STALLS` halvings of the
     step factor in a row with no better bound, after a fixed step count or at
     the deadline. Rows no candidate covers add nothing at lam_i = 1 and are left
-    out; the others start at lam_i = 1 / (number of candidates covering i)."""
-    cols = np.ascontiguousarray(cover[cover.any(axis=1)].T, dtype=np.float64)
+    out of the steps; the others start at `start` (any lam in [0, 1]^N, such
+    as the multipliers of a model with fewer cover entries) or else at
+    lam_i = 1 / (number of candidates covering i).
+
+    Returns the smallest L, the multipliers that gave it over all N rows (1
+    on the rows no candidate covers), and the sorted selection of the step
+    that covered the target (None when no step did)."""
+    coverable = cover.any(axis=1)
+    cols = np.ascontiguousarray(cover[coverable].T, dtype=np.float64)
     m, rows = cols.shape
-    lam = 1.0 / cols.sum(axis=0)
-    factor, best, stale = 2.0, math.inf, 0
+    lam = 1.0 / cols.sum(axis=0) if start is None else start[coverable]
+    factor, best, best_lam, stale, witness = 2.0, math.inf, lam, 0, None
     for _ in range(_LAGRANGE_STEPS):
         if time.perf_counter() > deadline:
             break
@@ -317,11 +347,14 @@ def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float) -
         value = rows - lam.sum() + weights[top].sum()  # lam stays in [0, 1]
         stale += 1  # steps since the last better bound
         if value < best:
-            best, stale = value, 0
+            best, best_lam, stale = value, lam, 0
         elif stale % _LAGRANGE_PATIENCE == 0:
             factor /= 2
         hits = cols[top].sum(axis=0)
-        if best < target - _PROOF_TOL or np.count_nonzero(hits) >= target:
+        if best < target - _PROOF_TOL:
+            break
+        if np.count_nonzero(hits) >= target:
+            witness = sorted(top.tolist())
             break
         if stale == _LAGRANGE_STALLS * _LAGRANGE_PATIENCE:
             break
@@ -330,13 +363,40 @@ def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float) -
         if norm == 0:  # lam minimises L
             break
         lam = np.minimum(np.maximum(lam - factor * (value - (target - 1)) / norm * grad, 0.0), 1.0)
-    return float(best)
+    multipliers = np.ones(cover.shape[0])
+    multipliers[coverable] = best_lam
+    return float(best), multipliers, witness
+
+
+def _root(model: IlpModel, scorer, k: int, target: float, deadline: float, multipliers):
+    """The root of a solve, before any branching: the greedy picks; when a
+    feasibility model's picks miss the target, the Lagrangian test started
+    at `multipliers`; unless that test settles the model, first-improving
+    1-swaps from the picks. A Lagrangian bound below the target proves the
+    model infeasible and keeps the picks' count; a step whose own selection
+    covers the target is the witness of feasibility. Either settles the
+    model in one node. Returns (selection, value, nodes, root proof or
+    -inf, the multipliers the test ended at, else those it was given)."""
+    m = model.n_candidates
+    selected, value = _greedy_picks(scorer, m, k)
+    if model.kind is ModelKind.FEASIBILITY_COVER and k > 0 and value < target:
+        bound, multipliers, witness = _lagrangian_bound(
+            model.cover, k, target, deadline, multipliers
+        )
+        if bound < target - _PROOF_TOL:
+            return selected, value, 1, bound, multipliers
+        if witness is not None:
+            state = functools.reduce(scorer.add, witness, scorer.root)
+            return witness, scorer.value(state), 1, -math.inf, multipliers
+    selected, value = _improve_by_swaps(scorer, m, selected, value, deadline)
+    return selected, value, 0, -math.inf, multipliers
 
 
 def solve(
     model: IlpModel,
     time_limit: float | None = None,
     gap_tol: float = 0.0,
+    multipliers: np.ndarray | None = None,
 ) -> SolveResult:
     """Exact deterministic branch and bound over the selection variables.
 
@@ -364,10 +424,11 @@ def solve(
     first candidate that meets the target. The search runs while nodes are
     stacked and the incumbent is below the target (the coverage target of the
     feasibility kind, else infinite); the clock stops it with the unexplored
-    links left stacked, and their bounds give the dual bound. When the
-    feasibility kind's warm start misses the target, a Lagrangian bound
-    (`_lagrangian_bound`) is tried first: if it falls below the target,
-    infeasibility is proved at the root.
+    links left stacked, and their bounds give the dual bound.
+
+    The root (`_root`) runs first and may settle a feasibility model; its
+    Lagrangian test starts at `multipliers` (N values in [0, 1]) when given,
+    and the result carries the multipliers it ended at.
     """
     start = time.perf_counter()
     deadline = math.inf if time_limit is None else start + time_limit
@@ -385,13 +446,10 @@ def solve(
         closed = None if closed is None else closed[order]
         return state, selected, free[order], bounds, closed, 0
 
-    incumbent, inc_value = _greedy_incumbent(scorer, m, k, deadline)
-    nodes, root_proof = 0, -math.inf  # root_proof: a Lagrangian bound below the target
-    if feasibility and k > 0 and inc_value < target:
-        lagrangian = _lagrangian_bound(model.cover, k, target, deadline)
-        if lagrangian < target - _PROOF_TOL:
-            root_proof, nodes = lagrangian, 1
-    search = k > 0 and not nodes and inc_value < target  # no root proof, target unmet
+    incumbent, inc_value, nodes, root_proof, multipliers = _root(
+        model, scorer, k, target, deadline, multipliers
+    )
+    search = k > 0 and not nodes and inc_value < target  # the root settled nothing
     stack = [chain(scorer.root, [], np.arange(m))] if search else []
 
     while stack and inc_value < target:
@@ -434,7 +492,7 @@ def solve(
     else:
         status = SolveStatus.OPTIMAL
     return SolveResult(
-        status, placement, primal, dual, gap, nodes, time.perf_counter() - start
+        status, placement, primal, dual, gap, nodes, time.perf_counter() - start, multipliers
     )
 
 

@@ -5,9 +5,10 @@ one child per free candidate all the way to the leaves, each node bounded on
 its own by `node_bound`. `ilp.solve` closes a node's last pick in one
 vectorised pass and reads every exclusion sibling's bound from its parent's
 pass instead; the tests require both to give the same placement, primal,
-status and dual bound. The reference takes no time limit and shares the
-solver's scorers (`add`, `value`), warm start and Lagrangian root test, so
-only the search loop and the per-node bound differ.
+status and dual bound. The reference takes no time limit, starts from the
+solver's own root (`ilp._root`: greedy picks, Lagrangian test, swaps) and
+shares its scorers (`add`, `value`), so only the search loop and the
+per-node bound differ.
 
 `brute_force_solve` enumerates every k-subset, counting each with
 `covered_count`, the model's covered count written from its definition.
@@ -61,29 +62,25 @@ def node_bound(scorer, state, value: int, free: np.ndarray, budget: int):
 def reference_solve(model: ilp.IlpModel) -> SolveResult:
     m = model.n_candidates
     k = min(model.k, m)
-    target = model.coverage_target if model.kind is ModelKind.FEASIBILITY_COVER else None
+    target = model.coverage_target if model.kind is ModelKind.FEASIBILITY_COVER else math.inf
     if model.kind is ModelKind.THRESHOLD_COVERAGE:
         scorer = ilp._QualitySums(model.cover, model.threshold)
     else:
         scorer = ilp._PackedCover(model.cover)
 
-    incumbent, inc_value = ilp._greedy_incumbent(scorer, m, k, math.inf)
-    nodes = 0
-    found_target = target is not None and inc_value >= target
-    root_proof = None
-    if target is not None and k > 0 and not found_target:
-        lagrangian = ilp._lagrangian_bound(model.cover, k, target, math.inf)
-        if lagrangian < target - ilp._PROOF_TOL:
-            root_proof, nodes = lagrangian, 1
+    incumbent, inc_value, nodes, root_proof, _ = ilp._root(
+        model, scorer, k, target, math.inf, None
+    )
+    found_target = inc_value >= target
 
     root = (scorer.root, scorer.value(scorer.root), np.arange(m), [])
-    stack = [] if k == 0 or found_target or root_proof is not None else [root]
+    stack = [] if k == 0 or found_target or nodes else [root]
     while stack:
         state, value, free, selected = stack.pop()
         nodes += 1
         if value > inc_value:
             incumbent, inc_value = selected, value
-            if target is not None and inc_value >= target:
+            if inc_value >= target:
                 found_target = True
                 break
         budget = k - len(selected)
@@ -99,10 +96,10 @@ def reference_solve(model: ilp.IlpModel) -> SolveResult:
         stack.append((child, scorer.value(child), rest, selected + [pick]))  # value 1 first
 
     primal = float(inc_value)
-    if found_target or target is None:
+    if found_target or target == math.inf:
         placement = tuple(sorted(incumbent))
         return SolveResult(SolveStatus.OPTIMAL, placement, primal, primal, 0.0, nodes, 0.0)
-    dual = primal if root_proof is None else max(primal, root_proof)
+    dual = max(primal, root_proof)
     return SolveResult(SolveStatus.INFEASIBLE, None, primal, dual, 0.0, nodes, 0.0)
 
 

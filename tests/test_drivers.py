@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import surfcover as sc
 from surfcover.coverage import QualityKind
 from surfcover.drivers import candidate_radii
-from surfcover import drivers
+from surfcover import drivers, ilp
 from surfcover.ilp import IlpModel, ModelKind, SolveResult, SolveStatus
 
 from _bnb_reference import brute_force_solve, covered_count
@@ -145,10 +146,10 @@ def _probed_radii(monkeypatch, inst, spend=0.0, **kwargs):
     real = drivers.solve
     radii = []
 
-    def solve(model, time_limit=None):
+    def solve(model, time_limit=None, **kwargs):
         radii.append(model.radius)
         time.sleep(min(time_limit, spend) if time_limit is not None else spend)
-        return real(model)
+        return real(model, **kwargs)
 
     monkeypatch.setattr(drivers, "solve", solve)
     out = sc.solve_problem2(inst, **kwargs)
@@ -214,6 +215,81 @@ def test_problem2_result_is_a_witnessed_optimum():
                 sc.solve(build_feasibility_model(inst, k, below, rho)).status
                 is SolveStatus.INFEASIBLE
             )
+
+
+def _lagrangian_at_radii(instance, lam, k, radii):
+    """L(lam) of the feasibility model at each radius: sum_i max(0, 1 - lam_i)
+    plus the k largest positive column weights, each column's weight at r
+    being the running sum of lam over its visible samples in distance order
+    up to r."""
+    weights = np.empty((instance.n_candidates, len(radii)))
+    for j in range(instance.n_candidates):
+        seen = np.flatnonzero(instance.vis.bits[:, j])
+        order = np.argsort(instance.dist[seen, j])
+        running = np.concatenate([[0.0], np.cumsum(lam[seen][order])])
+        weights[j] = running[np.searchsorted(instance.dist[seen, j][order], radii, "right")]
+    top = np.sort(weights, axis=0)[-k:]
+    return np.maximum(0.0, 1.0 - lam).sum() + np.maximum(top, 0.0).sum(axis=0)
+
+
+def test_problem2_carries_multipliers_that_prove_every_radius_below_the_optimum(
+    room_scene, monkeypatch
+):
+    # the step just below r* is proved at the root, and the multipliers it
+    # hands on bound that radius and every smaller one below the target
+    _, _, samples, candidates, vm = room_scene
+    inst = sc.build_instance(samples, candidates, vm, QualityKind.VISIBILITY)
+    radii = candidate_radii(inst)
+    real = drivers.solve
+    steps = {}
+
+    def solve(model, **kwargs):
+        steps[model.radius] = res = real(model, **kwargs)
+        return res
+
+    monkeypatch.setattr(drivers, "solve", solve)
+    for k in range(1, 5):
+        steps.clear()
+        r_star, _, _ = sc.solve_problem2(inst, k, rho=0.9)
+        idx = int(np.searchsorted(radii, r_star))
+        below = steps[float(radii[idx - 1])]
+        assert (below.status, below.nodes) == (SolveStatus.INFEASIBLE, 1)
+        lam = below.multipliers
+        assert lam.shape == (inst.n_samples,) and 0 <= lam.min() and lam.max() <= 1
+        target = sc.build_feasibility_model(inst, k, r_star, 0.9).coverage_target
+        assert (_lagrangian_at_radii(inst, lam, k, radii[:idx]) < target - ilp._PROOF_TOL).all()
+
+
+def test_problem2_calls_share_no_multipliers(room_scene, monkeypatch):
+    # the multipliers live inside one call: a second call repeats the first
+    # one's answer and each of its Lagrangian step counts (one clock read per
+    # step)
+    _, _, samples, candidates, vm = room_scene
+    inst = sc.build_instance(samples, candidates, vm, QualityKind.VISIBILITY)
+    real, clock = ilp._lagrangian_bound, time.perf_counter
+    counts = []
+
+    def counted(*args):
+        reads = [0]
+
+        def counting_clock():
+            reads[0] += 1
+            return clock()
+
+        with monkeypatch.context() as mp:
+            mp.setattr(ilp.time, "perf_counter", counting_clock)
+            out = real(*args)
+        counts.append(reads[0])
+        return out
+
+    monkeypatch.setattr(ilp, "_lagrangian_bound", counted)
+    runs = []
+    for _ in range(2):
+        counts.clear()
+        r, placement, res = sc.solve_problem2(inst, 3, rho=0.9)
+        runs.append((r, placement, replace(res, elapsed=0.0), list(counts)))
+    assert runs[0] == runs[1]
+    assert len(runs[0][3]) > 3
 
 
 def test_problem3_huge_threshold_covers_nothing():

@@ -140,8 +140,8 @@ def test_models_reject_out_of_range_fields():
     inst = vis_instance(EXAMPLE_BITS)
     built = functools.partial(sc.build_feasibility_model, inst, 1)
     direct = functools.partial(IlpModel, ModelKind.FEASIBILITY_COVER, EXAMPLE_BITS, 1)
-    for make, radii in ((built, (-1.0, math.nan)), (direct, (None, -1.0, math.nan))):
-        for radius in radii:
+    for make in (built, direct):
+        for radius in (None, -1.0, math.nan):  # the builder checks before comparing
             with pytest.raises(ValueError, match="radius must be nonnegative"):
                 make(radius=radius, rho=0.5)
         for rho in (None, math.nan, -0.1, 1.5):
@@ -151,6 +151,11 @@ def test_models_reject_out_of_range_fields():
     for kind in ModelKind:
         with pytest.raises(ValueError, match="sensor budget k must be non-negative"):
             _random_model(rng, kind, 4, 3, -1)
+        for k in (1.5, 2.0, None):
+            with pytest.raises(ValueError, match="sensor budget k must be an integer"):
+                _random_model(rng, kind, 4, 3, k)
+        # a numpy integer budget is stored as a Python int
+        assert type(_random_model(rng, kind, 4, 3, np.int64(2)).k) is int
     # fields are stored as Python floats; an infinite radius keeps every visible pair
     assert type(direct(radius=np.float32(np.inf), rho=1).rho) is float
     assert (built(radius=math.inf, rho=0.5).cover == EXAMPLE_BITS).all()
@@ -377,7 +382,7 @@ def test_lagrangian_bound_never_undercuts_the_optimum():
         n, m, k = int(rng.integers(1, 40)), int(rng.integers(1, 8)), int(rng.integers(1, 4))
         model = IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, rng.random((n, m)) < 0.3, k)
         best = brute_force_solve(model).primal
-        assert _lagrangian_bound(model.cover, min(k, m), int(best) + 1, math.inf) >= best - 1e-9
+        assert _lagrangian_bound(model.cover, min(k, m), int(best) + 1, math.inf)[0] >= best - 1e-9
 
 
 def test_feasibility_status_matches_brute_force_over_many_models():
@@ -388,8 +393,9 @@ def test_feasibility_status_matches_brute_force_over_many_models():
         model = _random_model(rng, ModelKind.FEASIBILITY_COVER, n, m, k)
         a = _assert_matches_brute_force(model)
         if a.status is SolveStatus.INFEASIBLE:
-            lagrangian = _lagrangian_bound(model.cover, min(k, m), model.coverage_target, math.inf)
-            if lagrangian < model.coverage_target - 1e-6:
+            target = model.coverage_target
+            lagrangian = _lagrangian_bound(model.cover, min(k, m), target, math.inf)[0]
+            if lagrangian < target - 1e-6:
                 root_proofs += 1
                 assert a.nodes == 1
                 assert a.dual_bound == max(a.primal, lagrangian)
@@ -406,6 +412,24 @@ def _k4_edges(copies):
     rho = (5 * copies + 1) / (6 * copies)
     cover = np.tile(block, (copies, 1))
     return IlpModel(ModelKind.FEASIBILITY_COVER, cover, 2, radius=1.0, rho=rho)
+
+
+def test_a_lagrangian_selection_that_covers_the_target_settles_the_root():
+    # c0 sees the middle six samples, c1 and c2 five each, and together all
+    # ten. The greedy picks take c0 and then cover 8; the first Lagrangian
+    # step weighs c1 and c2 at 3.5 against c0's 3, and its own selection
+    # covers all ten, so the root settles the model before any swap
+    bits = np.zeros((10, 3), bool)
+    bits[2:8, 0] = bits[:5, 1] = bits[5:, 2] = True
+    model = IlpModel(ModelKind.FEASIBILITY_COVER, bits, 2, radius=1.0, rho=1.0)
+    assert ilp._greedy_picks(ilp._PackedCover(bits), 3, 2) == ([0, 1], 8)
+    res = sc.solve(model)
+    assert (res.status, res.nodes, res.placement) == (SolveStatus.OPTIMAL, 1, (1, 2))
+    assert res.primal == 10.0
+    assert covered_count(model, res.placement) >= model.coverage_target
+    assert _same_answer(res, reference_solve(model))
+    # the multipliers it ends at are those of its one step, over all rows
+    assert res.multipliers.tolist() == [1.0, 1.0] + [0.5] * 6 + [1.0, 1.0]
 
 
 def test_unproved_infeasibility_falls_back_to_branching():
@@ -426,7 +450,7 @@ def test_time_limit_bounds_the_lagrangian_steps():
     assert res.status is SolveStatus.TIME_LIMIT
     assert isinstance(res.dual_bound, float) and isinstance(res.primal, float)
     t0 = time.perf_counter()
-    assert _lagrangian_bound(model.cover, 2, model.coverage_target, t0 + 0.01) >= 100000
+    assert _lagrangian_bound(model.cover, 2, model.coverage_target, t0 + 0.01)[0] >= 100000
     assert time.perf_counter() - t0 < 0.01 + 0.5
 
 
@@ -444,10 +468,10 @@ def test_lagrangian_steps_stop_once_the_halvings_stall(monkeypatch):
         return clock()
 
     monkeypatch.setattr(ilp.time, "perf_counter", counting_clock)
-    bound = _lagrangian_bound(model.cover, 2, model.coverage_target, math.inf)
+    bound, _, witness = _lagrangian_bound(model.cover, 2, model.coverage_target, math.inf)
     monkeypatch.undo()
     assert steps < 100
-    assert bound == 6.0
+    assert bound == 6.0 and witness is None
 
 
 def _same_answer(a, b):
@@ -467,24 +491,30 @@ def test_solve_matches_the_per_child_reference_search():
 
 
 def test_feasibility_stops_at_the_first_selection_that_meets_the_target():
-    # a target one above the warm start makes the B&B run; the search stops
-    # at the first selection that reaches it, which may cover fewer samples
-    # than a selection the search has not reached yet
+    # a target one above the greedy picks and their swaps makes the B&B run
+    # whenever the Lagrangian test settles nothing at the root; the search
+    # stops at the first selection that reaches the target, which may cover
+    # fewer samples than a selection the search has not reached yet
     rng = np.random.default_rng(71)
-    short_of_the_maximum = 0
+    searched = short_of_the_maximum = 0
     for _ in range(1000):
-        n, m, k = int(rng.integers(20, 80)), int(rng.integers(8, 16)), int(rng.integers(2, 6))
-        bits = rng.random((n, m)) < rng.uniform(0.05, 0.25)
-        _, warm = ilp._greedy_incumbent(ilp._PackedCover(bits), m, min(k, m), math.inf)
+        n, m, k = int(rng.integers(60, 150)), int(rng.integers(10, 20)), int(rng.integers(3, 6))
+        bits = rng.random((n, m)) < rng.uniform(0.05, 0.3)
+        scorer = ilp._PackedCover(bits)
+        picks, value = ilp._greedy_picks(scorer, m, min(k, m))
+        _, warm = ilp._improve_by_swaps(scorer, m, picks, value, math.inf)
         best = sc.solve(IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, bits, k)).primal
         if best < warm + 2:
             continue
         model = IlpModel(ModelKind.FEASIBILITY_COVER, bits, k, radius=1.0, rho=(warm + 1) / n)
+        if ilp._root(model, scorer, min(k, m), model.coverage_target, math.inf, None)[2]:
+            continue  # settled at the root by a Lagrangian step's selection
         a, ref = sc.solve(model), reference_solve(model)
         assert _same_answer(a, ref)
-        assert a.status is SolveStatus.OPTIMAL and a.nodes > 0
+        assert a.status is SolveStatus.OPTIMAL and a.nodes > 1
+        searched += 1
         short_of_the_maximum += a.primal < best
-    assert short_of_the_maximum >= 3
+    assert searched >= 10 and short_of_the_maximum >= 3
 
 
 def test_packed_values_never_increase_in_branching_order():
@@ -630,24 +660,26 @@ def test_solve_matches_the_per_child_reference_search_on_the_room(room_models):
     assert nodes < ref_nodes
 
 
-# (nodes, placement) of every room model as `ilp.solve` found them while each
-# exclusion sibling was still bounded by a pass of its own: P1 at k=1..6, P3
-# at k=1..3, then P2's bisection steps
+# (nodes, placement) of every room model as `ilp.solve` finds them from a cold
+# Lagrangian start: P1 at k=1..6, P3 at k=1..3, then P2's bisection steps.
+# The P1 and P3 entries were recorded while each exclusion sibling was still
+# bounded by a pass of its own; a P2 step with 1 node and a placement ends at
+# a Lagrangian step's covering selection
 ROOM_SEARCH = [
     (1, (13,)), (1, (13, 40)), (1, (13, 40)), (1, (13, 40)), (1, (13, 40)), (1, (13, 40)),
     (1, (27,)), (103, (9, 44)), (1707, (3, 24, 51)),
     (0, (13,)), (1, None), (1, None), (0, (25,)), (1, None), (0, (28,)), (1, None),
     (0, (28,)), (0, (28,)), (1, None), (1, None), (1, None), (0, (28,)), (1, None),
-    (0, (28,)), (0, (28,)), (0, (13, 40)), (0, (15, 44)), (1, None), (1, None), (1, None),
-    (1, None), (1, None), (1, None), (0, (15, 44)), (1, None), (1, None), (1, None),
-    (1, None), (0, (15, 44)), (1, None), (1, None), (1, None), (0, (13, 40)),
-    (0, (7, 23, 44)), (1, None), (1, None), (0, (9, 37, 40)), (0, (8, 41, 43)), (1, None),
-    (159, (13, 16, 44)), (149, (13, 16, 44)), (145, (13, 16, 44)), (1, None), (1, None),
-    (1, None), (145, (13, 16, 44)), (1, None), (1, None), (1, None), (0, (13, 40)),
-    (0, (4, 12, 40, 44)), (1, None), (0, (7, 17, 43, 46)), (1, None), (0, (10, 13, 43, 46)),
-    (1, None), (0, (7, 10, 43, 46)), (1, None), (0, (7, 10, 43, 46)), (0, (10, 13, 43, 46)),
-    (0, (10, 13, 43, 46)), (0, (10, 13, 43, 46)), (1, None), (1, None), (1, None),
-    (0, (10, 13, 43, 46)),
+    (0, (28,)), (0, (28,)), (0, (13, 40)), (1, (9, 45)), (1, None), (1, None), (1, None),
+    (1, None), (1, None), (1, None), (1, (15, 44)), (1, None), (1, None), (1, None),
+    (1, None), (1, (15, 44)), (1, None), (1, None), (1, None), (0, (13, 40)),
+    (0, (7, 23, 44)), (1, None), (1, None), (0, (9, 37, 40)), (1, (13, 17, 44)), (1, None),
+    (1, (13, 16, 44)), (1, (13, 16, 44)), (1, (13, 16, 44)), (1, None), (1, None),
+    (1, None), (1, (13, 16, 44)), (1, None), (1, None), (1, None), (0, (13, 40)),
+    (0, (4, 12, 40, 44)), (1, None), (1, (7, 17, 43, 46)), (1, None), (1, (10, 13, 43, 46)),
+    (1, None), (1, (7, 10, 43, 46)), (1, None), (1, (7, 10, 43, 46)), (1, (7, 10, 43, 46)),
+    (1, (10, 13, 43, 46)), (1, (10, 13, 43, 46)), (1, None), (1, None), (1, None),
+    (1, (10, 13, 43, 46)),
 ]
 
 
