@@ -39,7 +39,6 @@ from .mesh import (
     CandidateSet,
     SampleSet,
     TriangleMesh,
-    generate_candidates_box,
     generate_candidates_plane,
     load_candidate_set,
     load_obj,

@@ -79,9 +79,6 @@ class TriangleMesh:
         n = np.cross(b - a, c - a)
         return n / np.linalg.norm(n, axis=1, keepdims=True)
 
-    def bounds(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -140,7 +137,7 @@ class CandidateSet:
     """Discretized candidate sensor locations."""
 
     positions: np.ndarray  # (M, 3)
-    region_kind: str = "explicit-list"  # plane-at-height | box | explicit-list
+    region_kind: str = "explicit-list"  # plane-at-height | explicit-list
 
     def __post_init__(self):
         pos = _as_points(self.positions)
@@ -318,18 +315,6 @@ def generate_candidates_plane(
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pos = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(h))])
     return CandidateSet(positions=pos, region_kind="plane-at-height")
-
-
-def generate_candidates_box(lo, hi, pitch: float) -> CandidateSet:
-    """Regular 3D lattice inside the axis-aligned box [lo, hi]."""
-    if pitch <= 0:
-        raise ValueError("pitch must be positive")
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    axes = [_axis_points(lo[d], hi[d], pitch) for d in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    pos = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    return CandidateSet(positions=pos, region_kind="box")
 
 
 def save_json(obj, path) -> None:

@@ -32,10 +32,6 @@ class ConstrainedSphere:
     radius: float
     support: tuple[int, ...]  # indices of the <= 3 boundary points
 
-    def contains(self, p) -> bool:
-        d2 = float(np.sum((np.asarray(p, float) - self.center) ** 2))
-        return bool(_within(d2, self.radius**2))
-
 
 def _within(d2, r2: float):
     """The one containment rule: squared distance(s) `d2` lie inside the sphere
@@ -118,7 +114,7 @@ def min_sphere_fixed_plane(points, h_plane: float) -> ConstrainedSphere:
 
     Farthest-point pivoting after Gärtner: starting from point 0's sphere,
     each step finds the farthest point with one distance pass and stops once
-    `_within` (the rule of `ConstrainedSphere.contains`) holds it. Otherwise
+    `_within`, the one containment rule, holds it. Otherwise
     the support of at most three points pivots to the smallest closed-form
     sphere, over the <= 7 subsets of support + {far} that hold `far`, that
     holds all of them. The radius grows at each pivot, so no support repeats

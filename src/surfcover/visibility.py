@@ -34,6 +34,7 @@ class Bvh:
 
     boxes: np.ndarray  # (nodes, 2, 3, 1) lo and hi corners
     left: np.ndarray  # (nodes,) child index, -1 for leaves
+    axis: np.ndarray  # (nodes,) split axis; the right child holds the higher centroids; -1 for leaves
     start: np.ndarray  # (nodes,) first leaf of the node's range
     count: np.ndarray  # (nodes,) leaves in the node's range
     tri_order: np.ndarray  # (LEAF_SIZE, L) triangle index of each leaf slot, -1 if unused
@@ -55,21 +56,21 @@ def build_bvh(mesh: TriangleMesh) -> Bvh:
 
     order = np.arange(mesh.n_triangles)
     ranges = [(0, mesh.n_triangles)]  # node i holds order[lo:hi] of ranges[i]
-    nodes = []  # (lo, hi, left child, range start, range count) of node i
+    nodes = []  # (lo, hi, left child, range start, range count, split axis) of node i
     for lo_i, hi_i in ranges:  # splits append the children's ranges
         idx = order[lo_i:hi_i]
         lo, hi = tri_lo[idx].min(axis=0), tri_hi[idx].max(axis=0)
         n = hi_i - lo_i
         if n <= LEAF_SIZE:
-            nodes.append((lo, hi, -1, lo_i, n))
+            nodes.append((lo, hi, -1, lo_i, n, -1))
             continue
         axis = int(np.argmax(hi - lo))  # argmax takes first on ties: x, y, z
         order[lo_i:hi_i] = idx[np.argsort(centroids[idx, axis], kind="stable")]
         mid = lo_i + n // 2
-        nodes.append((lo, hi, len(ranges), lo_i, n))
+        nodes.append((lo, hi, len(ranges), lo_i, n, axis))
         ranges += [(lo_i, mid), (mid, hi_i)]
 
-    lo, hi, left, start, count = (np.array(column) for column in zip(*nodes))
+    lo, hi, left, start, count, axis = (np.array(column) for column in zip(*nodes))
     del nodes  # freed to keep the build's peak memory low
     boxes = np.stack([lo, hi], axis=1)[..., None]
     leaves = np.flatnonzero(left < 0)
@@ -84,6 +85,7 @@ def build_bvh(mesh: TriangleMesh) -> Bvh:
     return Bvh(
         boxes=boxes,
         left=left,
+        axis=axis,
         start=first_leaf,
         count=np.searchsorted(start[leaves], start + count) - first_leaf,
         tri_order=slot_tri,
@@ -147,14 +149,21 @@ def segments_occluded(bvh: Bvh, origins, targets) -> np.ndarray:
 def _slab_hits(box, r):
     """Slab test of segments o + t*d, t in [0, 1], against B boxes: box is (B,
     2, 3, 1) corners, r (2, 3, A) rows of o and 1 / d. Returns bool (B, A).
+    The axes' (B, A) entry and exit parameters are folded in x, y, z order.
     Where d == 0 on an axis, 1 / d = +-inf gives an origin inside the slab
     (-inf, inf) and one outside two same-signed infinities, a miss; one on a
-    slab plane gets 0 * inf = NaN, which the fmax / fmin reduces skip."""
-    t = (box - r[0]) * r[1]
-    tmin = np.minimum(t[:, 0], t[:, 1])
-    tmax = np.maximum(t[:, 0], t[:, 1], out=t[:, 1])
-    enter = np.maximum(np.fmax.reduce(tmin, axis=1), 0.0)
-    exit_ = np.minimum(np.fmin.reduce(tmax, axis=1), 1.0)
+    slab plane gets 0 * inf = NaN, which np.fmax / np.fmin skip."""
+    (o, inv), lo, hi = r, box[:, 0], box[:, 1]
+    for k in range(3):
+        a, b = (lo[:, k] - o[k]) * inv[k], (hi[:, k] - o[k]) * inv[k]
+        near, far = np.minimum(a, b), np.maximum(a, b, out=b)
+        if k == 0:
+            enter, exit_ = near, far
+        else:
+            np.fmax(enter, near, out=enter)
+            np.fmin(exit_, far, out=exit_)
+    np.maximum(enter, 0.0, out=enter)
+    np.minimum(exit_, 1.0, out=exit_)
     return enter <= exit_
 
 
@@ -195,6 +204,10 @@ def _triangle_hits(r, tri):
 def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Packet traversal of the BVH: each internal node slab-tests both children
     against the segments that reached it, each leaf runs Moller-Trumbore on them.
+    The child on the targets' side of the node's split axis is walked first, for
+    the packet's majority: a segment occluded there is dropped before the other
+    child is walked. The order changes only the work; a bit is the OR, over the
+    leaves whose box the segment hits, of the Moller-Trumbore hits.
 
     A subtree whose segments x leaves fit in PACKET_SEGMENTS is finished in one
     step: its leaf boxes are slab-tested once, and Moller-Trumbore runs only on
@@ -206,6 +219,7 @@ def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarra
     occluded = np.zeros(len(o), dtype=bool)
     boxes, tri, leaf_boxes = bvh.boxes, bvh.tri, bvh.leaf_boxes
     left, count, start = bvh.left.tolist(), bvh.count.tolist(), bvh.start.tolist()
+    axis = bvh.axis.tolist()
     ray = np.ascontiguousarray(np.stack([o, 1.0 / d, d]).transpose(0, 2, 1))  # o, 1/d, d
     stack = [(0, np.flatnonzero(_slab_hits(boxes[:1], ray[:2])[0]))]
     while stack:
@@ -215,8 +229,12 @@ def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarra
             continue
         lc, lo, n = left[node], start[node], count[node]
         if lc >= 0 and act.size * n > PACKET_SEGMENTS:
-            hit = _slab_hits(boxes[lc : lc + 2], ray[:2].take(act, axis=2))
-            stack += [(lc + 1, act[hit[1]]), (lc, act[hit[0]])]  # the left child pops first
+            r = ray[:2].take(act, axis=2)
+            hit = _slab_hits(boxes[lc : lc + 2], r)
+            if 2 * np.count_nonzero(r[1, axis[node]] > 0) > act.size:  # most point up the axis
+                stack += [(lc, act[hit[0]]), (lc + 1, act[hit[1]])]  # the right child pops first
+            else:
+                stack += [(lc + 1, act[hit[1]]), (lc, act[hit[0]])]
             continue
         leaf, seg = [lo], act  # a leaf: its own box was tested by its parent
         if lc >= 0:  # a collapsed subtree: the (leaf, segment) pairs whose leaf box hits

@@ -11,7 +11,7 @@ rule, so only the loop differs.
 incremental search, one point per containment test. `refine.min_sphere_fixed_plane`
 pivots on the farthest point instead; the tests require the same radius to a
 relative 1e-12. Both share the library's closed-form bases and containment
-rule.
+rule, `refine._within`, which `contains` applies to one point.
 """
 
 import random
@@ -70,10 +70,16 @@ def reference_refine_grid(
     return positions, current
 
 
+def contains(sphere, p) -> bool:
+    """Whether `sphere` holds point `p` under the library's containment rule."""
+    d2 = float(np.sum((np.asarray(p, float) - sphere.center) ** 2))
+    return bool(refine._within(d2, sphere.radius**2))
+
+
 def min_sphere_welzl(points, h_plane):
     """Welzl's triple loop over a shuffle with the fixed seed 0, with the
     library's closed-form bases `refine._basis_sphere` and its containment
-    rule `ConstrainedSphere.contains`."""
+    rule, `contains`."""
     pts = np.asarray(points, dtype=np.float64)
     order = list(range(len(pts)))
     random.Random(0).shuffle(order)
@@ -84,17 +90,17 @@ def min_sphere_welzl(points, h_plane):
     sphere = make([order[0]])
     for ii in range(1, len(order)):
         i = order[ii]
-        if sphere.contains(pts[i]):
+        if contains(sphere, pts[i]):
             continue
         sphere = make([i])
         for jj in range(ii):
             j = order[jj]
-            if sphere.contains(pts[j]):
+            if contains(sphere, pts[j]):
                 continue
             sphere = make([i, j])
             for ll in range(jj):
                 l = order[ll]
-                if sphere.contains(pts[l]):
+                if contains(sphere, pts[l]):
                     continue
                 sphere = make([i, j, l])
     return sphere

@@ -145,11 +145,6 @@ def test_candidates_point_rectangle():
     assert np.allclose(c.positions[0], [0, 0, 2])
 
 
-def test_candidates_box_lattice():
-    c = sc.generate_candidates_box((0, 0, 0), (1, 1, 1), 1.0)
-    assert len(c) == 8
-
-
 def test_candidate_duplicates_merged():
     c = sc.CandidateSet(positions=[[0, 0, 1], [1, 0, 1], [0, 0, 1]])
     assert len(c) == 2

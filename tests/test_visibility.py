@@ -25,6 +25,11 @@ from surfcover.visibility import (
 from conftest import box_mesh, make_sample_set, segment_occluded, square_mesh
 
 
+def bounds(mesh):
+    """The lo and hi corners of the mesh's vertices."""
+    return mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+
+
 def single_triangle():
     return sc.TriangleMesh([[-1, -1, 1], [1, -1, 1], [0, 1, 1]], [[0, 1, 2]])
 
@@ -38,7 +43,7 @@ def test_single_leaf_tree():
 def test_root_box_is_mesh_bounds():
     mesh = box_mesh((0, 0, 0), (2, 3, 4))
     bvh = sc.build_bvh(mesh)
-    lo, hi = mesh.bounds()
+    lo, hi = bounds(mesh)
     assert np.allclose(bvh.boxes[0, 0, :, 0], lo)
     assert np.allclose(bvh.boxes[0, 1, :, 0], hi)
 
@@ -346,7 +351,7 @@ def office_room():
 def hard_segments(mesh, rng, n):
     """Shrunk random, half-metre grid and vertex-to-vertex segments around the
     mesh, as origins and directions; half the zero direction components are -0.0."""
-    lo, hi = mesh.bounds()
+    lo, hi = bounds(mesh)
     lo, hi = lo - 0.5, hi + 0.5
     grid = np.round(rng.uniform(lo, hi, (2, n, 3)) * 2) / 2
     same = rng.random((n, 3)) < 0.4
@@ -446,7 +451,7 @@ def test_unused_leaf_slots_never_hit(scene, packet, room_scene, monkeypatch):
     unused = bvh.tri_order < 0
     assert unused.any()
     rng = np.random.default_rng(17)
-    lo, hi = mesh.bounds()
+    lo, hi = bounds(mesh)
     a = rng.uniform(lo - 1, hi + 1, (600, 3))
     through_origin = -a[:300] * rng.uniform(0.2, 3.0, (300, 1))
     b = np.vstack([through_origin, rng.uniform(lo - 1, hi + 1, (300, 3))])
@@ -478,7 +483,7 @@ def test_a_child_box_hit_implies_a_parent_box_hit(make):
     bvh = sc.build_bvh(mesh)
     rng = np.random.default_rng(13)
     n = 2000
-    lo, hi = mesh.bounds()
+    lo, hi = bounds(mesh)
     o = rng.uniform(lo - 0.5, hi + 0.5, (n, 3))
     node = rng.integers(0, len(bvh.left), n)
     planes = bvh.boxes[node[:, None], rng.integers(0, 2, (n, 3)), np.arange(3), 0]
@@ -497,6 +502,93 @@ def test_a_child_box_hit_implies_a_parent_box_hit(make):
     for child in (bvh.left[inner], bvh.left[inner] + 1):
         assert hits[child].any()
         assert not (hits[child] & ~hits[inner]).any()
+
+
+def _slab_hits_fused_ref(box, r):
+    """The slab test on one fused (B, 2, 3, A) array, reduced over the axes by
+    np.fmax / np.fmin: the per-axis kernel must give its bits."""
+    t = (box - r[0]) * r[1]
+    tmin = np.minimum(t[:, 0], t[:, 1])
+    tmax = np.maximum(t[:, 0], t[:, 1], out=t[:, 1])
+    enter = np.maximum(np.fmax.reduce(tmin, axis=1), 0.0)
+    exit_ = np.minimum(np.fmin.reduce(tmax, axis=1), 1.0)
+    return enter <= exit_
+
+
+@pytest.mark.parametrize("n_boxes", [1, 2, 64, 2048])
+@pytest.mark.parametrize("make", [terrain_800, office_room])
+def test_per_axis_slab_test_gives_the_fused_tests_bits(make, n_boxes):
+    mesh = make()
+    bvh = sc.build_bvh(mesh)
+    rng = np.random.default_rng(23)
+    tree = bvh.boxes
+    flat = tree.copy()  # lo == hi on one axis per box
+    axis = rng.integers(0, 3, len(flat))
+    flat[np.arange(len(flat)), 1, axis] = flat[np.arange(len(flat)), 0, axis]
+    endless = tree.copy()  # -inf lows and +inf highs
+    endless[:, 0][rng.random(endless[:, 0].shape) < 0.3] = -np.inf
+    endless[:, 1][rng.random(endless[:, 1].shape) < 0.3] = np.inf
+    pool = np.concatenate([tree, flat, endless])
+    box = pool[rng.integers(0, len(pool), n_boxes)]
+    o, d = hard_segments(mesh, rng, 200)
+    # origins on some tree box's planes where d == 0 there: 0 * inf = NaN
+    planes = tree[rng.integers(0, len(tree), len(o)), rng.integers(0, 2, len(o)), :, 0]
+    on = (d == 0) & (rng.random(d.shape) < 0.5)
+    o = np.where(on, planes, o)
+    assert on.any(axis=1).sum() > 50
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.stack([o, 1.0 / d]).transpose(0, 2, 1)
+        got, ref = _slab_hits(box, r), _slab_hits_fused_ref(box, r)
+    assert got.shape == ref.shape == (n_boxes, len(o))
+    assert (got == ref).all()
+    assert 0 < ref.sum() < ref.size
+
+
+@pytest.mark.parametrize("make", [terrain_800, office_room, floor_and_ceiling])
+def test_split_axis_is_the_longest_and_orders_the_children(make):
+    mesh = make()
+    bvh = sc.build_bvh(mesh)
+    a, b, c = mesh.corners()
+    centroid = (a + b + c) / 3.0
+    inner = bvh.left >= 0
+    assert (bvh.axis[~inner] == -1).all()
+    extent = bvh.boxes[:, 1, :, 0] - bvh.boxes[:, 0, :, 0]
+    assert (bvh.axis[inner] == np.argmax(extent[inner], axis=1)).all()
+
+    def centroids(node, ax):
+        leaves = bvh.tri_order[:, bvh.start[node] : bvh.start[node] + bvh.count[node]]
+        return centroid[leaves[leaves >= 0], ax]
+
+    for node in np.flatnonzero(inner):
+        ax, lc = bvh.axis[node], bvh.left[node]
+        assert centroids(lc, ax).max() <= centroids(lc + 1, ax).min()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_the_walk_visits_the_child_on_the_targets_side_first(sign, monkeypatch):
+    # the root splits along x; a packet pointing +x (-x) runs its first
+    # Moller-Trumbore call on the right (left) subtree, then the other one
+    mesh = terrain_800()
+    bvh = sc.build_bvh(mesh)
+    assert bvh.axis[0] == 0
+    rng = np.random.default_rng(29)
+    west = rng.uniform([0.0, 0.0, -1.0], [4.0, 10.0, 2.0], (500, 3))
+    east = rng.uniform([6.0, 0.0, -1.0], [10.0, 10.0, 2.0], (500, 3))
+    o, d = _shrunk(west, east) if sign > 0 else _shrunk(east, west)
+    assert (np.sign(d[:, 0]) == sign).all()
+    leaf_of = {bvh.tri[..., j].tobytes(): j for j in range(bvh.tri.shape[3])}
+    sides = []
+
+    def triangles(r, tri):
+        right = {leaf_of[tri[..., k].tobytes()] >= bvh.start[2] for k in range(tri.shape[3])}
+        assert len(right) <= 1  # a call stays in one subtree of the root
+        sides.extend(right)
+        return _triangle_hits(r, tri)
+
+    monkeypatch.setattr(visibility, "_triangle_hits", triangles)
+    occluded = _segments_occluded_impl(bvh, o, d)
+    assert 0 < occluded.sum() < len(occluded)
+    assert sides[0] == (sign > 0) and (sign < 0) in sides
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
