@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -127,10 +128,15 @@ class CoverageInstance:
     def n_candidates(self) -> int:
         return len(self.candidates)
 
+    @cached_property
+    def _candidate_dist(self) -> np.ndarray:  # (M, N), NaN where the pair is not visible
+        return np.where(self.vis.bits, self.dist, np.nan).T.copy()
+
     def covers_within(self, radius: float) -> np.ndarray:
         """(N, M) bool: candidate j sees sample i from at most `radius` away,
-        the cover rule of problem 2."""
-        return self.vis.bits & (self.dist <= radius)
+        the cover rule of problem 2 (NaN <= inf fails too): the transposed
+        view of a candidate-major array, so `.T` is C-contiguous."""
+        return (self._candidate_dist <= radius).T
 
 
 def build_instance(

@@ -193,7 +193,7 @@ class _PackedCover:
     def value(self, state) -> int:
         return int(np.bitwise_count(state).sum())
 
-    def expand(self, state, free: np.ndarray, budget: int):
+    def expand(self, state, free: np.ndarray, budget: int, floor: int = -1):
         """One pass over `free` for a state and its whole exclusion chain.
         The pass counts the state's own value too, so it takes no value
         argument. Returns the branching scores (newly covered samples) and,
@@ -205,10 +205,14 @@ class _PackedCover:
         value). The gains descend along the order, so one pick left bounds a
         suffix by its first closing value, and more by its `budget` first
         gains, capped by the union of its columns, which no selection can
-        exceed."""
+        exceed. With one pick left, a state none of whose closing values beats
+        `floor` (the incumbent) is pruned unranked: no scores, closing values
+        nor order, and bounds [best closing value, state's value]."""
         value = self.value(state)
         fresh = self.cols[free] & ~state
         gains = np.bitwise_count(fresh).sum(axis=1, dtype=np.int64)
+        if budget == 1 and (best := value + gains.max(initial=0)) <= floor:
+            return None, None, np.zeros(0, np.intp), np.array([best, value])
         order = np.argsort(-gains, kind="stable")
         ordered = np.append(gains[order], 0)
         if budget == 1:
@@ -234,7 +238,7 @@ class _QualitySums:
     def value(self, state) -> int:
         return int(meets_threshold(state, self.threshold).sum())
 
-    def expand(self, state, free: np.ndarray, budget: int):
+    def expand(self, state, free: np.ndarray, budget: int, floor: int = -1):
         """As `_PackedCover.expand`, with scores the summed progress toward
         each open sample's deficit. Adding phi >= 0 never lowers an IEEE sum,
         so covered rows stay covered and only the open rows are gathered; the
@@ -249,14 +253,17 @@ class _QualitySums:
         open_rows = np.flatnonzero(~meets_threshold(state, self.threshold))
         value = state.size - open_rows.size
         sums = state[open_rows]
-        need = self.threshold - sums
         sub = self.phi[open_rows][:, free]
+        if budget == 1:
+            closed = value + meets_threshold(sums[:, None] + sub, self.threshold).sum(axis=0)
+            if (best := closed.max(initial=value)) <= floor:
+                return None, None, np.zeros(0, np.intp), np.array([best, value])
+        need = self.threshold - sums
         scores = np.minimum(sub, need[:, None]).sum(axis=0)
         order = np.argsort(-scores, kind="stable")
         if budget == 1:
-            closed = value + meets_threshold(sums[:, None] + sub, self.threshold).sum(axis=0)
-            best = np.maximum.accumulate(np.append(closed[order], value)[::-1])[::-1]
-            return scores, closed, order, best
+            bounds = np.maximum.accumulate(np.append(closed[order], value)[::-1])[::-1]
+            return scores, closed, order, bounds
         ordered = sub.T[order]
         top = np.zeros((free.size + 1, open_rows.size))
         for _ in range(budget):
@@ -293,12 +300,11 @@ def _improve_by_swaps(scorer, m: int, selected: list[int], current: int, deadlin
                 return selected, current
             others = selected[:si] + selected[si + 1 :]
             base = functools.reduce(scorer.add, others, scorer.root)
-            values = scorer.expand(base, cands, 1)[1]
-            better = np.flatnonzero(values > current)
-            if better.size:
-                j = int(cands[better[0]])
-                selected = others[:si] + [j] + others[si:]
-                current = int(values[better[0]])
+            values = scorer.expand(base, cands, 1, current)[1]  # None: no swap improves
+            if values is not None:
+                better = int(np.flatnonzero(values > current)[0])
+                selected = others[:si] + [int(cands[better])] + others[si:]
+                current = int(values[better])
                 break
         else:  # no swap improves
             break
@@ -313,7 +319,7 @@ _PROOF_TOL = 1e-6
 
 
 def _lagrangian_bound(
-    cover: np.ndarray, k: int, target: int, deadline: float, start: np.ndarray | None = None
+    cover: np.ndarray, k: int, target: int, deadline: float, start=None, pause=None
 ):
     """Smallest L(lam) met by Polyak subgradient steps toward target - 1, where
 
@@ -324,21 +330,24 @@ def _lagrangian_bound(
     k-selection, so the minimum found is valid however far the steps got.
     Stops at a proof (L < target - tol), once a step's own selection covers
     the target (no proof exists), after `_LAGRANGE_STALLS` halvings of the
-    step factor in a row with no better bound, after a fixed step count or at
-    the deadline. Rows no candidate covers add nothing at lam_i = 1 and are left
-    out of the steps; the others start at `start` (any lam in [0, 1]^N, such
-    as the multipliers of a model with fewer cover entries) or else at
-    lam_i = 1 / (number of candidates covering i).
+    step factor in a row with no better bound, after a fixed step count, at
+    the deadline, or when `pause()`, called once after `_LAGRANGE_PATIENCE`
+    steps, returns true. Rows no candidate covers add nothing at lam_i = 1
+    and are left out of the steps; the others start at `start` (any lam in
+    [0, 1]^N, such as the multipliers of a model with fewer cover entries)
+    or else at lam_i = 1 / (number of candidates covering i).
 
     Returns the smallest L, the multipliers that gave it over all N rows (1
     on the rows no candidate covers), and the sorted selection of the step
     that covered the target (None when no step did)."""
     coverable = cover.any(axis=1)
-    cols = np.ascontiguousarray(cover[coverable].T, dtype=np.float64)
+    cols = cover.T[:, coverable].astype(np.float64)  # (M, rows), C-ordered
     m, rows = cols.shape
     lam = 1.0 / cols.sum(axis=0) if start is None else start[coverable]
     factor, best, best_lam, stale, witness = 2.0, math.inf, lam, 0, None
-    for _ in range(_LAGRANGE_STEPS):
+    for step in range(_LAGRANGE_STEPS):
+        if step == _LAGRANGE_PATIENCE and pause is not None and pause():
+            break
         if time.perf_counter() > deadline:
             break
         weights = cols @ lam
@@ -372,23 +381,30 @@ def _root(model: IlpModel, scorer, k: int, target: float, deadline: float, multi
     """The root of a solve, before any branching: the greedy picks; when a
     feasibility model's picks miss the target, the Lagrangian test started
     at `multipliers`; unless that test settles the model, first-improving
-    1-swaps from the picks. A Lagrangian bound below the target proves the
-    model infeasible and keeps the picks' count; a step whose own selection
-    covers the target is the witness of feasibility. Either settles the
-    model in one node. Returns (selection, value, nodes, root proof or
-    -inf, the multipliers the test ended at, else those it was given)."""
+    1-swaps from the picks, run at the test's pause. A Lagrangian bound below
+    the target proves the model infeasible and keeps the picks' count; a
+    step whose own selection covers the target is the witness of
+    feasibility. Either settles the model in one node; swaps that meet the
+    target stop the test and settle it in 0. Returns (selection, value,
+    nodes, root proof or -inf, the multipliers the test ended at, else those
+    it was given)."""
     m = model.n_candidates
     selected, value = _greedy_picks(scorer, m, k)
+    swaps = None
     if model.kind is ModelKind.FEASIBILITY_COVER and k > 0 and value < target:
+        def pause():  # the swaps, at most once
+            nonlocal swaps
+            swaps = _improve_by_swaps(scorer, m, selected, value, deadline)
+            return swaps[1] >= target
         bound, multipliers, witness = _lagrangian_bound(
-            model.cover, k, target, deadline, multipliers
+            model.cover, k, target, deadline, multipliers, pause
         )
         if bound < target - _PROOF_TOL:
             return selected, value, 1, bound, multipliers
         if witness is not None:
             state = functools.reduce(scorer.add, witness, scorer.root)
             return witness, scorer.value(state), 1, -math.inf, multipliers
-    selected, value = _improve_by_swaps(scorer, m, selected, value, deadline)
+    selected, value = swaps or _improve_by_swaps(scorer, m, selected, value, deadline)
     return selected, value, 0, -math.inf, multipliers
 
 
@@ -417,14 +433,15 @@ def solve(
     can still reach): the first term is valid by submodularity, the second
     because no selection covers more than the union of the free columns; for
     the threshold kind each open sample takes its `budget` best free
-    contributions. With one pick left the bound is exact, the best
-    closing value, and the node counts as one node; it keeps what the
-    per-child search would, the first maximum in branching order. A
-    feasibility model branches on its gains, so its first maximum is also its
-    first candidate that meets the target. The search runs while nodes are
-    stacked and the incumbent is below the target (the coverage target of the
-    feasibility kind, else infinite); the clock stops it with the unexplored
-    links left stacked, and their bounds give the dual bound.
+    contributions. With one pick left the bound is exact, the best closing
+    value (a state that cannot beat the incumbent is left unranked),
+    and the node counts as one node; it keeps what the per-child search would,
+    the first maximum in branching order. A feasibility model branches on its
+    gains, so its first maximum is also its first candidate that meets the
+    target. The search runs while nodes are stacked and the incumbent is below
+    the target (the coverage target of the feasibility kind, else infinite);
+    the clock stops it with the unexplored links left stacked, and their
+    bounds give the dual bound.
 
     The root (`_root`) runs first and may settle a feasibility model; its
     Lagrangian test starts at `multipliers` (N values in [0, 1]) when given,
@@ -441,8 +458,8 @@ def solve(
     else:
         scorer = _PackedCover(model.cover)
 
-    def chain(state, selected, free):
-        _, closed, order, bounds = scorer.expand(state, free, k - len(selected))
+    def chain(state, selected, free):  # floored at the incumbent's value when called
+        _, closed, order, bounds = scorer.expand(state, free, k - len(selected), inc_value)
         closed = None if closed is None else closed[order]
         return state, selected, free[order], bounds, closed, 0
 

@@ -29,7 +29,7 @@ class Bvh:
 
     Nodes are numbered breadth first, so an internal node's children are the
     consecutive nodes left and left + 1. Every node holds a contiguous range
-    of the leaves in leaf order; a leaf's unused triangle slots hold zeros.
+    of the leaves in leaf order; a leaf's slots past its triangles hold zeros.
     """
 
     boxes: np.ndarray  # (nodes, 2, 3, 1) lo and hi corners
@@ -37,8 +37,8 @@ class Bvh:
     axis: np.ndarray  # (nodes,) split axis; the right child holds the higher centroids; -1 for leaves
     start: np.ndarray  # (nodes,) first leaf of the node's range
     count: np.ndarray  # (nodes,) leaves in the node's range
-    tri_order: np.ndarray  # (LEAF_SIZE, L) triangle index of each leaf slot, -1 if unused
-    tri: np.ndarray  # (3, 3, LEAF_SIZE, L) rows of a, b - a and c - a of each leaf slot
+    tri_order: np.ndarray  # (slots, L) triangle of each slot, -1 if unused; slots: the most in a leaf
+    tri: np.ndarray  # (3, 3, slots, L) rows of a, b - a and c - a of each leaf slot
     leaf_boxes: np.ndarray  # (L, 2, 3, 1) the box of each leaf, leaf order
 
     @property
@@ -75,7 +75,7 @@ def build_bvh(mesh: TriangleMesh) -> Bvh:
     boxes = np.stack([lo, hi], axis=1)[..., None]
     leaves = np.flatnonzero(left < 0)
     leaves = leaves[np.argsort(start[leaves])]  # leaf order
-    slot = start[leaves] + np.arange(LEAF_SIZE)[:, None]  # (LEAF_SIZE, L) positions in order
+    slot = start[leaves] + np.arange(count[leaves].max())[:, None]  # (slots, L) positions
     used = slot < start[leaves] + count[leaves]
     slot_tri = np.full(slot.shape, -1)
     slot_tri[used] = order[slot[used]]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import surfcover as sc
 from surfcover.coverage import CoincidentPointError, per_sample_coverage, sensor_offsets
-from surfcover.export import sample_colors
+from surfcover.export import sample_colors, write_ply
 
 from conftest import all_visible, make_sample_set
 
@@ -190,6 +190,21 @@ def random_instances(draw):
     return samples, cands, vm
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_instances(), st.integers(0, 10**6))
+def test_covers_within_is_the_visible_pairs_within_the_radius(inst_parts, seed):
+    # the candidate-major cover, read through its transposed view, is the
+    # problem-2 rule on the sample-major arrays at every radius, inf included
+    samples, cands, vm = inst_parts
+    inst = sc.build_instance(samples, cands, vm, sc.QualityKind.VISIBILITY)
+    rng = np.random.default_rng(seed)
+    radii = [0.0, np.inf, *inst.dist.ravel()[:3], *rng.uniform(0, 15, 3)]
+    for r in radii:
+        cover = inst.covers_within(r)
+        assert cover.shape == inst.vis.bits.shape and cover.T.flags.c_contiguous
+        assert (cover == (inst.vis.bits & (inst.dist <= r))).all()
+
+
 @settings(max_examples=40, deadline=None)
 @given(random_instances(), st.integers(0, 10**6))
 def test_cumulative_dominates_best_sensor(inst_parts, seed):
@@ -224,3 +239,24 @@ def test_evaluate_permutation_invariant(inst_parts, rnd):
     b = sc.evaluate(inst, shuffled, threshold=0.05)
     assert a.covered_ids == b.covered_ids
     assert np.allclose(a.per_sample_f, b.per_sample_f)
+
+
+def test_ply_rows_match_numpy_scalar_formatting(tmp_path):
+    # rows are formatted from Python floats and ints; numpy's float64 and
+    # uint8 scalars gave the same text, also for negative, tiny, huge and
+    # non-finite values
+    rng = np.random.default_rng(3)
+    positions = np.vstack([
+        rng.normal(0, 10, (50, 3)),
+        [[-0.0, 5e-324, -1e-300], [1.7976931348623157e308, -3.4e38, 1e-7]],
+        [[123456789.123, -0.1, 2.0 / 3.0], [np.inf, -np.inf, np.nan]],
+    ])
+    colors = rng.integers(0, 256, (len(positions), 3)).astype(np.uint8)
+    write_ply(tmp_path / "out.ply", positions, colors)
+    rows = "".join(
+        f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g} {c[0]} {c[1]} {c[2]}\n"
+        for p, c in zip(positions, colors)
+    )
+    data = (tmp_path / "out.ply").read_bytes()
+    header, body = data.split(b"end_header\n")
+    assert header.startswith(b"ply\n") and body == rows.encode()

@@ -586,6 +586,72 @@ def test_one_pick_left_closes_with_exact_values_and_bound(kind):
 
 
 @pytest.mark.parametrize("kind", [ModelKind.MAX_VISIBILITY_COVERAGE, ModelKind.THRESHOLD_COVERAGE])
+def test_a_floor_prunes_a_last_pick_state_unranked_at_its_exact_bound(kind):
+    # with one pick left, a state none of whose closing values beats the
+    # floor (the incumbent) comes back pruned, without scores or order,
+    # bounded by the best closing value of the call without a floor; any
+    # other state, and any with more picks left, expands as without one
+    rng = np.random.default_rng(97)
+    pruned = 0
+    for _ in range(1000):
+        n, m = int(rng.integers(1, 150)), int(rng.integers(1, 16))
+        model = _random_model(rng, kind, n, m, 1)
+        if kind is ModelKind.THRESHOLD_COVERAGE:
+            scorer = ilp._QualitySums(model.cover, model.threshold)
+        else:
+            scorer = ilp._PackedCover(model.cover)
+        state = functools.reduce(scorer.add, np.flatnonzero(rng.random(m) < 0.3), scorer.root)
+        free = np.flatnonzero(rng.random(m) < rng.uniform(0.0, 1.0))
+        budget = 1 if rng.random() < 0.8 else 2
+        plain = scorer.expand(state, free, budget)
+        floor = int(plain[3][0]) + int(rng.integers(-3, 3))
+        scores, closed, order, bounds = scorer.expand(state, free, budget, floor)
+        if budget == 1 and plain[3][0] <= floor:
+            pruned += 1
+            assert scores is None and closed is None and order.size == 0
+            assert bounds.tolist() == [plain[3][0], plain[3][-1]]
+            continue
+        for a, b in zip(plain, (scores, closed, order, bounds)):
+            assert (a is None and b is None) or (a == b).all()
+    assert pruned > 300
+
+
+def _layout_instance(rng, n, m):
+    """A visibility instance with random positions and bits."""
+    samples = make_sample_set(rng.uniform(0, 8, (n, 3)))
+    cands = sc.CandidateSet(positions=rng.uniform(0, 8, (m, 3)))
+    vm = sc.VisibilityMatrix(bits=rng.random((n, m)) < rng.uniform(0.05, 0.6),
+                             sample_hash=samples.content_hash(),
+                             candidate_hash=cands.content_hash())
+    return sc.build_instance(samples, cands, vm, sc.QualityKind.VISIBILITY)
+
+
+def test_a_candidate_major_cover_packs_and_bounds_like_a_c_ordered_copy():
+    # `covers_within` hands out the transposed view of an (M, N) array; the
+    # packed columns and the Lagrangian test read it bit for bit as they read
+    # a C-ordered (N, M) copy, to the multipliers' last bit
+    rng = np.random.default_rng(103)
+    proofs = witnesses = 0
+    for _ in range(150):
+        n, m = int(rng.integers(1, 120)), int(rng.integers(1, 12))
+        inst = _layout_instance(rng, n, m)
+        for r in (np.inf, float(rng.choice(inst.dist.ravel())), float(rng.uniform(0, 8))):
+            view = inst.covers_within(r)
+            copy = np.ascontiguousarray(view)
+            assert (ilp._PackedCover(view).cols == ilp._PackedCover(copy).cols).all()
+            if not view.any():
+                continue
+            k, target = int(rng.integers(1, min(m, 3) + 1)), int(rng.integers(1, n + 1))
+            start = rng.random(n) if rng.random() < 0.5 else None
+            a = _lagrangian_bound(view, k, target, math.inf, start)
+            b = _lagrangian_bound(copy, k, target, math.inf, start)
+            assert a[0] == b[0] and a[1].tobytes() == b[1].tobytes() and a[2] == b[2]
+            proofs += a[0] < target - 1e-6
+            witnesses += a[2] is not None
+    assert proofs > 20 and witnesses > 20
+
+
+@pytest.mark.parametrize("kind", [ModelKind.MAX_VISIBILITY_COVERAGE, ModelKind.THRESHOLD_COVERAGE])
 def test_one_pass_orders_and_bounds_the_whole_exclusion_chain(kind):
     # the exclusion siblings of a state pick in repeated-argmax order, and
     # the bound of the link whose free set is order[s:] is the one the
@@ -620,15 +686,20 @@ def test_one_pass_orders_and_bounds_the_whole_exclusion_chain(kind):
 
 
 @pytest.fixture(scope="module")
-def room_models():
-    """Every model the drivers solve on the criterion-5 room: P1 at k=1..6,
-    P3 at k=1..3 and P2 at k=1..4 at each radius of its bisection."""
+def room_instances():
+    """The criterion-5 room's visibility and Lambert instances."""
     mesh = sc.gen_room(extent=(6, 4, 3), obstacles=[((2, 1.5, 0), (3.5, 2.5, 1.0))])
     samples = sc.sample_surface(mesh, pitch=0.65)
     candidates = sc.generate_candidates_plane(2.8, (0.4, 0.4, 5.6, 3.6), 0.62)
     vm = sc.visibility_matrix(sc.build_bvh(mesh), samples, candidates)
-    vis = sc.build_instance(samples, candidates, vm, sc.QualityKind.VISIBILITY)
-    lam = sc.build_instance(samples, candidates, vm, sc.QualityKind.LAMBERT_INVERSE_SQUARE)
+    return tuple(sc.build_instance(samples, candidates, vm, kind) for kind in sc.QualityKind)
+
+
+@pytest.fixture(scope="module")
+def room_models(room_instances):
+    """Every model the drivers solve on the criterion-5 room: P1 at k=1..6,
+    P3 at k=1..3 and P2 at k=1..4 at each radius of its bisection."""
+    vis, lam = room_instances
     models = []
 
     def recording_solve(model, **kwargs):
@@ -664,28 +735,66 @@ def test_solve_matches_the_per_child_reference_search_on_the_room(room_models):
 # Lagrangian start: P1 at k=1..6, P3 at k=1..3, then P2's bisection steps.
 # The P1 and P3 entries were recorded while each exclusion sibling was still
 # bounded by a pass of its own; a P2 step with 1 node and a placement ends at
-# a Lagrangian step's covering selection
+# a Lagrangian step's covering selection, found before the test's pause; one
+# with 0 nodes ends at the greedy picks or their swaps
 ROOM_SEARCH = [
     (1, (13,)), (1, (13, 40)), (1, (13, 40)), (1, (13, 40)), (1, (13, 40)), (1, (13, 40)),
     (1, (27,)), (103, (9, 44)), (1707, (3, 24, 51)),
     (0, (13,)), (1, None), (1, None), (0, (25,)), (1, None), (0, (28,)), (1, None),
     (0, (28,)), (0, (28,)), (1, None), (1, None), (1, None), (0, (28,)), (1, None),
-    (0, (28,)), (0, (28,)), (0, (13, 40)), (1, (9, 45)), (1, None), (1, None), (1, None),
-    (1, None), (1, None), (1, None), (1, (15, 44)), (1, None), (1, None), (1, None),
-    (1, None), (1, (15, 44)), (1, None), (1, None), (1, None), (0, (13, 40)),
-    (0, (7, 23, 44)), (1, None), (1, None), (0, (9, 37, 40)), (1, (13, 17, 44)), (1, None),
+    (0, (28,)), (0, (28,)), (0, (13, 40)), (0, (15, 44)), (1, None), (1, None), (1, None),
+    (1, None), (1, None), (1, None), (0, (15, 44)), (1, None), (1, None), (1, None),
+    (1, None), (0, (15, 44)), (1, None), (1, None), (1, None), (0, (13, 40)),
+    (0, (7, 23, 44)), (1, None), (1, None), (0, (9, 37, 40)), (0, (8, 41, 43)), (1, None),
     (1, (13, 16, 44)), (1, (13, 16, 44)), (1, (13, 16, 44)), (1, None), (1, None),
     (1, None), (1, (13, 16, 44)), (1, None), (1, None), (1, None), (0, (13, 40)),
-    (0, (4, 12, 40, 44)), (1, None), (1, (7, 17, 43, 46)), (1, None), (1, (10, 13, 43, 46)),
-    (1, None), (1, (7, 10, 43, 46)), (1, None), (1, (7, 10, 43, 46)), (1, (7, 10, 43, 46)),
-    (1, (10, 13, 43, 46)), (1, (10, 13, 43, 46)), (1, None), (1, None), (1, None),
-    (1, (10, 13, 43, 46)),
+    (0, (4, 12, 40, 44)), (1, None), (0, (7, 17, 43, 46)), (1, None), (0, (10, 13, 43, 46)),
+    (1, None), (0, (7, 10, 43, 46)), (1, None), (0, (7, 10, 43, 46)), (0, (10, 13, 43, 46)),
+    (0, (10, 13, 43, 46)), (0, (10, 13, 43, 46)), (1, None), (1, None), (1, None),
+    (0, (10, 13, 43, 46)),
 ]
 
 
 def test_the_room_search_visits_the_recorded_nodes(room_models):
     # any change to the search's order, bounds or stop rule shows up here
     assert [(r.nodes, r.placement) for r in map(sc.solve, room_models)] == ROOM_SEARCH
+
+
+def test_a_feasible_step_the_swaps_settle_pays_for_no_witness_hunt(room_instances, monkeypatch):
+    # k=2's first bisection step on the room (r = 3.5359) is feasible, but its
+    # greedy picks miss the target. The Lagrangian test used to run 175 steps
+    # to a covering selection of its own; the swaps at its pause cover the
+    # target, so it stops there and the step takes 0 nodes. Steps are counted
+    # as the test's own clock reads, one per step, not the swaps' reads.
+    vis, _ = room_instances
+    real, clock = ilp._lagrangian_bound, time.perf_counter
+    steps, solves = [], []
+
+    def counted(*args):
+        reads = [0]
+
+        def counting_clock():
+            reads[0] += sys._getframe(1).f_code is real.__code__
+            return clock()
+
+        with monkeypatch.context() as mp:
+            mp.setattr(ilp.time, "perf_counter", counting_clock)
+            out = real(*args)
+        steps.append(reads[0])
+        return out
+
+    def recording_solve(model, **kwargs):
+        res = ilp.solve(model, **kwargs)
+        solves.append((round(model.radius, 4), res.nodes, len(steps)))
+        return res
+
+    monkeypatch.setattr(ilp, "_lagrangian_bound", counted)
+    monkeypatch.setattr(drivers, "solve", recording_solve)
+    sc.solve_problem2(vis, 2, rho=0.9)
+    # the largest radius settles on the greedy picks, before any Lagrangian step
+    assert solves[0][1:] == (0, 0)
+    assert solves[1] == (3.5359, 0, 1)
+    assert steps[0] <= ilp._LAGRANGE_PATIENCE + 1
 
 
 def test_a_threshold_search_counts_each_state_inside_its_expansion(room_models, monkeypatch):

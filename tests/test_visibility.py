@@ -9,7 +9,6 @@ import surfcover as sc
 from surfcover import visibility
 from surfcover.refine import _visible_pairs
 from surfcover.visibility import (
-    LEAF_SIZE,
     PACKET_SEGMENTS,
     _segment_hits_triangles,
     _segments_occluded_impl,
@@ -49,17 +48,18 @@ def test_root_box_is_mesh_bounds():
 
 
 def test_leaves_partition_triangles():
+    # 13 triangles split into leaves of 3, 3, 3 and 4
     rng = np.random.default_rng(0)
     verts, tris = [], []
-    for t in range(12):
+    for t in range(13):
         base = rng.uniform(0, 10, 3)
         verts += [base, base + [1, 0, 0], base + [0, 1, 0]]
         tris.append([3 * t, 3 * t + 1, 3 * t + 2])
     mesh = sc.TriangleMesh(np.array(verts), np.array(tris))
     bvh = sc.build_bvh(mesh)
     n_leaves = bvh.leaf_boxes.shape[0]
-    assert bvh.tri.shape == (3, 3, LEAF_SIZE, n_leaves)
-    assert bvh.tri_order.shape == (LEAF_SIZE, n_leaves)
+    assert bvh.tri.shape == (3, 3, 4, n_leaves)
+    assert bvh.tri_order.shape == (4, n_leaves)
     for n in range(len(bvh.count)):
         if bvh.left[n] < 0:  # a leaf is a range of one leaf, in leaf order
             assert bvh.count[n] == 1
@@ -73,12 +73,20 @@ def test_leaves_partition_triangles():
     assert bvh.count[0] == n_leaves
     used = bvh.tri_order >= 0
     assert used[0].all() and (used[:-1] >= used[1:]).all()  # a leaf fills its first slots
-    assert sorted(bvh.tri_order[used].tolist()) == list(range(12))
-    assert bvh.n_triangles == 12
+    assert sorted(used.sum(axis=0).tolist()) == [3, 3, 3, 4]
+    assert sorted(bvh.tri_order[used].tolist()) == list(range(13))
+    assert bvh.n_triangles == 13
     a, b, c = mesh.corners()
     tris = bvh.tri_order[used]
     assert (bvh.tri[:, :, used] == np.stack([a, b - a, c - a])[:, tris].transpose(0, 2, 1)).all()
     assert (bvh.tri[:, :, ~used] == 0).all()  # the unused slots hold zero triangles
+
+
+def test_leaves_have_as_many_slots_as_the_fullest_leaf_holds(room_scene):
+    # the room's 24 triangles make eight leaves of 3: no slot is left unused
+    bvh = room_scene[1]
+    assert bvh.tri_order.shape == (3, 8) and (bvh.tri_order >= 0).all()
+    assert bvh.tri.shape == (3, 3, 3, 8)
 
 
 def test_segment_crosses_triangle():
@@ -428,7 +436,7 @@ def test_a_grazing_segment_keeps_the_per_leaf_walks_bit():
     p = sc.sample_surface(mesh, pitch=0.7).positions[792]
     c = sc.generate_candidates_plane(2.8, (1.0, 1.0, 9.0, 7.0), 1.5).positions[13]
     o, d = _shrunk([p], [c])
-    hit = _triangle_hits(np.stack([o.T, d.T]), bvh.tri[..., None])[..., 0]  # (LEAF_SIZE, L)
+    hit = _triangle_hits(np.stack([o.T, d.T]), bvh.tri[..., None])[..., 0]  # (slots, L)
     assert hit.sum() == 2
     with np.errstate(divide="ignore"):
         assert not _slab_hits(bvh.leaf_boxes[hit.any(axis=0)], np.stack([o.T, 1.0 / d.T])).any()
@@ -436,17 +444,28 @@ def test_a_grazing_segment_keeps_the_per_leaf_walks_bit():
 
 
 @pytest.mark.parametrize("packet", [0, 10**9])  # every leaf on its own; the tree in one step
-@pytest.mark.parametrize("scene", ["single triangle", "room"])
+@pytest.mark.parametrize("scene", ["five triangles", "room"])
 def test_unused_leaf_slots_never_hit(scene, packet, room_scene, monkeypatch):
-    # the unused slots of leaves with fewer than LEAF_SIZE triangles hold zero
-    # triangles at the origin; half the segments pass through it. The room is
-    # centred on the origin: segments through its corner vertex graze every
-    # box there, which the box tests do not yet widen for.
-    if scene == "single triangle":
-        mesh = single_triangle()
+    # the unused slots of leaves with fewer triangles than the fullest leaf
+    # hold zero triangles at the origin; half the segments pass through it.
+    # Five triangles make leaves of 2 and 3; the room's 24 triangles make
+    # eight leaves of 3, so one more triangle makes a leaf of 4 and leaves
+    # seven with an unused slot. The room is centred on the origin: segments
+    # through its corner vertex graze every box there, which the box tests do
+    # not yet widen for.
+    if scene == "five triangles":
+        tri = single_triangle()
+        mesh = sc.TriangleMesh(
+            np.vstack([tri.vertices + [0, 0, z] for z in range(5)]),
+            np.arange(15).reshape(5, 3),
+        )
     else:
         room = room_scene[0]
-        mesh = sc.TriangleMesh(room.vertices - [3.0, 2.0, 1.5], room.triangles)
+        extra = [[1.0, 1.0, 2.0], [1.5, 1.0, 2.0], [1.0, 1.5, 2.0]]  # inside the room
+        mesh = sc.TriangleMesh(
+            np.vstack([room.vertices, extra]) - [3.0, 2.0, 1.5],
+            np.vstack([room.triangles, np.arange(3) + len(room.vertices)]),
+        )
     bvh = sc.build_bvh(mesh)
     unused = bvh.tri_order < 0
     assert unused.any()
@@ -456,7 +475,7 @@ def test_unused_leaf_slots_never_hit(scene, packet, room_scene, monkeypatch):
     through_origin = -a[:300] * rng.uniform(0.2, 3.0, (300, 1))
     b = np.vstack([through_origin, rng.uniform(lo - 1, hi + 1, (300, 3))])
     o, d = _shrunk(a, b)
-    hit = _triangle_hits(np.stack([o.T, d.T]), bvh.tri[..., None])  # (LEAF_SIZE, L, segments)
+    hit = _triangle_hits(np.stack([o.T, d.T]), bvh.tri[..., None])  # (slots, L, segments)
     assert not hit[unused].any() and hit.any()
     leaves_per_call = []
 
