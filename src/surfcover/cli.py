@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -91,7 +90,7 @@ def _file(path, io, *args, **kwargs):
         return io(*args, **kwargs)
     except KeyError as exc:
         raise UsageError(f"{path}: missing key {exc}") from exc
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:  # overflow: a huge JSON int
         raise UsageError(_with_path(path, exc)) from exc
 
 
@@ -104,7 +103,8 @@ def _load_result(path, keys=()) -> dict:
     """The result JSON at `path`: problem 1, 2 or 3, every key of `keys`, any `params` an object."""
     with open(path) as fh:
         result = json.load(fh)
-    if not isinstance(result, dict) or result.get("problem") not in PROBLEM_KIND:
+    problem = result.get("problem") if isinstance(result, dict) else None
+    if type(problem) is not int or problem not in PROBLEM_KIND:  # True and 1.0 equal 1
         raise ValueError("not a result of problem 1, 2 or 3")
     if not isinstance(result.get("params", {}), dict):
         raise ValueError("params must be a JSON object")
@@ -136,15 +136,12 @@ def _write_result(args, fields: dict, positions, placement=None, result=None) ->
 
 
 def _load_trio(args, mesh=None):
-    """--samples, --candidates and the --vis computed from them; with `mesh`,
-    a --vis that records a mesh hash (version 1 does not) must be of it."""
+    """--samples, --candidates and the --vis computed from them, and on `mesh` when given."""
     samples = _file(args.samples, load_sample_set, args.samples)
     candidates = _file(args.candidates, load_candidate_set, args.candidates)
     try:
         vm = load_spvm(args.vis)
-        vm.check_consistent(samples, candidates)
-        if mesh is not None and vm.mesh_hash not in (None, mesh.content_hash()):
-            raise ValueError(f"computed on another mesh than {args.mesh}")
+        vm.check_consistent(samples, candidates, mesh)
     except (OSError, ValueError) as exc:
         raise UsageError(
             f"{_with_path(args.vis, exc)}; re-run: surfcover visibility --mesh ... "
@@ -189,17 +186,14 @@ def _cmd_visibility(args) -> int:
     samples = _file(args.samples, load_sample_set, args.samples)
     candidates = _file(args.candidates, load_candidate_set, args.candidates)
     mesh = _file(args.mesh, load_obj, args.mesh)
-    mesh_hash = mesh.content_hash()
     if os.path.exists(args.out):
         try:
-            cached = load_spvm(args.out)
-            cached.check_consistent(samples, candidates)
-            if cached.mesh_hash == mesh_hash:  # None (version 1) never matches
-                return EXIT_OK  # cache hit keyed by content hashes
+            load_spvm(args.out).check_consistent(samples, candidates, mesh)
+            return EXIT_OK  # cache hit keyed by content hashes
         except (OSError, ValueError):
             pass  # stale, foreign or unreadable file: recompute below
     vm = visibility_matrix(build_bvh(mesh), samples, candidates)
-    _file(args.out, save_spvm, replace(vm, mesh_hash=mesh_hash), args.out)
+    _file(args.out, save_spvm, vm, args.out)
     return EXIT_OK
 
 
@@ -280,9 +274,8 @@ def _cmd_refine(args) -> int:
         plane_z = prev["params"].get("plane_z")
         if plane_z is None:
             raise UsageError("--method onecenter needs a result produced by `approx`")
-        positions, objective = refine.improve_quality_max(
-            samples, np.array(prev["positions"]), plane_z
-        )
+        centers = _file(args.infile, _approx_centers, prev["positions"], plane_z)
+        positions, objective = refine.improve_quality_max(samples, centers, plane_z)
         extra = {"method": "onecenter-refined", "radius": objective}
     else:
         if None in (args.mesh, args.candidates, args.vis):
@@ -306,6 +299,17 @@ def _cmd_refine(args) -> int:
     fields = {k: prev[k] for k in ("problem", "k", "params")}
     _write_result(args, {**fields, "objective": objective, **extra}, positions)
     return EXIT_OK
+
+
+def _approx_centers(positions, plane_z):
+    """`positions` as a finite (k, 3) array, k >= 1; ValueError unless so and plane_z is finite."""
+    centers = np.array(positions)  # strings and nulls give a non-numeric dtype
+    shaped = centers.ndim == 2 and centers.shape[1] == 3 and len(centers) > 0
+    if not (shaped and centers.dtype.kind in "iuf" and np.isfinite(centers).all()):
+        raise ValueError("positions must be a non-empty list of finite [x, y, z]")
+    if type(plane_z) not in (int, float) or not math.isfinite(plane_z):
+        raise ValueError("params.plane_z must be a finite number")
+    return centers
 
 
 def _cmd_sweep(args) -> int:

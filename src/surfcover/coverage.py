@@ -92,6 +92,8 @@ def is_covered(kind: QualityKind, f: np.ndarray, threshold: float | None = None)
 def check_placement(selected: Sequence[int], n_candidates: int) -> list[int]:
     """The placement as a list of distinct candidate indices in [0, M)."""
     selected = list(selected)
+    if any(isinstance(j, bool) or not isinstance(j, (int, np.integer)) for j in selected):
+        raise ValueError("placement indices must be integers")
     if len(set(selected)) != len(selected):
         raise ValueError("placement contains duplicate candidate indices")
     if any(j < 0 or j >= n_candidates for j in selected):

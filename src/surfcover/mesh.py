@@ -54,10 +54,6 @@ class TriangleMesh:
             raise MeshError(f"degenerate (zero-area) faces: {bad.tolist()}")
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
     def n_triangles(self) -> int:
         return len(self.triangles)
 

@@ -248,6 +248,8 @@ def refine_grid(
     must hold the mesh the instance's visibility was computed on. Returns the
     refined sensor positions and the final covered count.
     """
+    if instance.vis.mesh_hash not in (None, bvh.mesh_hash):
+        raise ValueError("bvh holds another mesh than the one the visibility was computed on")
     kind = instance.kind
     samples = instance.samples
     placement = check_placement(placement, instance.n_candidates)

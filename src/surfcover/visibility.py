@@ -10,7 +10,7 @@ import numpy as np
 from .mesh import CandidateSet, SampleSet, TriangleMesh
 
 SPVM_MAGIC = b"SPVM"
-SPVM_VERSION = 2  # v2 adds the mesh hash; v1 files still load
+SPVM_VERSION = 2
 
 LEAF_SIZE = 4  # most triangles in a leaf
 # relative endpoint shrinkage; samples sit exactly on mesh faces and must not
@@ -40,10 +40,7 @@ class Bvh:
     tri_order: np.ndarray  # (slots, L) triangle of each slot, -1 if unused; slots: the most in a leaf
     tri: np.ndarray  # (3, 3, slots, L) rows of a, b - a and c - a of each leaf slot
     leaf_boxes: np.ndarray  # (L, 2, 3, 1) the box of each leaf, leaf order
-
-    @property
-    def n_triangles(self) -> int:
-        return int((self.tri_order >= 0).sum())
+    mesh_hash: int  # content hash of the mesh the tree holds
 
 
 def build_bvh(mesh: TriangleMesh) -> Bvh:
@@ -91,6 +88,7 @@ def build_bvh(mesh: TriangleMesh) -> Bvh:
         tri_order=slot_tri,
         tri=tri,
         leaf_boxes=boxes[leaves],
+        mesh_hash=mesh.content_hash(),
     )
 
 
@@ -259,17 +257,13 @@ class VisibilityMatrix:
     bits: np.ndarray  # (N, M) bool
     sample_hash: int
     candidate_hash: int
-    mesh_hash: int | None = None  # None: the occluding mesh is unknown
+    mesh_hash: int | None = None  # None: bits built by hand, with no mesh to record
 
-    @property
-    def n_samples(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def n_candidates(self) -> int:
-        return self.bits.shape[1]
-
-    def check_consistent(self, samples: SampleSet, candidates: CandidateSet) -> None:
+    def check_consistent(
+        self, samples: SampleSet, candidates: CandidateSet, mesh: TriangleMesh | None = None
+    ) -> None:
+        """The one reuse rule: these bits were computed from `samples` and
+        `candidates` and, when `mesh` is given, on it; otherwise ValueError."""
         if (
             self.sample_hash != samples.content_hash()
             or self.candidate_hash != candidates.content_hash()
@@ -278,6 +272,8 @@ class VisibilityMatrix:
                 "visibility matrix was built from different samples/candidates; "
                 "re-run the visibility computation"
             )
+        if mesh is not None and self.mesh_hash != mesh.content_hash():
+            raise ValueError("visibility matrix was computed on another mesh")
 
 
 def pair_packets(points: np.ndarray, positions: np.ndarray, pairs=None):
@@ -305,44 +301,39 @@ def visibility_matrix(
         bits=np.ascontiguousarray(~hidden.reshape(len(candidates), len(samples)).T),
         sample_hash=samples.content_hash(),
         candidate_hash=candidates.content_hash(),
+        mesh_hash=bvh.mesh_hash,
     )
 
 
 # ---------------------------------------------------------------------------
 # SPVM binary persistence: magic, version u32, N u64, M u64, sample hash u64,
-# candidate hash u64, in version 2 the mesh hash u64, then row-major packed
-# bits, all little-endian. A matrix without a mesh hash is written as version 1.
+# candidate hash u64, mesh hash u64, then row-major packed bits, all
+# little-endian.
+
+_SPVM_HEADER = struct.Struct("<4sI5Q")
 
 
 def save_spvm(vm: VisibilityMatrix, path) -> None:
-    fields = [vm.n_samples, vm.n_candidates, vm.sample_hash, vm.candidate_hash]
-    if vm.mesh_hash is not None:
-        fields.append(vm.mesh_hash)
-    version = 1 if vm.mesh_hash is None else SPVM_VERSION
-    header = SPVM_MAGIC + struct.pack(f"<I{len(fields)}Q", version, *fields)
+    if vm.mesh_hash is None:
+        raise ValueError("an SPVM file records its mesh; this matrix has no mesh hash")
+    fields = (*vm.bits.shape, vm.sample_hash, vm.candidate_hash, vm.mesh_hash)
+    header = _SPVM_HEADER.pack(SPVM_MAGIC, SPVM_VERSION, *fields)
     packed = np.packbits(vm.bits, axis=1, bitorder="little")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(packed.tobytes())
 
 
-def _read_header(fh, fmt: str, path) -> tuple:
-    raw = fh.read(struct.calcsize(fmt))
-    if len(raw) != struct.calcsize(fmt):
-        raise ValueError(f"{path}: truncated SPVM header")
-    return struct.unpack(fmt, raw)
-
-
 def load_spvm(path) -> VisibilityMatrix:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != SPVM_MAGIC:
-            raise ValueError(f"{path}: not an SPVM file (magic {magic!r})")
-        (version,) = _read_header(fh, "<I", path)
-        if version not in (1, SPVM_VERSION):
+        header = fh.read(_SPVM_HEADER.size)
+        if header[:4] != SPVM_MAGIC:
+            raise ValueError(f"{path}: not an SPVM file (magic {header[:4]!r})")
+        if len(header) != _SPVM_HEADER.size:
+            raise ValueError(f"{path}: truncated SPVM header")
+        _, version, n, m, shash, chash, mhash = _SPVM_HEADER.unpack(header)
+        if version != SPVM_VERSION:
             raise ValueError(f"{path}: unsupported SPVM version {version}")
-        n, m, shash, chash = _read_header(fh, "<4Q", path)
-        mhash = _read_header(fh, "<Q", path)[0] if version == SPVM_VERSION else None
         row_bytes = (m + 7) // 8
         raw = np.frombuffer(fh.read(), dtype=np.uint8)  # sized by the file, not the header
     if raw.size != n * row_bytes:

@@ -35,6 +35,23 @@ def segment_occluded(bvh, a, b) -> bool:
     return bool(segments_occluded(bvh, [a], [b])[0])
 
 
+def with_panel(room):
+    """`room` (6 x 4 x 3) with a panel at z = 2.5, just under the candidate
+    plane, that shades the floor and the furniture."""
+    n = len(room.vertices)
+    panel = [[0.1, 0.1, 2.5], [5.9, 0.1, 2.5], [5.9, 3.9, 2.5], [0.1, 3.9, 2.5]]
+    return sc.TriangleMesh(
+        np.vstack([room.vertices, panel]),
+        np.vstack([room.triangles, [[n, n + 1, n + 2], [n, n + 2, n + 3]]]),
+    )
+
+
+def spvm_version1(v2: bytes) -> bytes:
+    """The bytes of an SPVM version-1 file, which no longer loads: a version-2
+    file's with version 1 and without the mesh hash (header bytes 40-48)."""
+    return v2[:4] + (1).to_bytes(4, "little") + v2[8:40] + v2[48:]
+
+
 def make_sample_set(positions, normals=None, weights=None, pitch=1.0):
     positions = np.asarray(positions, float)
     n = len(positions)

@@ -1,7 +1,6 @@
 import csv
 import json
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +8,8 @@ import pytest
 import surfcover as sc
 from surfcover.cli import main
 from surfcover.export import PALETTE
+
+from conftest import spvm_version1, with_panel
 
 
 @pytest.fixture(scope="module")
@@ -129,31 +130,28 @@ def test_problem2_top_radius_timeout_exits_4(workdir, monkeypatch):
 
 def test_visibility_recomputed_when_mesh_changes(workdir, tmp_path):
     d, mesh, samples, cands, vis = workdir
-    room = sc.load_obj(str(mesh))
-    n = room.n_vertices
-    # a panel just under the candidate plane shades the floor and the furniture
-    panel = [[0.1, 0.1, 2.5], [5.9, 0.1, 2.5], [5.9, 3.9, 2.5], [0.1, 3.9, 2.5]]
-    occluded = sc.TriangleMesh(
-        np.vstack([room.vertices, panel]),
-        np.vstack([room.triangles, [[n, n + 1, n + 2], [n, n + 2, n + 3]]]),
-    )
+    occluded = with_panel(sc.load_obj(str(mesh)))
     occluded_obj = tmp_path / "room_panel.obj"
     sc.save_obj(occluded, str(occluded_obj))
     cache = tmp_path / "vis.spvm"
     cache.write_bytes(vis.read_bytes())
-    assert main(["visibility", "--mesh", str(occluded_obj), "--samples", str(samples),
-                 "--candidates", str(cands), "--out", str(cache)]) == 0
+    visibility = ["visibility", "--mesh", str(occluded_obj), "--samples", str(samples),
+                  "--candidates", str(cands), "--out", str(cache)]
+    assert main(visibility) == 0
     expected = sc.visibility_matrix(
         sc.build_bvh(occluded), sc.load_sample_set(str(samples)), sc.load_candidate_set(str(cands))
     )
     bits = sc.load_spvm(str(cache)).bits
     assert (bits == expected.bits).all()
     assert bits.sum() < sc.load_spvm(str(vis)).bits.sum()
-    # a version-1 cache names no mesh, so it is rebuilt as version 2
-    sc.save_spvm(expected, str(cache))
-    assert main(["visibility", "--mesh", str(occluded_obj), "--samples", str(samples),
-                 "--candidates", str(cands), "--out", str(cache)]) == 0
     assert sc.load_spvm(str(cache)).mesh_hash == occluded.content_hash()
+    rebuilt = cache.read_bytes()
+    assert main(visibility) == 0
+    assert cache.read_bytes() == rebuilt  # a cache hit
+    # a version-1 cache names no mesh and no longer loads, so it is rebuilt as version 2
+    cache.write_bytes(spvm_version1(rebuilt))
+    assert main(visibility) == 0
+    assert cache.read_bytes() == rebuilt
 
 
 def test_stale_cache_exits_2_and_mentions_rerun(workdir, capsys):
@@ -277,7 +275,7 @@ def test_truncated_cache_is_stale(workdir, tmp_path, capsys):
     cache = tmp_path / "vis.spvm"
     headers = [b"SPVM" + struct.pack("<I5Q", 2, n, m, 0, 0, 0)
                for n, m in ((2**40, 1), (2**62, 2**62))]
-    for content in (b"SPVM", *headers):
+    for content in (b"SPVM", *headers, spvm_version1(vis.read_bytes())):
         cache.write_bytes(content)
         code = main(["solve", "--problem", "1", "--k", "1", *_trio_args(samples, cands, cache),
                      "--out", str(tmp_path / "x.json")])
@@ -374,11 +372,12 @@ def test_grid_refine_rejects_a_vis_built_on_another_mesh(workdir, tmp_path, caps
 
     assert refine(vis) == 2
     assert "re-run" in capsys.readouterr().err
-    # a version-1 file records no mesh hash, so nothing can be compared
+    # a version-1 file records no mesh hash, so it cannot show which mesh it is of
     version1 = tmp_path / "v1.spvm"
-    sc.save_spvm(replace(sc.load_spvm(str(vis)), mesh_hash=None), str(version1))
-    assert sc.load_spvm(str(version1)).mesh_hash is None
-    assert refine(version1) == 0
+    version1.write_bytes(spvm_version1(vis.read_bytes()))
+    assert refine(version1) == 2
+    err = capsys.readouterr().err
+    assert "unsupported SPVM version 1" in err and "re-run" in err
 
 
 def test_export_ply(workdir):
@@ -544,6 +543,50 @@ def test_refine_of_a_result_without_a_key_exits_2(workdir, tmp_path, capsys, met
     bad.write_text(json.dumps(result))
     assert main([*argv, "--in", str(bad), "--out", out]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {bad}: missing key '{key}'"]
+
+
+@pytest.mark.parametrize("key, value", [("placement", [1.5]), ("placement", [True]),
+                                        ("problem", True), ("problem", 1.0)])
+@pytest.mark.parametrize("command", ["export", "grid"])
+def test_a_result_with_a_non_integer_index_exits_2(workdir, tmp_path, capsys, command, key,
+                                                    value):
+    # JSON true and 1.0 equal 1 in Python, and 1.5 would reach numpy indexing
+    d, mesh, samples, cands, vis = workdir
+    bad, out = tmp_path / "bad.json", str(tmp_path / "out")
+    trio = _trio_args(samples, cands, vis)
+    assert main(["solve", "--problem", "1", "--k", "2", *trio, "--out", str(bad)]) == 0
+    bad.write_text(json.dumps({**json.loads(bad.read_text()), key: value}))
+    grid = ["refine", "--method", "grid", "--mesh", str(mesh)]
+    argv = ["export"] if command == "export" else grid
+    assert main([*argv, *trio, "--in", str(bad), "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+
+
+@pytest.mark.parametrize("positions, plane_z", [
+    ([[1.0, 1.0, 2.8], [2.0, 1.0]], 2.8),
+    ([[1.0, 1.0], [2.0, 1.0]], 2.8),
+    (None, 2.8),
+    ([], 2.8),
+    ([[1.0, float("nan"), 2.8]], 2.8),
+    ([["1.0", 1.0, 2.8]], 2.8),
+    ([[1.0, 1.0, 2.8]], "2.8"),
+    ([[1.0, 1.0, 2.8]], True),
+    ([[1.0, 1.0, 2.8]], 10**400),
+], ids=["ragged", "k x 2", "null", "empty", "nan", "string position", "string plane",
+      "true plane", "huge plane"])
+def test_onecenter_refine_of_bad_positions_or_plane_exits_2(workdir, tmp_path, capsys,
+                                                           positions, plane_z):
+    d, mesh, samples, cands, vis = workdir
+    bad = tmp_path / "bad.json"
+    assert main(["approx", "--samples", str(samples), "--k", "2", "--plane-z", "2.8",
+                 "--out", str(bad)]) == 0
+    result = json.loads(bad.read_text())
+    bad.write_text(json.dumps({**result, "positions": positions, "params": {"plane_z": plane_z}}))
+    assert main(["refine", "--method", "onecenter", "--samples", str(samples),
+                 "--in", str(bad), "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
 
 
 @pytest.mark.parametrize("params", [None, ["phi", 0.1]])

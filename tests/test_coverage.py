@@ -173,6 +173,10 @@ def test_evaluate_rejects_bad_placement():
         sc.evaluate(inst, [0, 0])
     with pytest.raises(ValueError):
         sc.evaluate(inst, [5])
+    for bad in ([1.5], [1.0], [True], [np.True_]):  # True == 1 == 1.0
+        with pytest.raises(ValueError, match="integers"):
+            sc.evaluate(inst, bad)
+    assert sc.evaluate(inst, np.array([1, 0])).covered_ids == sc.evaluate(inst, [1, 0]).covered_ids
 
 
 @st.composite

@@ -14,7 +14,7 @@ def test_load_obj_minimal(tmp_path):
     p = tmp_path / "tri.obj"
     p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
     mesh = sc.load_obj(p)
-    assert mesh.n_vertices == 3
+    assert len(mesh.vertices) == 3
     assert mesh.n_triangles == 1
 
 

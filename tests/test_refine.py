@@ -11,7 +11,7 @@ from surfcover import refine
 from surfcover.coverage import CoincidentPointError, QualityKind
 
 from _refine_reference import contains, min_sphere_welzl, reference_refine_grid
-from conftest import all_visible, make_sample_set
+from conftest import all_visible, make_sample_set, with_panel
 
 
 def grid_search_min_sphere_radius(points, h, span=12.0, levels=3, cells=60):
@@ -419,6 +419,17 @@ def test_refine_grid_cumulative_requires_threshold():
     inst = sc.build_instance(samples, coarse, vm, QualityKind.LAMBERT_INVERSE_SQUARE)
     with pytest.raises(ValueError, match="threshold"):
         sc.refine_grid(inst, (0,), bvh, pitch_fine=0.5, rounds=1, neighborhood=1.0)
+
+
+def test_refine_grid_rejects_a_tree_of_another_mesh():
+    # moves are traced through the tree, so it must hold the occluders the
+    # instance's columns were computed with
+    mesh, bvh, samples, rect, coarse, _ = _coarse_fine_setup()
+    vm = sc.visibility_matrix(bvh, samples, coarse)
+    inst = sc.build_instance(samples, coarse, vm, QualityKind.VISIBILITY)
+    paneled = sc.build_bvh(with_panel(mesh))
+    with pytest.raises(ValueError, match="another mesh"):
+        sc.refine_grid(inst, (0,), paneled, pitch_fine=0.5, rounds=1, neighborhood=1.0)
 
 
 def _benchmark_scenes():

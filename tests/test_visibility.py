@@ -21,7 +21,14 @@ from surfcover.visibility import (
     segments_occluded,
 )
 
-from conftest import box_mesh, make_sample_set, segment_occluded, square_mesh
+from conftest import (
+    box_mesh,
+    make_sample_set,
+    segment_occluded,
+    spvm_version1,
+    square_mesh,
+    with_panel,
+)
 
 
 def bounds(mesh):
@@ -36,7 +43,7 @@ def single_triangle():
 def test_single_leaf_tree():
     bvh = sc.build_bvh(single_triangle())
     assert (bvh.left < 0).sum() == 1
-    assert bvh.n_triangles == 1
+    assert (bvh.tri_order >= 0).sum() == 1
 
 
 def test_root_box_is_mesh_bounds():
@@ -75,7 +82,7 @@ def test_leaves_partition_triangles():
     assert used[0].all() and (used[:-1] >= used[1:]).all()  # a leaf fills its first slots
     assert sorted(used.sum(axis=0).tolist()) == [3, 3, 3, 4]
     assert sorted(bvh.tri_order[used].tolist()) == list(range(13))
-    assert bvh.n_triangles == 13
+    assert (bvh.tri_order >= 0).sum() == 13
     a, b, c = mesh.corners()
     tris = bvh.tri_order[used]
     assert (bvh.tri[:, :, used] == np.stack([a, b - a, c - a])[:, tris].transpose(0, 2, 1)).all()
@@ -172,18 +179,43 @@ def test_spvm_roundtrip(tmp_path, room_scene):
     assert (back.bits == vm.bits).all()
     assert back.sample_hash == vm.sample_hash
     assert back.candidate_hash == vm.candidate_hash
+    assert back.mesh_hash == vm.mesh_hash
     assert p.read_bytes()[:4] == b"SPVM"
+    assert int.from_bytes(p.read_bytes()[4:8], "little") == 2
 
 
-def test_spvm_v2_keeps_mesh_hash_and_v1_still_loads(tmp_path, room_scene):
-    mesh, *_, vm = room_scene
-    for mesh_hash, version in ((None, 1), (mesh.content_hash(), 2)):
-        p = tmp_path / f"v{version}.spvm"
-        save_spvm(dataclasses.replace(vm, mesh_hash=mesh_hash), p)
-        assert int.from_bytes(p.read_bytes()[4:8], "little") == version
-        back = load_spvm(p)
-        assert back.mesh_hash == mesh_hash
-        assert (back.bits == vm.bits).all()
+@pytest.mark.parametrize("scene", ["triangle", "box", "room", "room with panel"])
+def test_a_computed_matrix_records_its_mesh(scene, room_scene):
+    room = room_scene[0]
+    mesh = {"triangle": single_triangle(), "box": box_mesh(), "room": room,
+            "room with panel": with_panel(room)}[scene]
+    samples = make_sample_set([[0.5, 0.5, -1.0], [0.2, 0.7, 2.0]])
+    cands = sc.CandidateSet(np.array([[0.4, 0.3, 5.0], [3.0, 2.0, 2.8]]))
+    vm = sc.visibility_matrix(sc.build_bvh(mesh), samples, cands)
+    assert vm.mesh_hash == mesh.content_hash()
+    vm.check_consistent(samples, cands, mesh)
+    for other in (square_mesh(), with_panel(mesh)):
+        with pytest.raises(ValueError, match="another mesh"):
+            vm.check_consistent(samples, cands, other)
+    with pytest.raises(ValueError, match="another mesh"):  # bits built by hand name no mesh
+        dataclasses.replace(vm, mesh_hash=None).check_consistent(samples, cands, mesh)
+
+
+def test_spvm_version_1_is_refused(tmp_path, room_scene):
+    *_, vm = room_scene
+    p = tmp_path / "v1.spvm"
+    save_spvm(vm, p)
+    p.write_bytes(spvm_version1(p.read_bytes()))
+    with pytest.raises(ValueError, match="unsupported SPVM version 1"):
+        load_spvm(p)
+
+
+def test_a_matrix_without_a_mesh_is_not_saved(tmp_path, room_scene):
+    *_, vm = room_scene
+    p = tmp_path / "hand.spvm"
+    with pytest.raises(ValueError, match="mesh hash"):
+        save_spvm(dataclasses.replace(vm, mesh_hash=None), p)
+    assert not p.exists()
 
 
 @pytest.mark.parametrize("n, m", [(2**40, 1), (2**62, 2**62), (3, 9)])
