@@ -275,6 +275,7 @@ def _cmd_refine(args) -> int:
         if plane_z is None:
             raise UsageError("--method onecenter needs a result produced by `approx`")
         centers = _file(args.infile, _approx_centers, prev["positions"], plane_z)
+        _file(args.infile, _check_k, prev["k"], len(centers))
         positions, objective = refine.improve_quality_max(samples, centers, plane_z)
         extra = {"method": "onecenter-refined", "radius": objective}
     else:
@@ -282,8 +283,10 @@ def _cmd_refine(args) -> int:
             raise UsageError("--method grid needs --mesh, --candidates and --vis")
         if prev["problem"] == 2:
             raise UsageError("--method grid refines problem 1/3 results; use onecenter")
+        rule = _file(args.infile, _result_rule, prev)
         mesh = _file(args.mesh, load_obj, args.mesh)
         instance, placement = _result_instance(args, prev, mesh)
+        _file(args.infile, _check_k, prev["k"], len(placement))
         bvh = build_bvh(mesh)
         neighborhood = 2 * args.fine_pitch if args.neighborhood is None else args.neighborhood
         positions, objective = refine.refine_grid(
@@ -293,7 +296,7 @@ def _cmd_refine(args) -> int:
             pitch_fine=args.fine_pitch,
             rounds=args.rounds,
             neighborhood=neighborhood,
-            threshold=prev["params"].get("phi"),
+            threshold=rule.get("threshold"),
         )
         extra = {"method": "grid-refined"}
     fields = {k: prev[k] for k in ("problem", "k", "params")}
@@ -307,9 +310,39 @@ def _approx_centers(positions, plane_z):
     shaped = centers.ndim == 2 and centers.shape[1] == 3 and len(centers) > 0
     if not (shaped and centers.dtype.kind in "iuf" and np.isfinite(centers).all()):
         raise ValueError("positions must be a non-empty list of finite [x, y, z]")
-    if type(plane_z) not in (int, float) or not math.isfinite(plane_z):
+    if not _finite(plane_z):
         raise ValueError("params.plane_z must be a finite number")
     return centers
+
+
+def _finite(x) -> bool:
+    """Whether the JSON value `x` is a finite number; strings, booleans and null are not."""
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _result_rule(prev) -> dict:
+    """The coverage rule of the result's problem as keyword arguments of
+    `export.sample_colors`: problem 3's `threshold` (its params.phi) or
+    problem 2's `radius`; ValueError unless phi is a finite number > 0 and
+    the radius a finite number >= 0."""
+    if prev["problem"] == 3:
+        phi = prev.get("params", {}).get("phi")
+        if not (_finite(phi) and phi > 0):
+            raise ValueError("params.phi must be a finite number > 0")
+        return {"threshold": phi}
+    if prev["problem"] == 2:
+        radius = prev.get("radius")
+        if not (_finite(radius) and radius >= 0):
+            raise ValueError("radius must be a finite number >= 0")
+        return {"radius": radius}
+    return {}
+
+
+def _check_k(k, sensors: int) -> None:
+    """ValueError unless the result's budget `k` is an integer that allows its
+    `sensors`; a solve may use fewer sensors than its budget, never more."""
+    if type(k) is not int or k < sensors:  # True and 2.0 are not budgets
+        raise ValueError(f"k must be an integer >= the result's {sensors} sensors")
 
 
 def _cmd_sweep(args) -> int:
@@ -346,10 +379,7 @@ def _result_instance(args, prev: dict, mesh=None):
 def _cmd_export(args) -> int:
     prev = _file(args.infile, _load_result, args.infile)
     instance, placement = _result_instance(args, prev)
-    colors = export.sample_colors(
-        instance, placement, threshold=prev.get("params", {}).get("phi"),
-        radius=prev.get("radius"),
-    )
+    colors = export.sample_colors(instance, placement, **_file(args.infile, _result_rule, prev))
     _file(args.out, export.write_ply, args.out, instance.samples.positions, colors)
     return EXIT_OK
 

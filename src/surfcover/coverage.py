@@ -183,7 +183,7 @@ def evaluate(
     f = per_sample_coverage(instance, selected)
     covered = np.flatnonzero(is_covered(instance.kind, f, threshold))
     return CoverageReport(
-        covered_ids=frozenset(int(i) for i in covered),
+        covered_ids=frozenset(covered.tolist()),
         objective=float(len(covered)),
         per_sample_f=f,
     )

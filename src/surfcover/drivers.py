@@ -74,11 +74,11 @@ def solve_problem2(
     bound every radius, and those that prove a radius infeasible prove every
     smaller one too, since a smaller radius only drops cover entries.
 
-    `time_limit` bounds the whole search: each step gets the time left. The
-    search stops at the first step that runs out of time, or before a step
-    when none is left. It then returns the smallest radius proven feasible so
-    far with status TIME_LIMIT; when the largest radius itself timed out, that
-    radius and its uncertified incumbent come back with status TIME_LIMIT.
+    `time_limit` bounds the whole search: each step gets the time left. When
+    the clock stops the search, before a step or inside one, the smallest
+    radius proven feasible so far (the largest radius when even its step timed
+    out) comes back with status TIME_LIMIT; a search that settled r* reports
+    OPTIMAL.
     """
     radii = candidate_radii(instance)
     deadline = math.inf if time_limit is None else time.perf_counter() + time_limit
@@ -94,35 +94,25 @@ def solve_problem2(
         multipliers = res.multipliers
         return res
 
-    hi = len(radii) - 1
-    top = step(float(radii[hi]))
-    if top.status is SolveStatus.INFEASIBLE:
+    last = len(radii) - 1
+    res = feasible = step(float(radii[last]))  # the first step settles the largest radius
+    if res.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
             f"coverage ratio {rho} unachievable with {k} sensors even at the "
-            f"largest radius {radii[hi]:.6g}"
+            f"largest radius {radii[last]:.6g}"
         )
-    if top.status is not SolveStatus.OPTIMAL:
-        return float(radii[hi]), top.placement, top
-    lo = 0
-    best = (float(radii[hi]), top)
-    while lo <= hi:
-        if time.perf_counter() >= deadline:
+    r_star, lo, hi = float(radii[last]), 0, last
+    while lo <= hi and lo < last:  # radii[:lo] infeasible, r_star feasible
+        if res.status is SolveStatus.TIME_LIMIT or time.perf_counter() >= deadline:
+            feasible = replace(feasible, status=SolveStatus.TIME_LIMIT)
             break
         mid = (lo + hi) // 2
-        r = float(radii[mid])
-        res = top if mid == len(radii) - 1 else step(r)
+        res = step(float(radii[mid]))
         if res.status is SolveStatus.OPTIMAL:
-            best = (r, res)
-            hi = mid - 1
+            r_star, feasible, hi = float(radii[mid]), res, mid - 1
         elif res.status is SolveStatus.INFEASIBLE:
             lo = mid + 1
-        else:
-            break
-    else:  # the search ended without running out of time
-        r_star, res = best
-        return r_star, res.placement, res
-    r_star, feasible = best
-    return r_star, feasible.placement, replace(feasible, status=SolveStatus.TIME_LIMIT)
+    return r_star, feasible.placement, feasible
 
 
 # ---------------------------------------------------------------------------

@@ -614,6 +614,85 @@ def test_a_result_whose_params_is_not_an_object_exits_2(workdir, tmp_path, capsy
     ]
 
 
+MISSING = object()
+
+
+def _edited_result(workdir, path, solve_or_approx, **edits):
+    """Write the result of `solve_or_approx` (argv after the command) at
+    `path` with the top-level `edits` applied; MISSING deletes a key."""
+    d, mesh, samples, cands, vis = workdir
+    command, *flags = solve_or_approx
+    inputs = ["--samples", str(samples)] if command == "approx" else _trio_args(samples, cands, vis)
+    assert main([command, *flags, *inputs, "--out", str(path)]) == 0
+    result = json.loads(path.read_text())
+    for key, value in edits.items():
+        if value is MISSING:
+            del result[key]
+        else:
+            result[key] = value
+    path.write_text(json.dumps(result))
+
+
+@pytest.mark.parametrize("phi", [MISSING, "0.05", True, None, float("nan"), float("inf"), 0, -1],
+                         ids=["missing", "string", "true", "null", "nan", "inf", "zero",
+                              "negative"])
+@pytest.mark.parametrize("command", ["export", "grid"])
+def test_a_problem3_result_with_a_bad_phi_exits_2(workdir, tmp_path, capsys, command, phi):
+    d, mesh, samples, cands, vis = workdir
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    params = {} if phi is MISSING else {"phi": phi}
+    _edited_result(workdir, bad, ["solve", "--problem", "3", "--k", "1", "--phi", "0.05"],
+                   params=params)
+    grid = ["refine", "--method", "grid", "--mesh", str(mesh)]
+    argv = ["export"] if command == "export" else grid
+    assert main([*argv, *_trio_args(samples, cands, vis), "--in", str(bad),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: params.phi must be a finite number > 0"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", [MISSING, "2", True, None, float("nan"), float("inf"), -1],
+                         ids=["missing", "string", "true", "null", "nan", "inf", "negative"])
+def test_export_of_a_problem2_result_with_a_bad_radius_exits_2(workdir, tmp_path, capsys,
+                                                               radius):
+    d, mesh, samples, cands, vis = workdir
+    bad, out = tmp_path / "bad.json", tmp_path / "out.ply"
+    _edited_result(workdir, bad, ["solve", "--problem", "2", "--k", "2", "--rho", "0.8"],
+                   radius=radius)
+    assert main(["export", *_trio_args(samples, cands, vis), "--in", str(bad),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: radius must be a finite number >= 0"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k, code", [(1, 2), (True, 2), (2.0, 2), ("2", 2), (None, 2), (5, 0)])
+@pytest.mark.parametrize("method", ["grid", "onecenter"])
+def test_refine_checks_that_k_allows_its_sensors(workdir, tmp_path, capsys, method, k, code):
+    # both results have 2 sensors; a budget above them stays valid, since a
+    # solve may use fewer sensors than it was allowed
+    d, mesh, samples, cands, vis = workdir
+    prev, out = tmp_path / "prev.json", tmp_path / "out.json"
+    if method == "grid":
+        _edited_result(workdir, prev, ["solve", "--problem", "1", "--k", "2"], k=k)
+        argv = ["--mesh", str(mesh), *_trio_args(samples, cands, vis), "--rounds", "0"]
+    else:
+        _edited_result(workdir, prev, ["approx", "--k", "2", "--plane-z", "2.8"], k=k)
+        argv = ["--samples", str(samples)]
+    assert main(["refine", "--method", method, *argv, "--in", str(prev),
+                 "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {prev}: k must be an integer >= the result's 2 sensors"
+        ]
+    else:
+        refined = json.loads(out.read_text())
+        assert refined["k"] == k and len(refined["positions"]) == 2
+
+
 def test_malformed_mesh_error_names_its_file_once(tmp_path, capsys):
     # the OBJ loader's message starts with the path already
     bad_obj = tmp_path / "bad.obj"

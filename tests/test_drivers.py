@@ -157,15 +157,30 @@ def _probed_radii(monkeypatch, inst, spend=0.0, **kwargs):
     return out, radii
 
 
-def test_problem2_does_not_solve_the_largest_radius_twice(monkeypatch):
-    # radii are 1 and sqrt(10); only the largest covers both samples, so the
-    # bisection climbs to it after the top probe has already proved it
+def two_radii_instance():
+    """Radii 1 and sqrt(10); only the largest covers both samples with k = 1."""
     samples = make_sample_set([[0, 0, 0], [3, 0, 0]])
     cands = sc.CandidateSet(positions=[[0, 0, 1]])
-    inst = sc.build_instance(samples, cands, all_visible(samples, cands), QualityKind.VISIBILITY)
-    (r, placement, res), radii = _probed_radii(monkeypatch, inst, k=1, rho=1.0)
+    return sc.build_instance(samples, cands, all_visible(samples, cands), QualityKind.VISIBILITY)
+
+
+def test_problem2_does_not_solve_the_largest_radius_twice(monkeypatch):
+    # the bisection climbs to the largest radius after the top probe has
+    # already proved it
+    (r, placement, res), radii = _probed_radii(monkeypatch, two_radii_instance(), k=1, rho=1.0)
     assert radii == [math.sqrt(10.0), 1.0]
     assert r == math.sqrt(10.0) and placement == (0,)
+    assert res.status is SolveStatus.OPTIMAL
+
+
+def test_problem2_settled_when_the_clock_runs_out_reports_optimal(monkeypatch):
+    # 30 ms per step: the second step, which proves r = 1 infeasible and so
+    # settles r* = sqrt(10), ends after the 50 ms limit
+    (r, _, res), radii = _probed_radii(
+        monkeypatch, two_radii_instance(), spend=0.03, k=1, rho=1.0, time_limit=0.05
+    )
+    assert radii == [math.sqrt(10.0), 1.0]
+    assert r == math.sqrt(10.0)
     assert res.status is SolveStatus.OPTIMAL
 
 
