@@ -192,6 +192,10 @@ def _cmd_visibility(args) -> int:
             return EXIT_OK  # cache hit keyed by content hashes
         except (OSError, ValueError):
             pass  # stale, foreign or unreadable file: recompute below
+    sample_at = {p: i for i, p in enumerate(map(tuple, samples.positions.tolist()))}
+    for j, p in enumerate(map(tuple, candidates.positions.tolist())):
+        if p in sample_at:  # no segment joins a candidate to a sample it sits on
+            raise UsageError(f"{args.candidates}: candidate {j} coincides with sample {sample_at[p]}")
     vm = visibility_matrix(build_bvh(mesh), samples, candidates)
     _file(args.out, save_spvm, vm, args.out)
     return EXIT_OK

@@ -53,7 +53,7 @@ def farthest_point_clustering(
         c = plane.project(pos[far])
         centers.append(c)
         dist = np.minimum(dist, sensor_offsets(pos, c[None])[1][:, 0])
-    return CandidateSet(positions=np.array(centers), region_kind="plane-at-height")
+    return CandidateSet(positions=np.array(centers))
 
 
 def coverage_radius(centers: CandidateSet, samples: SampleSet) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,10 +22,14 @@ class EmptySampleError(ValueError):
     """Raised when sampling + filtering leaves no usable target surface."""
 
 
-def _as_points(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
+def _as_points(a, dtype=np.float64) -> np.ndarray:
+    """`a` as an (n, 3) array of `dtype`; MeshError unless that is its shape
+    and every entry is finite."""
+    arr = np.asarray(a, dtype=dtype)
     if arr.ndim != 2 or arr.shape[1] != 3:
-        raise MeshError(f"expected (n, 3) point array, got shape {arr.shape}")
+        raise MeshError(f"expected (n, 3) array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise MeshError("coordinates must be finite")
     return arr
 
 
@@ -35,16 +39,11 @@ class TriangleMesh:
 
     vertices: np.ndarray  # (V, 3) float64, meters
     triangles: np.ndarray  # (T, 3) int64 vertex indices
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _as_points(self.vertices))
-        tris = np.asarray(self.triangles, dtype=np.int64)
-        if tris.ndim != 2 or tris.shape[1] != 3:
-            raise MeshError(f"expected (t, 3) triangle array, got shape {tris.shape}")
+        tris = _as_points(self.triangles, np.int64)  # vertex indices
         object.__setattr__(self, "triangles", tris)
-        if not np.isfinite(self.vertices).all():
-            raise MeshError("mesh has non-finite vertex coordinates")
         if tris.size and (tris.min() < 0 or tris.max() >= len(self.vertices)):
             bad = np.where((tris < 0) | (tris >= len(self.vertices)))[0]
             raise MeshError(f"triangle indices out of range in faces {sorted(set(bad.tolist()))}")
@@ -83,7 +82,6 @@ class SampleSet:
     positions: np.ndarray  # (N, 3)
     normals: np.ndarray  # (N, 3) unit
     weights: np.ndarray  # (N,) m^2
-    grid_pitch: float
 
     def __post_init__(self):
         object.__setattr__(self, "positions", _as_points(self.positions))
@@ -97,8 +95,8 @@ class SampleSet:
         norms = np.linalg.norm(self.normals, axis=1)
         if not np.allclose(norms, 1.0, atol=1e-9):
             raise ValueError("normals must be unit length")
-        if (self.weights <= 0).any():
-            raise ValueError("sample weights must be positive")
+        if not (np.isfinite(self.weights).all() and (self.weights > 0).all()):
+            raise ValueError("sample weights must be finite and > 0")
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -106,34 +104,12 @@ class SampleSet:
     def content_hash(self) -> int:
         return content_hash_u64(self.positions, self.normals, self.weights)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "sample_set",
-            "grid_pitch": self.grid_pitch,
-            "positions": self.positions.tolist(),
-            "normals": self.normals.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SampleSet":
-        if d.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported sample_set format_version {d.get('format_version')}")
-        return cls(
-            positions=np.array(d["positions"], dtype=np.float64),
-            normals=np.array(d["normals"], dtype=np.float64),
-            weights=np.array(d["weights"], dtype=np.float64),
-            grid_pitch=float(d["grid_pitch"]),
-        )
-
 
 @dataclass(frozen=True)
 class CandidateSet:
     """Discretized candidate sensor locations."""
 
     positions: np.ndarray  # (M, 3)
-    region_kind: str = "explicit-list"  # plane-at-height | explicit-list
 
     def __post_init__(self):
         pos = _as_points(self.positions)
@@ -151,22 +127,36 @@ class CandidateSet:
     def content_hash(self) -> int:
         return content_hash_u64(self.positions)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "candidate_set",
-            "region_kind": self.region_kind,
-            "positions": self.positions.tolist(),
-        }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CandidateSet":
-        if d.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported candidate_set format_version {d.get('format_version')}")
-        return cls(
-            positions=np.array(d["positions"], dtype=np.float64),
-            region_kind=d.get("region_kind", "explicit-list"),
-        )
+_KINDS = {SampleSet: "sample_set", CandidateSet: "candidate_set"}
+
+
+def save_json(obj: SampleSet | CandidateSet, path) -> None:
+    """Write JSON of `format_version`, `kind`, then the set's fields in order."""
+    record = {"format_version": FORMAT_VERSION, "kind": _KINDS[type(obj)]}
+    record.update((f.name, getattr(obj, f.name).tolist()) for f in fields(obj))
+    with open(path, "w") as fh:
+        json.dump(record, fh)
+
+
+def _load_set(cls, path):
+    """The `cls` set in the file at `path`, whose keys beyond its fields are ignored."""
+    with open(path) as fh:
+        record = json.load(fh)
+    kind = _KINDS[cls]
+    if not isinstance(record, dict) or record.get("kind") != kind:
+        raise ValueError(f"not a {kind} file")
+    if record.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported {kind} format_version {record.get('format_version')}")
+    return cls(**{f.name: np.array(record[f.name], dtype=np.float64) for f in fields(cls)})
+
+
+def load_sample_set(path) -> SampleSet:
+    return _load_set(SampleSet, path)
+
+
+def load_candidate_set(path) -> CandidateSet:
+    return _load_set(CandidateSet, path)
 
 
 def content_hash_u64(*arrays: np.ndarray) -> int:
@@ -222,14 +212,11 @@ def load_obj(path) -> TriangleMesh:
     return TriangleMesh(
         vertices=np.array(vertices, dtype=np.float64),
         triangles=np.array(faces, dtype=np.int64),
-        name=str(path),
     )
 
 
 def save_obj(mesh: TriangleMesh, path) -> None:
     with open(path, "w") as fh:
-        if mesh.name:
-            fh.write(f"# {mesh.name}\n")
         for v in mesh.vertices:
             fh.write(f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}\n")
         for t in mesh.triangles:
@@ -284,7 +271,6 @@ def sample_surface(mesh: TriangleMesh, pitch: float, drop_downward: float = 0.0)
         positions=a[tri] + uv[:, :1] * (b - a)[tri] + uv[:, 1:] * (c - a)[tri],
         normals=normals[kept][tri],
         weights=(mesh.areas()[kept] / count)[tri],
-        grid_pitch=float(pitch),
     )
 
 
@@ -310,19 +296,4 @@ def generate_candidates_plane(
     ys = _axis_points(y0, y1, pitch)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pos = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(h))])
-    return CandidateSet(positions=pos, region_kind="plane-at-height")
-
-
-def save_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj.to_json_dict(), fh)
-
-
-def load_sample_set(path) -> SampleSet:
-    with open(path) as fh:
-        return SampleSet.from_json_dict(json.load(fh))
-
-
-def load_candidate_set(path) -> CandidateSet:
-    with open(path) as fh:
-        return CandidateSet.from_json_dict(json.load(fh))
+    return CandidateSet(positions=pos)

@@ -36,41 +36,22 @@ def gen_terrain(
     # two triangles per cell (i, j), cells in row order, counter-clockwise
     # seen from above: normals point up
     tris = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
-    return TriangleMesh(
-        vertices=vertices,
-        triangles=tris,
-        name=f"terrain-seed{seed}",
-    )
+    return TriangleMesh(vertices=vertices, triangles=tris)
 
 
-def _quad(v, a, b, c, d):
-    """Two triangles for quad corners a, b, c, d (counter-clockwise around the
-    intended normal)."""
-    return [[v[a], v[b], v[c]], [v[a], v[c], v[d]]]
-
-
-def _box_triangles(lo, hi, vertices: list, inward: bool) -> list:
-    """Append the 8 box corners to `vertices`; return 12 triangles whose
-    normals face outward (inward=False) or into the box (inward=True)."""
-    x0, y0, z0 = lo
-    x1, y1, z1 = hi
-    base = len(vertices)
-    corners = [
-        (x0, y0, z0), (x1, y0, z0), (x1, y1, z0), (x0, y1, z0),
-        (x0, y0, z1), (x1, y0, z1), (x1, y1, z1), (x0, y1, z1),
-    ]
-    vertices.extend(corners)
-    v = list(range(base, base + 8))
-    faces = []
-    faces += _quad(v, 0, 3, 2, 1)  # bottom, normal -z
-    faces += _quad(v, 4, 5, 6, 7)  # top, normal +z
-    faces += _quad(v, 0, 1, 5, 4)  # y = y0 side, normal -y
-    faces += _quad(v, 2, 3, 7, 6)  # y = y1 side, normal +y
-    faces += _quad(v, 0, 4, 7, 3)  # x = x0 side, normal -x
-    faces += _quad(v, 1, 2, 6, 5)  # x = x1 side, normal +x
-    if inward:
-        faces = [[f[0], f[2], f[1]] for f in faces]
-    return faces
+# corner c takes the box's high end on axis a where _BOX_CORNERS[c, a]: the
+# bottom square counter-clockwise seen from above, then the top one
+_BOX_CORNERS = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+                         [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=bool)
+# two triangles per face, wound so the normals face out of the box
+_BOX_FACES = np.array([
+    [0, 3, 2], [0, 2, 1],  # bottom, normal -z
+    [4, 5, 6], [4, 6, 7],  # top, normal +z
+    [0, 1, 5], [0, 5, 4],  # y = y0 side, normal -y
+    [2, 3, 7], [2, 7, 6],  # y = y1 side, normal +y
+    [0, 4, 7], [0, 7, 3],  # x = x0 side, normal -x
+    [1, 2, 6], [1, 6, 5],  # x = x1 side, normal +x
+])
 
 
 def gen_room(
@@ -84,9 +65,8 @@ def gen_room(
     also face the room interior. Obstacles must lie strictly inside the shell
     and must not overlap each other.
     """
-    w, d, h = extent
     lo_room = np.zeros(3)
-    hi_room = np.array([w, d, h])
+    hi_room = np.array(extent, dtype=np.float64)
     boxes = [(np.asarray(lo, float), np.asarray(hi, float)) for lo, hi in obstacles]
     for lo, hi in boxes:
         if (hi <= lo).any():
@@ -98,12 +78,10 @@ def gen_room(
             (lo1, hi1), (lo2, hi2) = boxes[a], boxes[b]
             if (lo1 < hi2).all() and (lo2 < hi1).all():
                 raise ValueError(f"obstacles {a} and {b} overlap")
-    vertices: list = []
-    faces = _box_triangles(lo_room, hi_room, vertices, inward=True)
-    for lo, hi in boxes:
-        faces += _box_triangles(lo, hi, vertices, inward=False)
+    boxes.insert(0, (lo_room, hi_room))
+    faces = _BOX_FACES + 8 * np.arange(len(boxes))[:, None, None]  # box b's corners from 8b
+    faces[0] = faces[0][:, [0, 2, 1]]  # the shell faces the interior
     return TriangleMesh(
-        vertices=np.array(vertices, dtype=np.float64),
-        triangles=np.array(faces, dtype=np.int64),
-        name="room",
+        vertices=np.concatenate([np.where(_BOX_CORNERS, hi, lo) for lo, hi in boxes]),
+        triangles=faces.reshape(-1, 3),
     )

@@ -5,20 +5,18 @@ import surfcover as sc
 from surfcover.visibility import segments_occluded
 
 
-def box_mesh(lo=(0, 0, 0), hi=(1, 1, 1), name="box"):
+def box_mesh(lo=(0, 0, 0), hi=(1, 1, 1)):
     """Closed axis-aligned box with outward-facing normals."""
-    from surfcover.scenes import _box_triangles
+    from surfcover.scenes import _BOX_CORNERS, _BOX_FACES
 
-    vertices = []
-    faces = _box_triangles(np.asarray(lo, float), np.asarray(hi, float), vertices, inward=False)
-    return sc.TriangleMesh(np.array(vertices), np.array(faces), name)
+    return sc.TriangleMesh(np.where(_BOX_CORNERS, np.asarray(hi, float), lo), _BOX_FACES)
 
 
 def square_mesh(flip=False):
     """Unit square in z = 0, normal +z (or -z when flipped)."""
     verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
     tris = [[0, 1, 2], [0, 2, 3]] if not flip else [[0, 2, 1], [0, 3, 2]]
-    return sc.TriangleMesh(verts, tris, "square")
+    return sc.TriangleMesh(verts, tris)
 
 
 def all_visible(samples, candidates):
@@ -52,14 +50,14 @@ def spvm_version1(v2: bytes) -> bytes:
     return v2[:4] + (1).to_bytes(4, "little") + v2[8:40] + v2[48:]
 
 
-def make_sample_set(positions, normals=None, weights=None, pitch=1.0):
+def make_sample_set(positions, normals=None, weights=None):
     positions = np.asarray(positions, float)
     n = len(positions)
     if normals is None:
         normals = np.tile([0.0, 0.0, 1.0], (n, 1))
     if weights is None:
         weights = np.ones(n)
-    return sc.SampleSet(positions=positions, normals=normals, weights=weights, grid_pitch=pitch)
+    return sc.SampleSet(positions=positions, normals=normals, weights=weights)
 
 
 @pytest.fixture(scope="session")

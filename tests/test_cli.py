@@ -714,3 +714,55 @@ def test_non_spvm_vis_error_names_its_file_once(workdir, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {bad_vis}: not an SPVM file"), err
+
+
+@pytest.mark.parametrize("command", ["approx", "visibility"])
+def test_a_non_finite_coordinate_exits_2(workdir, tmp_path, capsys, command):
+    # a sample at Infinity for approx, a candidate at NaN for visibility
+    d, mesh, samples, cands, vis = workdir
+    key, path = ("samples", samples) if command == "approx" else ("candidates", cands)
+    points = json.loads(path.read_text())
+    points["positions"][3][0] = float("inf") if command == "approx" else float("nan")
+    bad = tmp_path / f"{key}.json"
+    bad.write_text(json.dumps(points))
+    argv = {
+        "approx": ["approx", "--samples", str(bad), "--k", "3", "--plane-z", "2.8"],
+        "visibility": ["visibility", "--mesh", str(mesh), "--samples", str(samples),
+                       "--candidates", str(bad)],
+    }[command]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("swapped", ["candidates", "samples"])
+def test_a_set_file_of_the_other_kind_exits_2(workdir, tmp_path, capsys, swapped):
+    d, mesh, samples, cands, vis = workdir
+    terrain, terrain_samples = tmp_path / "terrain.obj", tmp_path / "terrain_samples.json"
+    assert main(["gen-scene", "--kind", "terrain", "--out", str(terrain)]) == 0
+    assert main(["sample", "--mesh", str(terrain), "--pitch", "2.0",
+                 "--out", str(terrain_samples)]) == 0
+    if swapped == "candidates":  # a sample file read as candidates
+        inputs, bad, kind = [str(samples), str(terrain_samples)], terrain_samples, "candidate_set"
+    else:
+        inputs, bad, kind = [str(cands), str(cands)], cands, "sample_set"
+    out = tmp_path / "vis.spvm"
+    assert main(["visibility", "--mesh", str(mesh), "--samples", inputs[0],
+                 "--candidates", inputs[1], "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: not a {kind} file"]
+    assert not out.exists()
+
+
+def test_a_candidate_on_a_sample_exits_2(workdir, tmp_path, capsys):
+    d, mesh, samples, cands, vis = workdir
+    points = json.loads(cands.read_text())
+    points["positions"].append(json.loads(samples.read_text())["positions"][5])
+    on_sample = tmp_path / "cands.json"
+    on_sample.write_text(json.dumps(points))
+    m = len(points["positions"]) - 1
+    assert main(["visibility", "--mesh", str(mesh), "--samples", str(samples),
+                 "--candidates", str(on_sample), "--out", str(tmp_path / "vis.spvm")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {on_sample}: candidate {m} coincides with sample 5"
+    ]

@@ -7,7 +7,7 @@ import pytest
 import surfcover as sc
 from surfcover.mesh import EmptySampleError, MeshError, load_candidate_set, load_sample_set, save_json
 
-from conftest import box_mesh, square_mesh
+from conftest import box_mesh, make_sample_set, square_mesh
 
 
 def test_load_obj_minimal(tmp_path):
@@ -167,9 +167,47 @@ def test_candidate_set_json_roundtrip(tmp_path):
     save_json(c, p)
     back = load_candidate_set(p)
     assert back.content_hash() == c.content_hash()
-    assert back.region_kind == "plane-at-height"
+    assert list(json.loads(p.read_text())) == ["format_version", "kind", "positions"]
+
+
+def test_files_in_the_older_layout_still_load(tmp_path):
+    # earlier writers put a `# name` line in OBJ files, `grid_pitch` in sample
+    # files and `region_kind` in candidate files; readers ignore all three
+    room = sc.gen_room(extent=(6, 4, 3), obstacles=[((1, 1, 0), (3, 2.2, 0.7))])
+    samples = sc.sample_surface(room, pitch=0.5)
+    cands = sc.generate_candidates_plane(2.8, (0.5, 0.5, 5.5, 3.5), 0.8)
+    obj = tmp_path / "room.obj"
+    sc.save_obj(room, obj)
+    obj.write_text("# room\n" + obj.read_text())
+    s, c = tmp_path / "samples.json", tmp_path / "cands.json"
+    s.write_text(json.dumps({
+        "format_version": 1, "kind": "sample_set", "grid_pitch": 0.5,
+        "positions": samples.positions.tolist(), "normals": samples.normals.tolist(),
+        "weights": samples.weights.tolist(),
+    }))
+    c.write_text(json.dumps({
+        "format_version": 1, "kind": "candidate_set", "region_kind": "plane-at-height",
+        "positions": cands.positions.tolist(),
+    }))
+    assert sc.load_obj(obj).content_hash() == room.content_hash()
+    assert load_sample_set(s).content_hash() == samples.content_hash()
+    assert load_candidate_set(c).content_hash() == cands.content_hash()
 
 
 def test_mesh_rejects_nonfinite():
     with pytest.raises(MeshError):
         sc.TriangleMesh([[0, 0, 0], [1, 0, 0], [0, np.nan, 0]], [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_sets_reject_nonfinite_coordinates(bad):
+    with pytest.raises(MeshError, match="finite"):
+        sc.CandidateSet(positions=[[0, 0, 1], [bad, 0, 1]])
+    with pytest.raises(MeshError, match="finite"):
+        make_sample_set([[0, 0, 0], [1, bad, 0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_sample_weights_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="weights"):
+        make_sample_set([[0, 0, 0], [1, 0, 0]], weights=[1.0, bad])
