@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 
@@ -50,21 +49,30 @@ class UsageError(Exception):
     pass
 
 
-def _checked(convert, ok, rule: str):
-    """An argparse `type=` that converts a flag's text and keeps the value
-    only if `ok(value)`; otherwise argparse exits 2 with `argument --flag:
-    must be <rule>`. NaN fails every rule."""
+class _Rule:
+    """A numeric rule, stated once for a flag and for the result field that
+    mirrors it. As an argparse `type=` it converts the flag's text and keeps
+    the value only if `ok(value)`; otherwise argparse exits 2 with `argument
+    --flag: must be <text>`. NaN fails every rule."""
 
-    def parse(text: str):
+    def __init__(self, convert, ok, text: str):
+        self.convert, self.ok, self.text = convert, ok, text
+
+    def __call__(self, flag_text: str):
         try:
-            value = convert(text)
-            if ok(value):
+            value = self.convert(flag_text)
+            if self.ok(value):
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"must be {rule}")
+        raise argparse.ArgumentTypeError(f"must be {self.text}")
 
-    return parse
+    def check(self, value, name: str) -> None:
+        """ValueError `<name> must be <text>` unless `value`, the JSON number
+        of result field `name`, keeps the rule; a string, `true` or `null` is
+        not a number, and a huge int overflows."""
+        if type(value) not in (int, float) or not self.ok(self.convert(value)):
+            raise ValueError(f"{name} must be {self.text}")
 
 
 def _k_range(text: str) -> range:
@@ -72,14 +80,14 @@ def _k_range(text: str) -> range:
     return range(int(a), int(b) + 1)
 
 
-FINITE = _checked(float, math.isfinite, "a finite number")
-POSITIVE = _checked(float, lambda x: 0 < x < math.inf, "a finite number > 0")
-NONNEGATIVE = _checked(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
-COSINE = _checked(float, lambda x: -1 <= x <= 1, "in [-1, 1]")
-FRACTION = _checked(float, lambda x: 0 < x <= 1, "in (0, 1]")
-COUNT = _checked(int, lambda n: n >= 0, "an integer >= 0")
-AT_LEAST_1 = _checked(int, lambda n: n >= 1, "an integer >= 1")
-K_RANGE = _checked(_k_range, lambda ks: 0 <= ks.start < ks.stop, "A..B with 0 <= A <= B")
+FINITE = _Rule(float, math.isfinite, "a finite number")
+POSITIVE = _Rule(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+NONNEGATIVE = _Rule(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
+COSINE = _Rule(float, lambda x: -1 <= x <= 1, "in [-1, 1]")
+FRACTION = _Rule(float, lambda x: 0 < x <= 1, "in (0, 1]")
+COUNT = _Rule(int, lambda n: n >= 0, "an integer >= 0")
+AT_LEAST_1 = _Rule(int, lambda n: n >= 1, "an integer >= 1")
+K_RANGE = _Rule(_k_range, lambda ks: 0 <= ks.start < ks.stop, "A..B with 0 <= A <= B")
 
 
 def _file(path, io, *args, **kwargs):
@@ -99,18 +107,49 @@ def _with_path(path, exc: Exception) -> str:
     return str(exc) if str(exc).startswith(f"{path}:") else f"{path}: {exc}"
 
 
-def _load_result(path, keys=()) -> dict:
-    """The result JSON at `path`: problem 1, 2 or 3, every key of `keys`, any `params` an object."""
+def _load_result(path, method=None) -> dict:
+    """The result JSON at `path`, with all that `export` (method None) or
+    `refine --method <method>` reads from it checked: problem 1, 2 or 3, an
+    object `params`, the command's keys, a `k` that allows the sensors refine
+    moves, a placement (export, grid) or (k, 3) `positions` and plane_z
+    (onecenter), and problem 3's phi or problem 2's radius (export)."""
     with open(path) as fh:
         result = json.load(fh)
     problem = result.get("problem") if isinstance(result, dict) else None
     if type(problem) is not int or problem not in PROBLEM_KIND:  # True and 1.0 equal 1
         raise ValueError("not a result of problem 1, 2 or 3")
-    if not isinstance(result.get("params", {}), dict):
-        raise ValueError("params must be a JSON object")
+    keys = {None: (), "grid": ("k", "params"), "onecenter": ("k", "params", "positions")}[method]
     missing = [key for key in keys if key not in result]
     if missing:
         raise KeyError(missing[0])
+    params = result.setdefault("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("params must be a JSON object")
+    if method == "onecenter":
+        if params.get("plane_z") is None:
+            raise UsageError("--method onecenter needs a result produced by `approx`")
+        FINITE.check(params["plane_z"], "params.plane_z")
+        centers = np.array(result["positions"])  # strings and nulls give a non-numeric dtype
+        shaped = centers.ndim == 2 and centers.shape[1] == 3 and len(centers) > 0
+        if not (shaped and centers.dtype.kind in "iuf" and np.isfinite(centers).all()):
+            raise ValueError("positions must be a non-empty list of finite [x, y, z]")
+        result["positions"] = centers
+        sensors = len(centers)
+    else:
+        if method == "grid" and problem == 2:
+            raise UsageError("--method grid refines problem 1/3 results; use onecenter")
+        if result.get("placement") is None:
+            raise ValueError(
+                "the result has no candidate placement, only free positions; use a `solve` result"
+            )
+        if problem == 3:
+            POSITIVE.check(params.get("phi"), "params.phi")
+        if problem == 2:
+            NONNEGATIVE.check(result.get("radius"), "radius")
+        sensors = len(result["placement"])
+    if method is not None and (type(result["k"]) is not int or result["k"] < sensors):
+        # True and 2.0 are not budgets; a solve may use fewer sensors than its budget, never more
+        raise ValueError(f"k must be an integer >= the result's {sensors} sensors")
     return result
 
 
@@ -135,8 +174,9 @@ def _write_result(args, fields: dict, positions, placement=None, result=None) ->
         fh.write("\n")
 
 
-def _load_trio(args, mesh=None):
-    """--samples, --candidates and the --vis computed from them, and on `mesh` when given."""
+def _load_instance(args, problem: int, mesh=None):
+    """The instance of `problem` on --samples, --candidates and the --vis
+    computed from them, and on `mesh` when given."""
     samples = _file(args.samples, load_sample_set, args.samples)
     candidates = _file(args.candidates, load_candidate_set, args.candidates)
     try:
@@ -147,7 +187,7 @@ def _load_trio(args, mesh=None):
             f"{_with_path(args.vis, exc)}; re-run: surfcover visibility --mesh ... "
             f"--samples {args.samples} --candidates {args.candidates} --out {args.vis}"
         ) from exc
-    return samples, candidates, vm
+    return build_instance(samples, candidates, vm, PROBLEM_KIND[problem])
 
 
 def _cmd_gen_scene(args) -> int:
@@ -186,31 +226,34 @@ def _cmd_visibility(args) -> int:
     samples = _file(args.samples, load_sample_set, args.samples)
     candidates = _file(args.candidates, load_candidate_set, args.candidates)
     mesh = _file(args.mesh, load_obj, args.mesh)
-    if os.path.exists(args.out):
-        try:
-            load_spvm(args.out).check_consistent(samples, candidates, mesh)
-            return EXIT_OK  # cache hit keyed by content hashes
-        except (OSError, ValueError):
-            pass  # stale, foreign or unreadable file: recompute below
+    try:
+        load_spvm(args.out).check_consistent(samples, candidates, mesh)
+        return EXIT_OK  # cache hit keyed by content hashes
+    except (OSError, ValueError):
+        pass  # missing, stale, foreign or unreadable file: recompute below
     sample_at = {p: i for i, p in enumerate(map(tuple, samples.positions.tolist()))}
     for j, p in enumerate(map(tuple, candidates.positions.tolist())):
         if p in sample_at:  # no segment joins a candidate to a sample it sits on
             raise UsageError(f"{args.candidates}: candidate {j} coincides with sample {sample_at[p]}")
-    vm = visibility_matrix(build_bvh(mesh), samples, candidates)
+    # a coordinate in either file can make a segment's length overflow
+    inputs = f"{args.samples} and {args.candidates}"
+    vm = _file(inputs, visibility_matrix, build_bvh(mesh), samples, candidates)
     _file(args.out, save_spvm, vm, args.out)
     return EXIT_OK
 
 
 def _load_problem(args):
-    """Check the solve flags and build the instance of --problem."""
+    """Check the solve flags, give --rho its default and build the instance
+    of --problem."""
     if args.problem != 3 and args.phi is not None:
         raise UsageError("--phi only applies to --problem 3")
     if args.problem != 2 and args.rho is not None:
         raise UsageError("--rho only applies to --problem 2")
     if args.problem == 3 and args.phi is None:
         raise UsageError("--problem 3 requires --phi")
-    samples, candidates, vm = _load_trio(args)
-    return build_instance(samples, candidates, vm, PROBLEM_KIND[args.problem])
+    if args.rho is None:
+        args.rho = 1.0
+    return _load_instance(args, args.problem)
 
 
 def _solve_problem(args, instance, k: int, gap_tol: float):
@@ -218,7 +261,7 @@ def _solve_problem(args, instance, k: int, gap_tol: float):
     objective, the solve result and the problem's extra result fields."""
     if args.problem == 2:
         r_star, placement, result = drivers.solve_problem2(
-            instance, k, _rho(args), time_limit=args.time_limit
+            instance, k, args.rho, time_limit=args.time_limit
         )
         extra = {"radius": r_star, "min_quality": (1.0 / r_star) if r_star > 0 else None}
         return placement, r_star, result, extra
@@ -234,17 +277,13 @@ def _solve_problem(args, instance, k: int, gap_tol: float):
     return placement, report.objective, result, extra
 
 
-def _rho(args) -> float:
-    return args.rho if args.rho is not None else 1.0
-
-
 def _cmd_solve(args) -> int:
     if args.problem == 2 and args.gap is not None:
         raise UsageError("--gap only applies to --problem 1 and 3")
     instance = _load_problem(args)
     gap_tol = 0.0 if args.gap is None else args.gap
     placement, objective, result, extra = _solve_problem(args, instance, args.k, gap_tol)
-    params = {2: {"rho": _rho(args)}, 3: {"phi": args.phi}}.get(args.problem, {})
+    params = {2: {"rho": args.rho}, 3: {"phi": args.phi}}.get(args.problem, {})
     fields = {"problem": args.problem, "k": args.k, "params": params, "objective": objective}
     positions = instance.candidates.positions[list(placement)]
     _write_result(args, {**fields, **extra}, positions, placement, result)
@@ -271,82 +310,33 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    keys = ("k", "params", "positions") if args.method == "onecenter" else ("k", "params")
-    prev = _file(args.infile, _load_result, args.infile, keys)
+    if args.method == "grid" and None in (args.mesh, args.candidates, args.vis):
+        raise UsageError("--method grid needs --mesh, --candidates and --vis")
+    prev = _file(args.infile, _load_result, args.infile, args.method)
     if args.method == "onecenter":
         samples = _file(args.samples, load_sample_set, args.samples)
-        plane_z = prev["params"].get("plane_z")
-        if plane_z is None:
-            raise UsageError("--method onecenter needs a result produced by `approx`")
-        centers = _file(args.infile, _approx_centers, prev["positions"], plane_z)
-        _file(args.infile, _check_k, prev["k"], len(centers))
-        positions, objective = refine.improve_quality_max(samples, centers, plane_z)
+        positions, objective = refine.improve_quality_max(
+            samples, prev["positions"], prev["params"]["plane_z"]
+        )
         extra = {"method": "onecenter-refined", "radius": objective}
     else:
-        if None in (args.mesh, args.candidates, args.vis):
-            raise UsageError("--method grid needs --mesh, --candidates and --vis")
-        if prev["problem"] == 2:
-            raise UsageError("--method grid refines problem 1/3 results; use onecenter")
-        rule = _file(args.infile, _result_rule, prev)
         mesh = _file(args.mesh, load_obj, args.mesh)
-        instance, placement = _result_instance(args, prev, mesh)
-        _file(args.infile, _check_k, prev["k"], len(placement))
-        bvh = build_bvh(mesh)
+        instance = _load_instance(args, prev["problem"], mesh)
+        placement = _file(args.infile, check_placement, prev["placement"], instance.n_candidates)
         neighborhood = 2 * args.fine_pitch if args.neighborhood is None else args.neighborhood
         positions, objective = refine.refine_grid(
             instance,
             placement,
-            bvh,
+            build_bvh(mesh),
             pitch_fine=args.fine_pitch,
             rounds=args.rounds,
             neighborhood=neighborhood,
-            threshold=rule.get("threshold"),
+            threshold=prev["params"].get("phi"),  # read only by problem 3's cumulative kind
         )
         extra = {"method": "grid-refined"}
     fields = {k: prev[k] for k in ("problem", "k", "params")}
     _write_result(args, {**fields, "objective": objective, **extra}, positions)
     return EXIT_OK
-
-
-def _approx_centers(positions, plane_z):
-    """`positions` as a finite (k, 3) array, k >= 1; ValueError unless so and plane_z is finite."""
-    centers = np.array(positions)  # strings and nulls give a non-numeric dtype
-    shaped = centers.ndim == 2 and centers.shape[1] == 3 and len(centers) > 0
-    if not (shaped and centers.dtype.kind in "iuf" and np.isfinite(centers).all()):
-        raise ValueError("positions must be a non-empty list of finite [x, y, z]")
-    if not _finite(plane_z):
-        raise ValueError("params.plane_z must be a finite number")
-    return centers
-
-
-def _finite(x) -> bool:
-    """Whether the JSON value `x` is a finite number; strings, booleans and null are not."""
-    return type(x) in (int, float) and math.isfinite(x)
-
-
-def _result_rule(prev) -> dict:
-    """The coverage rule of the result's problem as keyword arguments of
-    `export.sample_colors`: problem 3's `threshold` (its params.phi) or
-    problem 2's `radius`; ValueError unless phi is a finite number > 0 and
-    the radius a finite number >= 0."""
-    if prev["problem"] == 3:
-        phi = prev.get("params", {}).get("phi")
-        if not (_finite(phi) and phi > 0):
-            raise ValueError("params.phi must be a finite number > 0")
-        return {"threshold": phi}
-    if prev["problem"] == 2:
-        radius = prev.get("radius")
-        if not (_finite(radius) and radius >= 0):
-            raise ValueError("radius must be a finite number >= 0")
-        return {"radius": radius}
-    return {}
-
-
-def _check_k(k, sensors: int) -> None:
-    """ValueError unless the result's budget `k` is an integer that allows its
-    `sensors`; a solve may use fewer sensors than its budget, never more."""
-    if type(k) is not int or k < sensors:  # True and 2.0 are not budgets
-        raise ValueError(f"k must be an integer >= the result's {sensors} sensors")
 
 
 def _cmd_sweep(args) -> int:
@@ -364,26 +354,12 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _result_instance(args, prev: dict, mesh=None):
-    """The instance of the --in result's problem, its --vis checked against
-    `mesh` when given, and the result's placement, checked against it. A
-    result without a candidate placement (`approx` and `refine` write
-    `placement: null`) is a usage error."""
-    if prev.get("placement") is None:
-        raise UsageError(
-            f"{args.infile}: the result has no candidate placement, only free "
-            "positions; use a `solve` result"
-        )
-    samples, candidates, vm = _load_trio(args, mesh)
-    instance = build_instance(samples, candidates, vm, PROBLEM_KIND[prev["problem"]])
-    placement = _file(args.infile, check_placement, prev["placement"], instance.n_candidates)
-    return instance, placement
-
-
 def _cmd_export(args) -> int:
     prev = _file(args.infile, _load_result, args.infile)
-    instance, placement = _result_instance(args, prev)
-    colors = export.sample_colors(instance, placement, **_file(args.infile, _result_rule, prev))
+    instance = _load_instance(args, prev["problem"])
+    placement = _file(args.infile, check_placement, prev["placement"], instance.n_candidates)
+    radius = prev["radius"] if prev["problem"] == 2 else None
+    colors = export.sample_colors(instance, placement, prev["params"].get("phi"), radius)
     _file(args.out, export.write_ply, args.out, instance.samples.positions, colors)
     return EXIT_OK
 

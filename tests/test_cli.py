@@ -693,6 +693,43 @@ def test_refine_checks_that_k_allows_its_sensors(workdir, tmp_path, capsys, meth
         assert refined["k"] == k and len(refined["positions"]) == 2
 
 
+def test_grid_refine_of_an_approx_result_names_onecenter(workdir, capsys):
+    # an approx result has no placement either, but its problem is the first thing wrong
+    d, mesh, samples, cands, vis = workdir
+    result = _free_position_result(workdir, "approx")
+    code = main(["refine", "--method", "grid", "--mesh", str(mesh),
+                 *_trio_args(samples, cands, vis), "--in", str(result),
+                 "--out", str(d / "grid_of_approx.json")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --method grid refines problem 1/3 results; use onecenter"
+    ]
+
+
+def test_onecenter_refine_of_a_solve_result_exits_2(workdir, tmp_path, capsys):
+    d, mesh, samples, cands, vis = workdir
+    solved = tmp_path / "p1.json"
+    _edited_result(workdir, solved, ["solve", "--problem", "1", "--k", "2"])
+    assert main(["refine", "--method", "onecenter", "--samples", str(samples),
+                 "--in", str(solved), "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --method onecenter needs a result produced by `approx`"
+    ]
+
+
+def test_export_of_a_result_without_params_reads_them_as_empty(workdir, tmp_path):
+    # `params` is optional for export: problem 1 reads nothing from it
+    d, mesh, samples, cands, vis = workdir
+    plys = []
+    for params in (MISSING, {}):
+        solved, ply = tmp_path / "p1.json", tmp_path / f"p1_{len(plys)}.ply"
+        _edited_result(workdir, solved, ["solve", "--problem", "1", "--k", "2"], params=params)
+        assert main(["export", "--in", str(solved), *_trio_args(samples, cands, vis),
+                     "--out", str(ply)]) == 0
+        plys.append(ply.read_bytes())
+    assert plys[0] == plys[1]
+
+
 def test_malformed_mesh_error_names_its_file_once(tmp_path, capsys):
     # the OBJ loader's message starts with the path already
     bad_obj = tmp_path / "bad.obj"
@@ -734,6 +771,28 @@ def test_a_non_finite_coordinate_exits_2(workdir, tmp_path, capsys, command):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["candidates", "samples"])
+def test_a_coordinate_whose_segments_overflow_exits_2(workdir, tmp_path, capsys, key):
+    # 1e300 is finite, but its distance to any point of the room overflows;
+    # either file can hold it, so the line names both
+    d, mesh, samples, cands, vis = workdir
+    inputs = {"samples": samples, "candidates": cands}
+    points = json.loads(inputs[key].read_text())
+    if key == "candidates":
+        points["positions"].append([1e300, 1.0, 2.8])
+    else:
+        points["positions"][5] = [1e300, 1.0, 0.0]
+    inputs[key] = tmp_path / f"{key}.json"
+    inputs[key].write_text(json.dumps(points))
+    out = tmp_path / "vis.spvm"
+    assert main(["visibility", "--mesh", str(mesh), "--samples", str(inputs["samples"]),
+                 "--candidates", str(inputs["candidates"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {inputs['samples']} and {inputs['candidates']}: segment lengths must be finite"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("swapped", ["candidates", "samples"])
