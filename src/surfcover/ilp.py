@@ -193,6 +193,10 @@ class _PackedCover:
     def value(self, state) -> int:
         return int(np.bitwise_count(state).sum())
 
+    def scores(self, state, free: np.ndarray) -> np.ndarray:
+        """The branching scores, in `free`'s order: the samples each newly covers."""
+        return np.bitwise_count(self.cols[free] & ~state).sum(axis=1, dtype=np.int64)
+
     def expand(self, state, free: np.ndarray, budget: int, floor: int = -1):
         """One pass over `free` for a state and its whole exclusion chain.
         The pass counts the state's own value too, so it takes no value
@@ -209,8 +213,7 @@ class _PackedCover:
         `floor` (the incumbent) is pruned unranked: no scores, closing values
         nor order, and bounds [best closing value, state's value]."""
         value = self.value(state)
-        fresh = self.cols[free] & ~state
-        gains = np.bitwise_count(fresh).sum(axis=1, dtype=np.int64)
+        gains = self.scores(state, free)
         if budget == 1 and (best := value + gains.max(initial=0)) <= floor:
             return None, None, np.zeros(0, np.intp), np.array([best, value])
         order = np.argsort(-gains, kind="stable")
@@ -219,7 +222,7 @@ class _PackedCover:
             return gains, value + gains, order, value + ordered
         tail = np.cumsum(ordered[::-1])[::-1]  # tail[s]: the gains of suffix s summed
         top = tail - np.append(tail, np.zeros(budget, np.int64))[budget:]
-        unions = np.bitwise_or.accumulate(fresh[order[::-1]], axis=0)[::-1]
+        unions = np.bitwise_or.accumulate(self.cols[free[order[::-1]]] & ~state, axis=0)[::-1]
         reach = np.append(np.bitwise_count(unions).sum(axis=1, dtype=np.int64), 0)
         return gains, None, order, value + np.minimum(top, reach)
 
@@ -238,6 +241,17 @@ class _QualitySums:
     def value(self, state) -> int:
         return int(meets_threshold(state, self.threshold).sum())
 
+    def _open(self, state, free: np.ndarray):
+        """The state's value, and its open samples' sums and qualities in `free`."""
+        open_rows = np.flatnonzero(~meets_threshold(state, self.threshold))
+        return state.size - open_rows.size, state[open_rows], self.phi[open_rows][:, free]
+
+    def scores(self, state, free: np.ndarray, opened=None) -> np.ndarray:
+        """Summed progress toward the open samples' deficits, in `free`'s order;
+        `opened` is `_open(state, free)` when the caller has it."""
+        _, sums, sub = opened or self._open(state, free)
+        return np.minimum(sub, (self.threshold - sums)[:, None]).sum(axis=0)
+
     def expand(self, state, free: np.ndarray, budget: int, floor: int = -1):
         """As `_PackedCover.expand`, with scores the summed progress toward
         each open sample's deficit. Adding phi >= 0 never lowers an IEEE sum,
@@ -250,26 +264,23 @@ class _QualitySums:
         past the end: one add and one running maximum per level, taken row by
         row (numpy's `maximum.accumulate` down axis 0 walks one column at a
         time)."""
-        open_rows = np.flatnonzero(~meets_threshold(state, self.threshold))
-        value = state.size - open_rows.size
-        sums = state[open_rows]
-        sub = self.phi[open_rows][:, free]
+        value, sums, sub = opened = self._open(state, free)
         if budget == 1:
             closed = value + meets_threshold(sums[:, None] + sub, self.threshold).sum(axis=0)
             if (best := closed.max(initial=value)) <= floor:
                 return None, None, np.zeros(0, np.intp), np.array([best, value])
-        need = self.threshold - sums
-        scores = np.minimum(sub, need[:, None]).sum(axis=0)
+        scores = self.scores(state, free, opened)
         order = np.argsort(-scores, kind="stable")
         if budget == 1:
             bounds = np.maximum.accumulate(np.append(closed[order], value)[::-1])[::-1]
             return scores, closed, order, bounds
         ordered = sub.T[order]
-        top = np.zeros((free.size + 1, open_rows.size))
+        top = np.zeros((free.size + 1, sums.size))
         for _ in range(budget):
             top[:-1] = ordered + top[1:]
             for p in range(free.size - 2, -1, -1):
                 np.maximum(top[p], top[p + 1], out=top[p])
+        need = self.threshold - sums
         return scores, None, order, value + (need <= top + THRESHOLD_TOL).sum(axis=1)
 
 
@@ -280,7 +291,7 @@ def _greedy_picks(scorer, m: int, k: int):
     state = scorer.root
     free = np.arange(m)
     for _ in range(k):
-        scores = scorer.expand(state, free, 1)[0]
+        scores = scorer.scores(state, free)
         best = int(np.argmax(scores))  # argmax keeps lowest index on ties
         if scores[best] <= 0:
             break

@@ -45,30 +45,36 @@ class Bvh:
 
 def build_bvh(mesh: TriangleMesh) -> Bvh:
     """Median-split BVH on the longest box axis (ties broken x, y, z), with at
-    most LEAF_SIZE triangles in a leaf."""
+    most LEAF_SIZE triangles in a leaf, built one level at a time: a level's
+    nodes are boxed together, then split by one stable sort on (node, centroid)."""
+    if mesh.n_triangles == 0:
+        raise ValueError("the mesh has no triangles")
     a, b, c = mesh.corners()
     tri_lo = np.minimum(np.minimum(a, b), c)
     tri_hi = np.maximum(np.maximum(a, b), c)
-    centroids = (a + b + c) / 3.0
+    # axis -1 reads a column of zeros: a leaf's key, which keeps its order
+    centroids = np.column_stack([(a + b + c) / 3.0, np.zeros(mesh.n_triangles)])
 
     order = np.arange(mesh.n_triangles)
-    ranges = [(0, mesh.n_triangles)]  # node i holds order[lo:hi] of ranges[i]
-    nodes = []  # (lo, hi, left child, range start, range count, split axis) of node i
-    for lo_i, hi_i in ranges:  # splits append the children's ranges
-        idx = order[lo_i:hi_i]
-        lo, hi = tri_lo[idx].min(axis=0), tri_hi[idx].max(axis=0)
-        n = hi_i - lo_i
-        if n <= LEAF_SIZE:
-            nodes.append((lo, hi, -1, lo_i, n, -1))
-            continue
-        axis = int(np.argmax(hi - lo))  # argmax takes first on ties: x, y, z
-        order[lo_i:hi_i] = idx[np.argsort(centroids[idx, axis], kind="stable")]
-        mid = lo_i + n // 2
-        nodes.append((lo, hi, len(ranges), lo_i, n, axis))
-        ranges += [(lo_i, mid), (mid, hi_i)]
+    pos, count = order.copy(), np.array([mesh.n_triangles])  # a level's places in order; node sizes
+    levels = []  # (lo, hi, range start, range count, split axis) of each level's nodes
+    while True:
+        first = np.cumsum(count) - count  # each node's first entry in pos
+        idx = order[pos]
+        lo = np.minimum.reduceat(tri_lo[idx], first)
+        hi = np.maximum.reduceat(tri_hi[idx], first)
+        split = count > LEAF_SIZE
+        axis = np.where(split, np.argmax(hi - lo, axis=1), -1)  # argmax takes first on ties
+        levels.append((lo, hi, pos[first], count, axis))
+        if not split.any():
+            break
+        key = centroids[idx, np.repeat(axis, count)]
+        order[pos] = idx[np.lexsort((key, np.repeat(first, count)))]  # lexsort is stable
+        pos = pos[np.repeat(split, count)]  # the split nodes' ranges hold the children's
+        count = (count[split, None] + [0, 1]).ravel() // 2  # n // 2 left, n - n // 2 right
 
-    lo, hi, left, start, count, axis = (np.array(column) for column in zip(*nodes))
-    del nodes  # freed to keep the build's peak memory low
+    lo, hi, start, count, axis = (np.concatenate(column) for column in zip(*levels))
+    left = np.where(axis >= 0, 2 * np.cumsum(axis >= 0) - 1, -1)  # split node r: 2r + 1, 2r + 2
     boxes = np.stack([lo, hi], axis=1)[..., None]
     leaves = np.flatnonzero(left < 0)
     leaves = leaves[np.argsort(start[leaves])]  # leaf order

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import struct
 import tracemalloc
 
@@ -9,7 +10,9 @@ import surfcover as sc
 from surfcover import visibility
 from surfcover.refine import _visible_pairs
 from surfcover.visibility import (
+    LEAF_SIZE,
     PACKET_SEGMENTS,
+    Bvh,
     _segment_hits_triangles,
     _segments_occluded_impl,
     _shrunk,
@@ -21,6 +24,7 @@ from surfcover.visibility import (
     segments_occluded,
 )
 
+from _bvh_reference import reference_build_bvh
 from conftest import (
     box_mesh,
     make_sample_set,
@@ -40,6 +44,25 @@ def single_triangle():
     return sc.TriangleMesh([[-1, -1, 1], [1, -1, 1], [0, 1, 1]], [[0, 1, 2]])
 
 
+def stacked_triangles(n):
+    """n copies of the single triangle at z = 1, 2, ..., n."""
+    tri = single_triangle()
+    return sc.TriangleMesh(
+        np.vstack([tri.vertices + [0, 0, z] for z in range(n)]), np.arange(3 * n).reshape(n, 3)
+    )
+
+
+def thirteen_triangles():
+    """13 seeded small triangles in a 10 m cube: leaves of 3, 3, 3 and 4."""
+    rng = np.random.default_rng(0)
+    verts, tris = [], []
+    for t in range(13):
+        base = rng.uniform(0, 10, 3)
+        verts += [base, base + [1, 0, 0], base + [0, 1, 0]]
+        tris.append([3 * t, 3 * t + 1, 3 * t + 2])
+    return sc.TriangleMesh(np.array(verts), np.array(tris))
+
+
 def test_single_leaf_tree():
     bvh = sc.build_bvh(single_triangle())
     assert (bvh.left < 0).sum() == 1
@@ -55,14 +78,7 @@ def test_root_box_is_mesh_bounds():
 
 
 def test_leaves_partition_triangles():
-    # 13 triangles split into leaves of 3, 3, 3 and 4
-    rng = np.random.default_rng(0)
-    verts, tris = [], []
-    for t in range(13):
-        base = rng.uniform(0, 10, 3)
-        verts += [base, base + [1, 0, 0], base + [0, 1, 0]]
-        tris.append([3 * t, 3 * t + 1, 3 * t + 2])
-    mesh = sc.TriangleMesh(np.array(verts), np.array(tris))
+    mesh = thirteen_triangles()
     bvh = sc.build_bvh(mesh)
     n_leaves = bvh.leaf_boxes.shape[0]
     assert bvh.tri.shape == (3, 3, 4, n_leaves)
@@ -307,16 +323,21 @@ def test_packet_mixing_axis_aligned_and_oblique_segments_matches_brute():
     assert 0 < fast.sum() < len(fast)
 
 
-def floor_and_ceiling():
-    """3 x 3 unit quads at z = 0 and z = 4: the tree splits first along z, so
-    every leaf box is flat in z."""
-    quads = [(x, y, z) for z in (0.0, 4.0) for x in range(3) for y in range(3)]
+def unit_quads(corners):
+    """Unit squares in planes z = constant, one at each (x, y, z) low corner,
+    each cut into two triangles along the same diagonal."""
     verts, tris = [], []
-    for x, y, z in quads:
+    for x, y, z in corners:
         i = len(verts)
         verts += [(x, y, z), (x + 1, y, z), (x + 1, y + 1, z), (x, y + 1, z)]
         tris += [(i, i + 1, i + 2), (i, i + 2, i + 3)]
     return sc.TriangleMesh(np.array(verts, float), np.array(tris))
+
+
+def floor_and_ceiling():
+    """3 x 3 unit quads at z = 0 and z = 4: the tree splits first along z, so
+    every leaf box is flat in z."""
+    return unit_quads([(x, y, z) for z in (0.0, 4.0) for x in range(3) for y in range(3)])
 
 
 def test_negative_zero_directions_and_flat_leaf_boxes_match_brute():
@@ -486,11 +507,7 @@ def test_unused_leaf_slots_never_hit(scene, packet, room_scene, monkeypatch):
     # through its corner vertex graze every box there, which the box tests do
     # not yet widen for.
     if scene == "five triangles":
-        tri = single_triangle()
-        mesh = sc.TriangleMesh(
-            np.vstack([tri.vertices + [0, 0, z] for z in range(5)]),
-            np.arange(15).reshape(5, 3),
-        )
+        mesh = stacked_triangles(5)
     else:
         room = room_scene[0]
         extra = [[1.0, 1.0, 2.0], [1.5, 1.0, 2.0], [1.0, 1.5, 2.0]]  # inside the room
@@ -613,6 +630,64 @@ def test_split_axis_is_the_longest_and_orders_the_children(make):
     for node in np.flatnonzero(inner):
         ax, lc = bvh.axis[node], bvh.left[node]
         assert centroids(lc, ax).max() <= centroids(lc + 1, ax).min()
+
+
+def tied_grid():
+    """8 x 3 unit quads at z = 0, their 48 triangles in a seeded order: the
+    root splits along x, where a column's triangles tie in threes on their
+    centroids, and deeper nodes split along y, where they tie across columns."""
+    quads = unit_quads([(x, y, 0.0) for x in range(8) for y in range(3)])
+    order = np.random.default_rng(31).permutation(quads.n_triangles)
+    return sc.TriangleMesh(quads.vertices, quads.triangles[order])
+
+
+def square_grid():
+    """4 x 4 unit quads at z = 0: the root box's x and y extents tie."""
+    return unit_quads([(x, y, 0.0) for x in range(4) for y in range(4)])
+
+
+TREE_MESHES = {
+    "one triangle": single_triangle,
+    "LEAF_SIZE triangles": lambda: stacked_triangles(LEAF_SIZE),
+    "LEAF_SIZE + 1 triangles": lambda: stacked_triangles(LEAF_SIZE + 1),
+    "13 triangles": thirteen_triangles,
+    "office": office_room,
+    "terrain_800": terrain_800,
+    **{f"terrain seed {seed}": functools.partial(
+        sc.gen_terrain, seed, extent=(10.0, 10.0), cells=60, amplitude=1.2
+    ) for seed in range(11)},
+    "tied grid": tied_grid,
+    "square grid": square_grid,
+}
+
+
+@pytest.mark.parametrize("scene", ["criterion-5 room", *TREE_MESHES])
+def test_the_level_by_level_build_gives_the_per_node_builds_tree(scene, room_scene):
+    mesh = room_scene[0] if scene == "criterion-5 room" else TREE_MESHES[scene]()
+    bvh, ref = sc.build_bvh(mesh), reference_build_bvh(mesh)
+    for field in dataclasses.fields(Bvh):
+        got, want = getattr(bvh, field.name), getattr(ref, field.name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
+            assert np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
+
+
+def test_the_grids_have_the_ties_the_tree_test_needs():
+    # the premises of the tied and square grids: centroids tie on the root's
+    # split axis, and the root box's x and y extents tie
+    a, b, c = tied_grid().corners()
+    x = ((a + b + c) / 3.0)[:, 0]
+    assert sc.build_bvh(tied_grid()).axis[0] == 0 and np.unique(x).size < x.size // 2
+    lo, hi = bounds(square_grid())
+    assert (hi - lo)[0] == (hi - lo)[1] > (hi - lo)[2]
+
+
+def test_a_mesh_without_triangles_has_no_tree():
+    empty = sc.TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="the mesh has no triangles"):
+        sc.build_bvh(empty)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
