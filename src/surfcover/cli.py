@@ -3,7 +3,7 @@ the three solvers, the clustering approximation, refinement, sweeps, and
 colored exports.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible, 4 time limit hit with the
-gap above tolerance.
+gap above tolerance (for `sweep`, at any k of the range).
 """
 
 from __future__ import annotations
@@ -341,17 +341,18 @@ def _cmd_refine(args) -> int:
 
 def _cmd_sweep(args) -> int:
     instance = _load_problem(args)
-    rows = []
+    rows, stopped = [], False
     for k in args.k_range:
         t0 = time.perf_counter()
         _, objective, result, _ = _solve_problem(args, instance, k, gap_tol=0.0)
         elapsed = 0.0 if args.deterministic else time.perf_counter() - t0
-        rows.append((k, objective, result.gap, elapsed))
+        rows.append((k, objective, result.gap, result.status.value, elapsed))
+        stopped |= result.status is SolveStatus.TIME_LIMIT
     with _file(args.out, open, args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "objective", "gap", "elapsed"])
+        writer.writerow(["k", "objective", "gap", "status", "elapsed"])
         writer.writerows(rows)
-    return EXIT_OK
+    return EXIT_TIME_LIMIT if stopped else EXIT_OK
 
 
 def _cmd_export(args) -> int:

@@ -70,6 +70,8 @@ class IlpModel:
             object.__setattr__(self, "radius", float(self.radius))
             object.__setattr__(self, "rho", float(self.rho))
         try:
+            if isinstance(self.k, bool):  # operator.index(True) is 1
+                raise TypeError
             object.__setattr__(self, "k", operator.index(self.k))  # numpy ints too
         except TypeError:
             raise ValueError("sensor budget k must be an integer") from None
@@ -96,10 +98,13 @@ class IlpModel:
 class SolveResult:
     """Outcome of one solve.
 
-    * status: OPTIMAL (proven; for the feasibility kind, the target is met),
-      FEASIBLE (stopped by the clock within `gap_tol`), TIME_LIMIT (stopped
-      by the clock outside it) or INFEASIBLE (feasibility kind: no k-subset
-      covers the coverage target).
+    * status: OPTIMAL (proven; for the feasibility kind, the target is met;
+      for the optimization kinds also when the clock stopped the search but
+      no stacked link's bound exceeds the incumbent), FEASIBLE (stopped by
+      the clock with 0 < gap <= `gap_tol`), TIME_LIMIT (stopped by the clock
+      outside it) or INFEASIBLE (feasibility kind: no k-subset covers the
+      coverage target). The status, not the gap, says whether a result is
+      proven.
     * placement: the sorted selected candidates; None when INFEASIBLE.
     * primal: covered count of the best selection found. After an
       INFEASIBLE proof this is the best count the search saw, which is the
@@ -109,7 +114,8 @@ class SolveResult:
       INFEASIBLE result's dual_bound is below the coverage target: it is the
       certificate.
     * gap: (dual_bound - primal) / max(1, |primal|) for a result stopped by
-      the clock, else 0.
+      the clock, else 0. A stopped result can have gap 0 and TIME_LIMIT, as
+      a feasibility model or a problem-2 search stopped by the clock does.
     * nodes: B&B nodes visited; a node with one pick left closes its last
       level in place and counts once. 1 when the root's Lagrangian test
       settles a feasibility model either way, by a proof or by a covering
@@ -512,9 +518,10 @@ def solve(
         open_bound = max(bounds[s] for _, _, _, bounds, _, s in stack)
         dual = float(max(primal, open_bound))  # the bounds are ints
         gap = (dual - primal) / max(1.0, abs(primal))
-        # only an optimization model can settle for a gap within tolerance
-        within_tol = not feasibility and gap <= gap_tol
-        status = SolveStatus.FEASIBLE if within_tol else SolveStatus.TIME_LIMIT
+        if feasibility or gap > gap_tol:
+            status = SolveStatus.TIME_LIMIT
+        else:  # an optimization model settles within tolerance; gap 0 is a proof
+            status = SolveStatus.OPTIMAL if gap == 0 else SolveStatus.FEASIBLE
     elif feasibility:
         status, placement, dual = SolveStatus.INFEASIBLE, None, max(primal, root_proof)
     else:

@@ -39,74 +39,35 @@ def _within(d2, r2: float):
     return np.less_equal(d2, r2 + CONTAIN_TOL * max(1.0, r2))
 
 
-def _sphere_1p(p, h: float):
-    # center is the vertical projection; radius is the vertical offset
-    center = np.array([p[0], p[1], h])
-    return center, abs(h - p[2])
-
-
-def _sphere_2p(p, q, h: float):
-    # center on the intersection of the 3D bisector plane with z = h, at the
-    # foot of the perpendicular from p's projection
-    a, b = p[:2], q[:2]
-    wa = (h - p[2]) ** 2
-    wb = (h - q[2]) ** 2
-    d = b - a
-    d2 = float(d @ d)
-    if d2 < 1e-24:
-        # identical projections: fall back to covering the farther point
-        if wa >= wb:
-            return _sphere_1p(p, h)
-        return _sphere_1p(q, h)
-    t = (d2 + wb - wa) / (2.0 * d2)
-    x = a + t * d
-    r = float(np.sqrt(np.sum((x - a) ** 2) + wa))
-    return np.array([x[0], x[1], h]), r
-
-
-def _sphere_3p(p, q, s, h: float):
-    # equidistance in 3D of the three points restricted to z = h gives two
-    # linear equations a00 x + a01 y = b0, a10 x + a11 y = b1 in the planar
-    # center (x, y), solved by Cramer's rule
-    (px, py, pz), (qx, qy, qz), (sx, sy, sz) = p.tolist(), q.tolist(), s.tolist()
-    wp = (h - pz) ** 2
-    sq_p = px * px + py * py + wp
-    a00, a01, b0 = 2.0 * (qx - px), 2.0 * (qy - py), qx * qx + qy * qy + (h - qz) ** 2 - sq_p
-    a10, a11, b1 = 2.0 * (sx - px), 2.0 * (sy - py), sx * sx + sy * sy + (h - sz) ** 2 - sq_p
-    det = a00 * a11 - a01 * a10
-    if abs(det) < 1e-18:
-        return None  # collinear projections; a 2-point basis will cover
-    x = (b0 * a11 - a01 * b1) / det
-    y = (a00 * b1 - b0 * a10) / det
-    return np.array([x, y, h]), math.sqrt((x - px) ** 2 + (y - py) ** 2 + wp)
-
-
-def _basis_sphere(pts: np.ndarray, basis: list[int], h: float) -> ConstrainedSphere:
-    """The closed-form sphere with the 1-3 points `basis` of `pts` on its
-    boundary. Collinear projections make three points a 1-D problem, whose
-    basis has at most two points: their 1-center is the largest of the three
-    pairs' minimal spheres."""
-    p = pts[basis[0]]
-    if len(basis) == 1:
-        c, r = _sphere_1p(p, h)
-    elif len(basis) == 2:
-        c, r = _sphere_2p(p, pts[basis[1]], h)
-    else:
-        out = _sphere_3p(p, pts[basis[1]], pts[basis[2]], h)
-        if out is None:
-            pairs = (basis[:2], basis[::2], basis[1:])
-            return max((_pair_sphere(pts, pair, h) for pair in pairs), key=lambda s: s.radius)
-        c, r = out
-    return ConstrainedSphere(c, r, tuple(basis))
-
-
-def _pair_sphere(pts: np.ndarray, pair: list[int], h: float) -> ConstrainedSphere:
-    """The minimal sphere of `pair`: a point's own sphere if it holds the other, else the pair's."""
-    for a, b in (pair, pair[::-1]):
-        c, r = _sphere_1p(pts[a], h)
-        if _within(np.sum((pts[b] - c) ** 2), r**2):
-            return ConstrainedSphere(c, r, (a,))
-    return _basis_sphere(pts, pair, h)
+def _basis_sphere(pts: np.ndarray, basis: list[int], h: float) -> ConstrainedSphere | None:
+    """The sphere centred on z = h with the 1-3 points `basis` of `pts` on its
+    boundary, or None when there is none. With the centre at an offset
+    (dx, dy) from the first point's projection, equidistance from point j
+    reads u_j dx + v_j dy = (u_j^2 + v_j^2 + w_j - w_0) / 2, where (u_j, v_j)
+    is j's projection minus the first's and w_j = (h - z_j)^2. One equation
+    is solved along its normal, two by Cramer's rule. Equal projections and
+    collinear triples have no solution."""
+    (x0, y0, z0), *rest = pts[basis].tolist()
+    w0 = (h - z0) ** 2
+    rows = []
+    for x, y, z in rest:
+        u, v = x - x0, y - y0
+        rows.append((u, v, (u * u + v * v + (h - z) ** 2 - w0) / 2.0))
+    dx = dy = 0.0
+    if len(rows) == 1:
+        ((u, v, b),) = rows
+        n2 = u * u + v * v
+        if n2 < 1e-24:
+            return None
+        dx, dy = b * u / n2, b * v / n2
+    elif len(rows) == 2:
+        (u0, v0, b0), (u1, v1, b1) = rows
+        det = u0 * v1 - v0 * u1
+        if abs(det) < 2.5e-19:
+            return None
+        dx, dy = (b0 * v1 - v0 * b1) / det, (u0 * b1 - b0 * u1) / det
+    radius = math.sqrt(dx * dx + dy * dy + w0)
+    return ConstrainedSphere(np.array([x0 + dx, y0 + dy, h]), radius, tuple(basis))
 
 
 def min_sphere_fixed_plane(points, h_plane: float) -> ConstrainedSphere:
@@ -117,9 +78,11 @@ def min_sphere_fixed_plane(points, h_plane: float) -> ConstrainedSphere:
     `_within`, the one containment rule, holds it. Otherwise
     the support of at most three points pivots to the smallest closed-form
     sphere, over the <= 7 subsets of support + {far} that hold `far`, that
-    holds all of them. The radius grows at each pivot, so no support repeats
-    (office clusters of ~440 points take at most 5 pivots), and the result is
-    deterministic. Should floating point break that rule (no such sphere, or
+    holds all of them; a degenerate subset has no sphere and is skipped. The
+    current sphere is the smallest holding its support, so `far` lies on the
+    new optimum, whose basis is one of the non-degenerate subsets. The radius
+    grows at each pivot, so no support repeats (office clusters of ~440
+    points take at most 5 pivots), and the result is deterministic. Should floating point break that rule (no such sphere, or
     no growth), the search stops at its current center, its radius widened
     to the farthest point. Non-finite input raises `ValueError`.
     """
@@ -137,7 +100,7 @@ def min_sphere_fixed_plane(points, h_plane: float) -> ConstrainedSphere:
         support = sphere.support
         held = pts[[*support, far]]
         subsets = (s for n in range(min(len(support), 2) + 1) for s in combinations(support, n))
-        spheres = (_basis_sphere(pts, [far, *s], h_plane) for s in subsets)
+        spheres = filter(None, (_basis_sphere(pts, [far, *s], h_plane) for s in subsets))
         fits = [
             c for c in spheres if _within(np.square(held - c.center).sum(axis=1), c.radius**2).all()
         ]

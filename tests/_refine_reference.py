@@ -11,7 +11,9 @@ rule, so only the loop differs.
 incremental search, one point per containment test. `refine.min_sphere_fixed_plane`
 pivots on the farthest point instead; the tests require the same radius to a
 relative 1e-12. Both share the library's closed-form bases and containment
-rule, `refine._within`, which `contains` applies to one point.
+rule, `refine._within`, which `contains` applies to one point. Welzl's search
+also builds degenerate bases, which have no closed form and which the pivot
+never needs; `basis_sphere` gives them their 1-centers.
 """
 
 import random
@@ -76,16 +78,42 @@ def contains(sphere, p) -> bool:
     return bool(refine._within(d2, sphere.radius**2))
 
 
+def _largest(spheres):
+    return max(spheres, key=lambda s: s.radius)  # the first on ties
+
+
+def basis_sphere(pts, basis, h):
+    """`refine._basis_sphere`, or the 1-center of a degenerate basis: two
+    points with equal projections get the farther point's own sphere, and a
+    collinear triple, a 1-D problem whose basis has at most two points, the
+    largest of its three pairs' minimal spheres."""
+    sphere = refine._basis_sphere(pts, basis, h)
+    if sphere is not None:
+        return sphere
+    if len(basis) == 2:
+        return _largest(refine._basis_sphere(pts, [i], h) for i in basis)
+    return _largest(pair_sphere(pts, pair, h) for pair in (basis[:2], basis[::2], basis[1:]))
+
+
+def pair_sphere(pts, pair, h):
+    """The minimal sphere of `pair`: a point's own sphere if it holds the other, else the pair's."""
+    for a, b in (pair, pair[::-1]):
+        sphere = refine._basis_sphere(pts, [a], h)
+        if contains(sphere, pts[b]):
+            return sphere
+    return basis_sphere(pts, pair, h)
+
+
 def min_sphere_welzl(points, h_plane):
     """Welzl's triple loop over a shuffle with the fixed seed 0, with the
-    library's closed-form bases `refine._basis_sphere` and its containment
-    rule, `contains`."""
+    library's closed-form bases, completed by `basis_sphere`, and its
+    containment rule, `contains`."""
     pts = np.asarray(points, dtype=np.float64)
     order = list(range(len(pts)))
     random.Random(0).shuffle(order)
 
     def make(basis):
-        return refine._basis_sphere(pts, basis, h_plane)
+        return basis_sphere(pts, basis, h_plane)
 
     sphere = make([order[0]])
     for ii in range(1, len(order)):

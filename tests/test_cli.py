@@ -297,7 +297,26 @@ def test_sweep_csv_monotone(workdir):
     assert [int(r["k"]) for r in rows] == [1, 2, 3, 4]
     objs = [float(r["objective"]) for r in rows]
     assert objs == sorted(objs)
-    assert all(float(r["gap"]) == 0.0 for r in rows)
+    assert all(float(r["gap"]) == 0.0 and r["status"] == "optimal" for r in rows)
+
+
+@pytest.mark.parametrize("problem", [["2", "--rho", "0.85"], ["3", "--phi", "0.05"]])
+def test_sweep_exits_4_when_the_clock_stops_a_solve(workdir, problem):
+    # a microsecond stops each solve at its first clock read after the root;
+    # a zero-time problem-2 step cannot prove infeasibility, so it cannot exit 3
+    d, mesh, samples, cands, vis = workdir
+    out = d / "stopped.csv"
+    code = main(["sweep", "--problem", *problem, "--k-range", "1..3", "--time-limit", "0.000001",
+                 *_trio_args(samples, cands, vis), "--out", str(out)])
+    assert code == 4
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["k"]) for r in rows] == [1, 2, 3]
+    assert "time-limit" in [r["status"] for r in rows]
+    for r in rows:
+        # only a proof is optimal; problem 2 reports gap 0 even when stopped
+        assert r["status"] in ("optimal", "time-limit")
+        assert (r["status"] == "optimal") <= (float(r["gap"]) == 0.0)
 
 
 def test_bad_k_range_exits_2(workdir):

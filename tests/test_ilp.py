@@ -151,11 +151,13 @@ def test_models_reject_out_of_range_fields():
     for kind in ModelKind:
         with pytest.raises(ValueError, match="sensor budget k must be non-negative"):
             _random_model(rng, kind, 4, 3, -1)
-        for k in (1.5, 2.0, None):
+        for k in (1.5, 2.0, None, True, False, np.True_):  # operator.index(True) is 1
             with pytest.raises(ValueError, match="sensor budget k must be an integer"):
                 _random_model(rng, kind, 4, 3, k)
         # a numpy integer budget is stored as a Python int
         assert type(_random_model(rng, kind, 4, 3, np.int64(2)).k) is int
+    with pytest.raises(ValueError, match="sensor budget k must be an integer"):
+        sc.build_visibility_model(inst, True)
     # fields are stored as Python floats; an infinite radius keeps every visible pair
     assert type(direct(radius=np.float32(np.inf), rho=1).rho) is float
     assert (built(radius=math.inf, rho=0.5).cover == EXAMPLE_BITS).all()
@@ -551,17 +553,27 @@ def test_a_stopped_search_never_bounds_below_the_optimum(monkeypatch):
         return ticks[0]
 
     monkeypatch.setattr(ilp.time, "perf_counter", tick)
-    stopped = 0
+    stopped = proven = 0
     for t in range(1500):
         n, m, k = int(rng.integers(1, 90)), int(rng.integers(2, 12)), int(rng.integers(2, 6))
         model = _random_model(rng, kinds[t % 3], n, m, k)
         best = brute_force_solve(model).primal
         ticks[0] = 0.0
-        res = sc.solve(model, time_limit=float(rng.integers(0, 40)))
-        if res.status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE):
+        limit = float(rng.integers(0, 40))
+        res = sc.solve(model, time_limit=limit)
+        # an optimization search reads the clock once a node and then once
+        # for `elapsed`, so the clock stopped it when more than limit + 1
+        # ticks passed; it has then proven its incumbent exactly when no
+        # stacked link's bound exceeds it, and only then is it OPTIMAL
+        cut = model.kind is not ModelKind.FEASIBILITY_COVER and res.elapsed > limit + 1
+        if cut:
+            assert (res.status is SolveStatus.OPTIMAL) == (res.dual_bound == res.primal), (t, res)
+            proven += res.status is SolveStatus.OPTIMAL
+        if cut or res.status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE):
             stopped += 1
             assert res.primal <= best <= res.dual_bound, (t, res, best)
     assert stopped > 300
+    assert proven > 50
 
 
 @pytest.mark.parametrize("kind", [ModelKind.MAX_VISIBILITY_COVERAGE, ModelKind.THRESHOLD_COVERAGE])

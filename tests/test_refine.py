@@ -1,16 +1,19 @@
 import importlib.util
 import math
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surfcover as sc
 from surfcover import refine
 from surfcover.coverage import CoincidentPointError, QualityKind
 
-from _refine_reference import contains, min_sphere_welzl, reference_refine_grid
+from _refine_reference import basis_sphere, contains, min_sphere_welzl, reference_refine_grid
 from conftest import all_visible, make_sample_set, with_panel
 
 
@@ -103,20 +106,44 @@ def test_min_sphere_support_on_boundary():
         assert d == pytest.approx(sphere.radius, abs=1e-9)
 
 
-def test_sphere_3p_closed_form_matches_linear_solve():
-    # the 2x2 system of the 3-point basis, solved by LAPACK as the reference
+def test_basis_sphere_matches_least_squares():
+    # the equidistance equations of a 1-3 point basis, in the centre's offset
+    # from the first point's projection, solved by LAPACK: the minimum-norm
+    # offset puts a 1-point centre on the projection and a 2-point centre on
+    # the equation's normal
     rng = np.random.default_rng(25)
-    for _ in range(200):
-        p, q, s = rng.uniform(-5, 5, (3, 3))
+    for trial in range(600):
+        pts = rng.uniform(-5, 5, (1 + trial % 3, 3))
         h = float(rng.uniform(-2, 4))
-        pts2 = np.array([p[:2], q[:2], s[:2]])
-        w = (h - np.array([p[2], q[2], s[2]])) ** 2
-        sq = (pts2**2).sum(axis=1) + w
-        xy = np.linalg.solve(2.0 * (pts2[1:] - pts2[0]), sq[1:] - sq[0])
-        center, r = refine._sphere_3p(p, q, s, h)
-        assert np.allclose(center, [*xy, h], rtol=1e-9, atol=1e-9)
-        assert r == pytest.approx(np.sqrt(np.sum((xy - pts2[0]) ** 2) + w[0]), rel=1e-9)
-    assert refine._sphere_3p(*np.array([[0, 0, 1], [1, 1, 0], [2, 2, 3.0]]), 2.0) is None
+        uv = pts[1:, :2] - pts[0, :2]
+        w = (h - pts[:, 2]) ** 2
+        rhs = ((uv**2).sum(axis=1) + w[1:] - w[0]) / 2.0
+        offset = np.linalg.lstsq(uv.reshape(-1, 2), rhs, rcond=None)[0]
+        sphere = refine._basis_sphere(pts, list(range(len(pts))), h)
+        assert np.allclose(sphere.center, [*(pts[0, :2] + offset), h], rtol=1e-9, atol=1e-9)
+        assert sphere.radius == pytest.approx(np.sqrt(offset @ offset + w[0]), rel=1e-9)
+        assert sphere.support == tuple(range(len(pts)))
+        for p in pts:
+            assert np.linalg.norm(p - sphere.center) == pytest.approx(sphere.radius, rel=1e-9)
+
+
+def test_basis_sphere_is_none_exactly_for_degenerate_bases():
+    # every pair and triple of a small integer grid, whose projections are
+    # equal or collinear exactly when the integer cross product says so
+    grid = np.array([(x, y, z) for x in range(3) for y in range(3) for z in (0, 2)], float)
+    degenerate = 0
+    for n in (2, 3):
+        for basis in combinations(range(len(grid)), n):
+            proj = grid[list(basis), :2]
+            d = proj[1:] - proj[0]
+            if n == 2:
+                flat = not d.any()
+            else:
+                flat = d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0] == 0
+            sphere = refine._basis_sphere(grid, list(basis), 1.5)
+            assert (sphere is None) == flat, basis
+            degenerate += flat
+    assert degenerate > 100
 
 
 def _contains_ref(sphere, p, tol=refine.CONTAIN_TOL):
@@ -175,51 +202,59 @@ def test_min_sphere_scan_matches_per_point_loop_with_duplicates():
 
 
 def test_min_sphere_scan_matches_per_point_loop_on_collinear_projections(monkeypatch):
+    # projections on one line: every triple is degenerate, and the pivot
+    # skips those bases while Welzl's reference gives them their 1-centers
     rng = np.random.default_rng(23)
-    sets = []
+    basis_sphere = refine._basis_sphere
+    skipped = []
+
+    def counting(pts, basis, h):
+        sphere = basis_sphere(pts, basis, h)
+        if sphere is None:
+            skipped.append(basis)
+        return sphere
+
     for n in (3, 5, 20, 120):
         t = np.round(rng.uniform(-2, 2, n), 1)
-        sets.append(np.column_stack([t, 2.0 * t + 1.0, rng.uniform(-1, 0.5, n)]))
-    for pts in sets:
+        pts = np.column_stack([t, 2.0 * t + 1.0, rng.uniform(-1, 0.5, n)])
+        with monkeypatch.context() as mp:
+            mp.setattr(refine, "_basis_sphere", counting)
+            sc.min_sphere_fixed_plane(pts, 3.0)
         _assert_matches_welzl(pts, 3.0)
-    # Exact collinear triples never violate a 2-point sphere beyond the
-    # tolerance, so the degenerate-triple fallback is forced: every 3-point
-    # basis is reported collinear, in the search and in the reference alike.
-    forced = []
-
-    def collinear(*args):
-        forced.append(args)
-        return None
-
-    monkeypatch.setattr(refine, "_sphere_3p", collinear)
-    for pts in sets:
-        _assert_matches_welzl(pts, 3.0)
-    assert forced
-    # Where the projections are not collinear, the forced fallback gives
-    # 3-point bases that are too small, so there is no 1-center to match
-    # (Welzl's own sphere can miss a point); the pivot still holds them all.
-    for n in (4, 30, 150):
-        pts = rng.uniform(-3, 3, (n, 3)) * [1.0, 1.0, 0.2]
-        _assert_encloses_with_support_on_boundary(sc.min_sphere_fixed_plane(pts, 3.0), pts)
+    assert skipped
 
 
-def test_collinear_triple_is_its_largest_pair_sphere(monkeypatch):
-    # three points whose projections lie on one line, with the 3-point basis
-    # reported degenerate: the sphere is the triple's 1-center
-    monkeypatch.setattr(refine, "_sphere_3p", lambda *args: None)
+def test_collinear_triple_is_its_largest_pair_sphere():
+    # three points whose projections lie exactly on one line have no 3-point
+    # basis; the reference's fallback gives the triple's 1-center
     rng = np.random.default_rng(26)
     supports = set()
     for _ in range(20):
-        t = rng.uniform(-2, 2, 3)
-        pts = np.column_stack([1.0 + 0.6 * t, -0.5 + 0.8 * t, rng.uniform(-3, 1.5, 3)])
+        t = rng.integers(-8, 9, 3) / 4.0
+        pts = np.column_stack([1.0 + 0.5 * t, -0.5 + 0.75 * t, rng.uniform(-3, 1.5, 3)])
         h = 2.0
-        sphere = refine._basis_sphere(pts, [0, 1, 2], h)
+        assert refine._basis_sphere(pts, [0, 1, 2], h) is None
+        sphere = basis_sphere(pts, [0, 1, 2], h)
         assert all(contains(sphere, p) for p in pts)
         assert sphere.radius == pytest.approx(grid_search_min_sphere_radius(pts, h), rel=1e-4)
+        assert sphere.radius == pytest.approx(sc.min_sphere_fixed_plane(pts, h).radius, rel=1e-12)
         for idx in sphere.support:
             assert np.linalg.norm(pts[idx] - sphere.center) == pytest.approx(sphere.radius)
         supports.add(len(sphere.support))
     assert supports == {1, 2}  # one point's sphere wins some triples, a pair's others
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=30),
+    st.sampled_from([0.5, 1.0, 2.5, 4.0]),
+)
+def test_min_sphere_matches_welzl_on_integer_grid_sets(points, h):
+    # integer points: many equal and collinear projections, and repeats
+    pts = np.array(points, float)
+    sphere = sc.min_sphere_fixed_plane(pts, h)
+    assert all(contains(sphere, p) for p in pts)
+    assert sphere.radius == pytest.approx(min_sphere_welzl(pts, h).radius, rel=1e-12, abs=0)
 
 
 def test_min_sphere_scan_matches_per_point_loop_on_tolerance_boundary():
