@@ -155,20 +155,27 @@ def _load_result(path, method=None) -> dict:
 
 def _write_result(args, fields: dict, positions, placement=None, result=None) -> None:
     """Write `fields`, the placement (None for free positions), the positions
-    and the solve record as the result JSON of `solve`, `approx` or `refine`,
-    with a timestamp, or with the solve's elapsed time zeroed under
-    --deterministic."""
+    and the solve record of `result` as the result JSON of `solve`, `approx`
+    or `refine`, with a timestamp, or with the solve's elapsed time written
+    as 0.0 under --deterministic."""
+    solve = None if result is None else {
+        "status": result.status.value,
+        "placement": list(result.placement),  # an infeasible solve exits 3 before this
+        "primal": result.primal,
+        "dual_bound": result.dual_bound,
+        "gap": result.gap,
+        "nodes": result.nodes,
+        "elapsed": 0.0 if args.deterministic else result.elapsed,
+    }
     payload = {
         "format_version": RESULT_VERSION,
         **fields,
         "placement": None if placement is None else list(placement),
         "positions": positions.tolist(),
-        "solve": None if result is None else result.to_json_dict(),
+        "solve": solve,
     }
     if not args.deterministic:
         payload["timestamp"] = time.time()
-    elif result is not None:
-        payload["solve"]["elapsed"] = 0.0
     with _file(args.out, open, args.out, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -59,10 +59,17 @@ class IlpModel:
 
     def __post_init__(self):
         """Every model, however built, is checked here; None and NaN fail."""
+        cover = self.cover
+        if not isinstance(cover, np.ndarray) or cover.ndim != 2:
+            raise ValueError("cover must be a 2-D array")
         if self.kind is ModelKind.THRESHOLD_COVERAGE:
+            if cover.dtype.kind not in "iuf" or not ((0 <= cover) & (cover < math.inf)).all():
+                raise ValueError("cover must hold finite qualities >= 0")
             if self.threshold is None or not 0 < self.threshold < math.inf:
                 raise ValueError("threshold must be positive and finite")
             object.__setattr__(self, "threshold", float(self.threshold))
+        elif cover.dtype != bool:
+            raise ValueError("cover must be a bool mask")
         if self.kind is ModelKind.FEASIBILITY_COVER:
             _check_radius(self.radius)
             if self.rho is None or not 0 <= self.rho <= 1:  # rho == 0 is a degenerate edge
@@ -98,13 +105,14 @@ class IlpModel:
 class SolveResult:
     """Outcome of one solve.
 
-    * status: OPTIMAL (proven; for the feasibility kind, the target is met;
-      for the optimization kinds also when the clock stopped the search but
-      no stacked link's bound exceeds the incumbent), FEASIBLE (stopped by
-      the clock with 0 < gap <= `gap_tol`), TIME_LIMIT (stopped by the clock
-      outside it) or INFEASIBLE (feasibility kind: no k-subset covers the
-      coverage target). The status, not the gap, says whether a result is
-      proven.
+    * status, by one rule on the final bounds, with dual = max(primal, the
+      root's Lagrangian proof, every stacked link's bound): OPTIMAL when the
+      incumbent meets the coverage target (feasibility kind), or when dual ==
+      primal; INFEASIBLE when a feasibility model's dual is below its target,
+      whether or not the clock stopped the search; otherwise the clock
+      stopped it with dual > primal, and it is FEASIBLE (an optimization kind
+      with gap <= `gap_tol`) or TIME_LIMIT. The status, not the gap, says
+      whether a result is proven.
     * placement: the sorted selected candidates; None when INFEASIBLE.
     * primal: covered count of the best selection found. After an
       INFEASIBLE proof this is the best count the search saw, which is the
@@ -113,9 +121,10 @@ class SolveResult:
     * dual_bound: upper bound on the covered count of any selection. An
       INFEASIBLE result's dual_bound is below the coverage target: it is the
       certificate.
-    * gap: (dual_bound - primal) / max(1, |primal|) for a result stopped by
-      the clock, else 0. A stopped result can have gap 0 and TIME_LIMIT, as
-      a feasibility model or a problem-2 search stopped by the clock does.
+    * gap: (dual_bound - primal) / max(1, |primal|), nonzero only for
+      FEASIBLE and TIME_LIMIT. A TIME_LIMIT from `solve` has gap > 0; the
+      problem-2 search relabels a settled step TIME_LIMIT when the clock
+      stops it, which gives TIME_LIMIT with gap 0.
     * nodes: B&B nodes visited; a node with one pick left closes its last
       level in place and counts once. 1 when the root's Lagrangian test
       settles a feasibility model either way, by a proof or by a covering
@@ -123,8 +132,8 @@ class SolveResult:
     * elapsed: wall seconds.
     * multipliers: the Lagrangian multipliers over all N rows that the
       feasibility root test ended at (the ones of its best bound), or the
-      ones `solve` was given when the test did not run. Not part of the
-      JSON form nor of equality.
+      ones `solve` was given when the test did not run. Not part of result
+      files nor of equality.
     """
 
     status: SolveStatus
@@ -135,17 +144,6 @@ class SolveResult:
     nodes: int
     elapsed: float
     multipliers: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "placement": list(self.placement) if self.placement is not None else None,
-            "primal": self.primal,
-            "dual_bound": self.dual_bound,
-            "gap": self.gap,
-            "nodes": self.nodes,
-            "elapsed": self.elapsed,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +456,7 @@ def solve(
     target. The search runs while nodes are stacked and the incumbent is below
     the target (the coverage target of the feasibility kind, else infinite);
     the clock stops it with the unexplored links left stacked, and their
-    bounds give the dual bound.
+    bounds enter the dual bound, which labels the result (see `SolveResult`).
 
     The root (`_root`) runs first and may settle a feasibility model; its
     Lagrangian test starts at `multipliers` (N values in [0, 1]) when given,
@@ -509,23 +507,18 @@ def solve(
         stack.append((state, selected, order, bounds, closed, s + 1))
         stack.append(chain(scorer.add(state, pick), selected + [pick], np.sort(order[s + 1 :])))
 
+    # the root's proof and the stacked links bound every selection not reached
     primal = float(inc_value)
-    placement = tuple(sorted(incumbent))
-    dual, gap = primal, 0.0
+    dual = float(max([primal, root_proof, *(bounds[s] for _, _, _, bounds, _, s in stack)]))
+    status, placement, gap = SolveStatus.OPTIMAL, tuple(sorted(incumbent)), 0.0
     if inc_value >= target:
-        status = SolveStatus.OPTIMAL
-    elif stack:  # the clock stopped the search before the stacked links
-        open_bound = max(bounds[s] for _, _, _, bounds, _, s in stack)
-        dual = float(max(primal, open_bound))  # the bounds are ints
+        dual = primal
+    elif feasibility and dual < target:
+        status, placement = SolveStatus.INFEASIBLE, None
+    elif dual > primal:
         gap = (dual - primal) / max(1.0, abs(primal))
-        if feasibility or gap > gap_tol:
-            status = SolveStatus.TIME_LIMIT
-        else:  # an optimization model settles within tolerance; gap 0 is a proof
-            status = SolveStatus.OPTIMAL if gap == 0 else SolveStatus.FEASIBLE
-    elif feasibility:
-        status, placement, dual = SolveStatus.INFEASIBLE, None, max(primal, root_proof)
-    else:
-        status = SolveStatus.OPTIMAL
+        within = not feasibility and gap <= gap_tol
+        status = SolveStatus.FEASIBLE if within else SolveStatus.TIME_LIMIT
     return SolveResult(
         status, placement, primal, dual, gap, nodes, time.perf_counter() - start, multipliers
     )
@@ -535,29 +528,16 @@ def solve(
 # CPLEX-LP export
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def export_lp(model: IlpModel, path) -> None:
     """Write the model in CPLEX LP text format for external MILP solvers."""
     n, m = model.n_samples, model.n_candidates
     lines = ["Maximize", " obj: " + " + ".join(f"y{i}" for i in range(n)), "Subject To"]
-    if model.kind is ModelKind.THRESHOLD_COVERAGE:
-        for i in range(n):
-            terms = [f"{_fmt(model.threshold)} y{i}"]
-            for j in range(m):
-                coef = model.cover[i, j]
-                if coef > 0:
-                    terms.append(f"- {_fmt(coef)} z{j}")
-            lines.append(f" cov{i}: " + " ".join(terms) + " <= 0")
-    else:
-        for i in range(n):
-            terms = [f"y{i}"]
-            for j in range(m):
-                if model.cover[i, j]:
-                    terms.append(f"- z{j}")
-            lines.append(f" cov{i}: " + " ".join(terms) + " <= 0")
+    weighted = model.kind is ModelKind.THRESHOLD_COVERAGE
+    for i in range(n):
+        terms = [f"{model.threshold:.12g} y{i}" if weighted else f"y{i}"]
+        for j in np.flatnonzero(model.cover[i] > 0):
+            terms.append(f"- {model.cover[i, j]:.12g} z{j}" if weighted else f"- z{j}")
+        lines.append(f" cov{i}: " + " ".join(terms) + " <= 0")
     lines.append(" card: " + " + ".join(f"z{j}" for j in range(m)) + f" <= {model.k}")
     if model.kind is ModelKind.FEASIBILITY_COVER:
         lines.append(

@@ -128,6 +128,16 @@ def test_problem2_top_radius_timeout_exits_4(workdir, monkeypatch):
     assert code == 4
 
 
+def test_stopped_problem2_solve_whose_bound_misses_the_target_exits_3(workdir):
+    # one pick's root bound is exact: below the target at the largest radius,
+    # it proves infeasibility however soon the clock stops the solve
+    d, mesh, samples, cands, vis = workdir
+    argv = ["solve", "--problem", "2", "--k", "1", "--rho", "0.85",
+            *_trio_args(samples, cands, vis), "--out", str(d / "k1.json")]
+    assert main(argv) == 3
+    assert main(argv + ["--time-limit", "0.000001"]) == 3
+
+
 def test_visibility_recomputed_when_mesh_changes(workdir, tmp_path):
     d, mesh, samples, cands, vis = workdir
     occluded = with_panel(sc.load_obj(str(mesh)))
@@ -303,15 +313,16 @@ def test_sweep_csv_monotone(workdir):
 @pytest.mark.parametrize("problem", [["2", "--rho", "0.85"], ["3", "--phi", "0.05"]])
 def test_sweep_exits_4_when_the_clock_stops_a_solve(workdir, problem):
     # a microsecond stops each solve at its first clock read after the root;
-    # a zero-time problem-2 step cannot prove infeasibility, so it cannot exit 3
+    # the room is feasible with two sensors at its largest radius, so no
+    # problem-2 step of this range can be proved infeasible and exit 3
     d, mesh, samples, cands, vis = workdir
     out = d / "stopped.csv"
-    code = main(["sweep", "--problem", *problem, "--k-range", "1..3", "--time-limit", "0.000001",
+    code = main(["sweep", "--problem", *problem, "--k-range", "2..3", "--time-limit", "0.000001",
                  *_trio_args(samples, cands, vis), "--out", str(out)])
     assert code == 4
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
-    assert [int(r["k"]) for r in rows] == [1, 2, 3]
+    assert [int(r["k"]) for r in rows] == [2, 3]
     assert "time-limit" in [r["status"] for r in rows]
     for r in rows:
         # only a proof is optimal; problem 2 reports gap 0 even when stopped

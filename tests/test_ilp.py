@@ -163,6 +163,34 @@ def test_models_reject_out_of_range_fields():
     assert (built(radius=math.inf, rho=0.5).cover == EXAMPLE_BITS).all()
 
 
+def test_models_reject_a_malformed_cover():
+    # a 2-D bool mask for the boolean kinds, finite qualities >= 0 for the
+    # threshold kind: a negative or NaN quality would solve to a wrong optimum
+    bits = EXAMPLE_BITS
+    phi = np.where(bits, 0.5, 0.0)
+    for kind in ModelKind:
+        fields = {ModelKind.THRESHOLD_COVERAGE: {"threshold": 1.0},
+                  ModelKind.FEASIBILITY_COVER: {"radius": 1.0, "rho": 0.5}}.get(kind, {})
+        valid = phi if kind is ModelKind.THRESHOLD_COVERAGE else bits
+        IlpModel(kind, valid, 2, **fields)
+        for cover in (valid[0], valid[None], valid.tolist()):
+            with pytest.raises(ValueError, match="cover must be a 2-D array"):
+                IlpModel(kind, cover, 2, **fields)
+        if kind is not ModelKind.THRESHOLD_COVERAGE:
+            for cover in (phi, bits.astype(np.uint8)):
+                with pytest.raises(ValueError, match="cover must be a bool mask"):
+                    IlpModel(kind, cover, 2, **fields)
+            continue
+        for bad in (-0.25, math.nan, math.inf):
+            cover = phi.copy()
+            cover[1, 2] = bad
+            with pytest.raises(ValueError, match="cover must hold finite qualities >= 0"):
+                IlpModel(kind, cover, 2, **fields)
+        with pytest.raises(ValueError, match="cover must hold finite qualities >= 0"):
+            IlpModel(kind, bits, 2, **fields)  # a bool mask holds no qualities
+        assert IlpModel(kind, bits.astype(np.int64), 2, **fields).cover.dtype == np.int64
+
+
 def test_feasibility_monotone_in_radius():
     inst = line_instance()
     feasible_at = [
@@ -553,27 +581,37 @@ def test_a_stopped_search_never_bounds_below_the_optimum(monkeypatch):
         return ticks[0]
 
     monkeypatch.setattr(ilp.time, "perf_counter", tick)
-    stopped = proven = 0
+    stopped = proven = refuted = 0
     for t in range(1500):
         n, m, k = int(rng.integers(1, 90)), int(rng.integers(2, 12)), int(rng.integers(2, 6))
         model = _random_model(rng, kinds[t % 3], n, m, k)
-        best = brute_force_solve(model).primal
+        oracle = brute_force_solve(model)
         ticks[0] = 0.0
         limit = float(rng.integers(0, 40))
         res = sc.solve(model, time_limit=limit)
-        # an optimization search reads the clock once a node and then once
-        # for `elapsed`, so the clock stopped it when more than limit + 1
-        # ticks passed; it has then proven its incumbent exactly when no
-        # stacked link's bound exceeds it, and only then is it OPTIMAL
-        cut = model.kind is not ModelKind.FEASIBILITY_COVER and res.elapsed > limit + 1
-        if cut:
+        # every clock read between a solve's first and its last (for
+        # `elapsed`) checks the deadline, so the clock stopped the solve when
+        # more than limit + 1 ticks passed
+        cut = res.elapsed > limit + 1
+        feasibility = model.kind is ModelKind.FEASIBILITY_COVER
+        if cut and not feasibility:
+            # it has then proven its incumbent exactly when no stacked
+            # link's bound exceeds it, and only then is it OPTIMAL
             assert (res.status is SolveStatus.OPTIMAL) == (res.dual_bound == res.primal), (t, res)
             proven += res.status is SolveStatus.OPTIMAL
-        if cut or res.status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE):
+        if cut and feasibility and res.dual_bound < model.coverage_target:
+            # bounds that miss the target prove infeasibility, stopped or not
+            assert res.status is SolveStatus.INFEASIBLE and res.placement is None, (t, res)
+            assert oracle.status is SolveStatus.INFEASIBLE, (t, res)
+            refuted += 1
+        if cut and not (feasibility and res.status is SolveStatus.OPTIMAL):
+            # a feasibility search stops at its first selection that meets
+            # the target, which need not cover the most samples
             stopped += 1
-            assert res.primal <= best <= res.dual_bound, (t, res, best)
+            assert res.primal <= oracle.primal <= res.dual_bound, (t, res, oracle.primal)
     assert stopped > 300
     assert proven > 50
+    assert refuted >= 5
 
 
 @pytest.mark.parametrize("kind", [ModelKind.MAX_VISIBILITY_COVERAGE, ModelKind.THRESHOLD_COVERAGE])
