@@ -5,7 +5,9 @@ of all sensors that see it clears a threshold, each contribution falling off
 with the square of distance and the cosine of the incidence angle.  This demo
 sweeps the sensor budget for a fixed threshold, then holds the budget and
 sweeps the threshold, and finally contrasts the two distance-based problems:
-the cumulative threshold solve and the max-min radius binary search.
+the cumulative threshold solve and the max-min radius search, a bottleneck
+descent that moves to the radius each feasible placement needs and probes
+the candidate radius just below it.
 """
 
 import numpy as np

@@ -140,6 +140,17 @@ class CoverageInstance:
         view of a candidate-major array, so `.T` is C-contiguous."""
         return (self._candidate_dist <= radius).T
 
+    def needed_radius(self, selected: Sequence[int], count: int) -> float:
+        """The smallest radius at which `selected` covers `count` samples by
+        the rule of `covers_within`: the count-th smallest distance from a
+        sample to its nearest visible pick, read from the same distances, so
+        `covers_within` at it covers `count`. 0.0 for a count of 0; NaN when
+        the picks see fewer than `count` samples."""
+        if count == 0:
+            return 0.0
+        nearest = np.fmin.reduce(self._candidate_dist[list(selected)], axis=0, initial=np.nan)
+        return float(np.partition(nearest, count - 1)[count - 1])
+
 
 def build_instance(
     samples: SampleSet,

@@ -68,51 +68,56 @@ def solve_problem2(
     time_limit: float | None = None,
 ) -> tuple[float, tuple[int, ...], SolveResult]:
     """Smallest radius r such that k sensors within distance r (and visible)
-    can cover a rho fraction of the samples; binary search over the finite set
-    of pairwise distances, each step an exact feasibility solve. Each step's
-    Lagrangian multipliers start the next step's root test: any multipliers
-    bound every radius, and those that prove a radius infeasible prove every
-    smaller one too, since a smaller radius only drops cover entries.
+    can cover a rho fraction of the samples, by a bottleneck descent over the
+    finite set of pairwise distances (Edmonds and Fulkerson, "Bottleneck
+    extrema", 1970), each step an exact feasibility solve. The first step
+    settles the largest radius; each later one probes the candidate radius
+    just below the needed radius of the last feasible step's placement
+    (`CoverageInstance.needed_radius`), started from that placement and from
+    the last Lagrangian multipliers, which bound every radius. The first
+    infeasible probe proves r*, since a smaller radius only drops cover
+    entries; a placement that needs the smallest radius leaves nothing to
+    probe.
 
     `time_limit` bounds the whole search: each step gets the time left. When
-    the clock stops the search, before a step or inside one, the smallest
-    radius proven feasible so far (the largest radius when even its step timed
-    out) comes back with status TIME_LIMIT; a search that settled r* reports
-    OPTIMAL.
+    the clock stops the search, before a step or inside one, the last
+    feasible placement's needed radius (the largest radius when even the
+    first step timed out) comes back with status TIME_LIMIT; a search that
+    settled r* reports OPTIMAL. The result is the step whose placement
+    certifies the returned radius.
     """
     radii = candidate_radii(instance)
     deadline = math.inf if time_limit is None else time.perf_counter() + time_limit
     multipliers = None  # of the last step, the next step's Lagrangian start
 
-    def step(r: float) -> SolveResult:
+    def step(r: float, start=None) -> tuple[SolveResult, int]:
         """The exact feasibility solve at radius r in the time left, its
-        Lagrangian root test started where the previous step's ended."""
+        Lagrangian root test started where the previous step's ended, and
+        the model's coverage target."""
         nonlocal multipliers
         left = max(0.0, deadline - time.perf_counter())
         model = build_feasibility_model(instance, k, r, rho)
-        res = solve(model, time_limit=left, multipliers=multipliers)
+        res = solve(model, time_limit=left, multipliers=multipliers, start=start)
         multipliers = res.multipliers
-        return res
+        return res, model.coverage_target
 
-    last = len(radii) - 1
-    res = feasible = step(float(radii[last]))  # the first step settles the largest radius
+    hi = len(radii) - 1
+    res, target = step(float(radii[hi]))
     if res.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(
             f"coverage ratio {rho} unachievable with {k} sensors even at the "
-            f"largest radius {radii[last]:.6g}"
+            f"largest radius {radii[hi]:.6g}"
         )
-    r_star, lo, hi = float(radii[last]), 0, last
-    while lo <= hi and lo < last:  # radii[:lo] infeasible, r_star feasible
-        if res.status is SolveStatus.TIME_LIMIT or time.perf_counter() >= deadline:
-            feasible = replace(feasible, status=SolveStatus.TIME_LIMIT)
+    feasible = res  # the last feasible step, or the first when the clock stopped it
+    while res.status is SolveStatus.OPTIMAL:
+        feasible = res
+        hi = int(np.searchsorted(radii, instance.needed_radius(res.placement, target)))
+        if hi == 0 or time.perf_counter() >= deadline:
             break
-        mid = (lo + hi) // 2
-        res = step(float(radii[mid]))
-        if res.status is SolveStatus.OPTIMAL:
-            r_star, feasible, hi = float(radii[mid]), res, mid - 1
-        elif res.status is SolveStatus.INFEASIBLE:
-            lo = mid + 1
-    return r_star, feasible.placement, feasible
+        res, _ = step(float(radii[hi - 1]), res.placement)
+    if hi > 0 and res.status is not SolveStatus.INFEASIBLE:  # the clock stopped it
+        feasible = replace(feasible, status=SolveStatus.TIME_LIMIT)
+    return float(radii[hi]), feasible.placement, feasible
 
 
 # ---------------------------------------------------------------------------

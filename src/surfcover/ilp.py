@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coverage import THRESHOLD_TOL, CoverageInstance, QualityKind, meets_threshold
+from .coverage import (
+    THRESHOLD_TOL,
+    CoverageInstance,
+    QualityKind,
+    check_placement,
+    meets_threshold,
+)
 
 
 class ModelKind(enum.Enum):
@@ -128,7 +134,8 @@ class SolveResult:
     * nodes: B&B nodes visited; a node with one pick left closes its last
       level in place and counts once. 1 when the root's Lagrangian test
       settles a feasibility model either way, by a proof or by a covering
-      selection; 0 when the greedy picks and their swaps settle the model.
+      selection; 0 when the swaps, from the greedy picks or a start, settle
+      the model.
     * elapsed: wall seconds.
     * multipliers: the Lagrangian multipliers over all N rows that the
       feasibility root test ended at (the ones of its best bound), or the
@@ -333,9 +340,7 @@ _LAGRANGE_STALLS = 3  # halvings in a row without a better bound before the step
 _PROOF_TOL = 1e-6
 
 
-def _lagrangian_bound(
-    cover: np.ndarray, k: int, target: int, deadline: float, start=None, pause=None
-):
+def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float, start=None):
     """Smallest L(lam) met by Polyak subgradient steps toward target - 1, where
 
         L(lam) = sum_i max(0, 1 - lam_i) + (sum of the k largest positive (lam A)_j)
@@ -345,9 +350,8 @@ def _lagrangian_bound(
     k-selection, so the minimum found is valid however far the steps got.
     Stops at a proof (L < target - tol), once a step's own selection covers
     the target (no proof exists), after `_LAGRANGE_STALLS` halvings of the
-    step factor in a row with no better bound, after a fixed step count, at
-    the deadline, or when `pause()`, called once after `_LAGRANGE_PATIENCE`
-    steps, returns true. Rows no candidate covers add nothing at lam_i = 1
+    step factor in a row with no better bound, after a fixed step count, or
+    at the deadline. Rows no candidate covers add nothing at lam_i = 1
     and are left out of the steps; the others start at `start` (any lam in
     [0, 1]^N, such as the multipliers of a model with fewer cover entries)
     or else at lam_i = 1 / (number of candidates covering i).
@@ -360,9 +364,7 @@ def _lagrangian_bound(
     m, rows = cols.shape
     lam = 1.0 / cols.sum(axis=0) if start is None else start[coverable]
     factor, best, best_lam, stale, witness = 2.0, math.inf, lam, 0, None
-    for step in range(_LAGRANGE_STEPS):
-        if step == _LAGRANGE_PATIENCE and pause is not None and pause():
-            break
+    for _ in range(_LAGRANGE_STEPS):
         if time.perf_counter() > deadline:
             break
         weights = cols @ lam
@@ -392,34 +394,33 @@ def _lagrangian_bound(
     return float(best), multipliers, witness
 
 
-def _root(model: IlpModel, scorer, k: int, target: float, deadline: float, multipliers):
-    """The root of a solve, before any branching: the greedy picks; when a
-    feasibility model's picks miss the target, the Lagrangian test started
-    at `multipliers`; unless that test settles the model, first-improving
-    1-swaps from the picks, run at the test's pause. A Lagrangian bound below
-    the target proves the model infeasible and keeps the picks' count; a
-    step whose own selection covers the target is the witness of
-    feasibility. Either settles the model in one node; swaps that meet the
-    target stop the test and settle it in 0. Returns (selection, value,
-    nodes, root proof or -inf, the multipliers the test ended at, else those
-    it was given)."""
+def _root(model: IlpModel, scorer, k: int, target: float, deadline: float, multipliers, start=None):
+    """The root of a solve, before any branching: first-improving 1-swaps,
+    run once, from the greedy picks or from `start` when it covers more; then,
+    when a feasibility model's selection still misses the target, the
+    Lagrangian test started at `multipliers`. A Lagrangian bound below the
+    target proves the model infeasible and keeps the swaps' count; a step
+    whose own selection covers the target is the witness of feasibility.
+    Either settles the model in one node; a selection that meets the target
+    before the test settles it in 0. Returns (selection, value, nodes, root
+    proof or -inf, the multipliers the test ended at, else those it was
+    given)."""
     m = model.n_candidates
     selected, value = _greedy_picks(scorer, m, k)
-    swaps = None
+    if start is not None:
+        start_value = scorer.value(functools.reduce(scorer.add, start, scorer.root))
+        if start_value > value:
+            selected, value = start, start_value
+    selected, value = _improve_by_swaps(scorer, m, selected, value, deadline)
     if model.kind is ModelKind.FEASIBILITY_COVER and k > 0 and value < target:
-        def pause():  # the swaps, at most once
-            nonlocal swaps
-            swaps = _improve_by_swaps(scorer, m, selected, value, deadline)
-            return swaps[1] >= target
         bound, multipliers, witness = _lagrangian_bound(
-            model.cover, k, target, deadline, multipliers, pause
+            model.cover, k, target, deadline, multipliers
         )
         if bound < target - _PROOF_TOL:
             return selected, value, 1, bound, multipliers
         if witness is not None:
             state = functools.reduce(scorer.add, witness, scorer.root)
             return witness, scorer.value(state), 1, -math.inf, multipliers
-    selected, value = swaps or _improve_by_swaps(scorer, m, selected, value, deadline)
     return selected, value, 0, -math.inf, multipliers
 
 
@@ -428,6 +429,7 @@ def solve(
     time_limit: float | None = None,
     gap_tol: float = 0.0,
     multipliers: np.ndarray | None = None,
+    start=None,
 ) -> SolveResult:
     """Exact deterministic branch and bound over the selection variables.
 
@@ -460,13 +462,22 @@ def solve(
 
     The root (`_root`) runs first and may settle a feasibility model; its
     Lagrangian test starts at `multipliers` (N values in [0, 1]) when given,
-    and the result carries the multipliers it ended at.
+    and the result carries the multipliers it ended at. `start` (a
+    feasibility model's only: at most k distinct candidate indices, such as
+    a placement that met the target at a larger radius) replaces the greedy
+    picks as the swaps' start when it covers more.
     """
-    start = time.perf_counter()
-    deadline = math.inf if time_limit is None else start + time_limit
+    t0 = time.perf_counter()
+    deadline = math.inf if time_limit is None else t0 + time_limit
     m = model.n_candidates
     k = min(model.k, m)
     feasibility = model.kind is ModelKind.FEASIBILITY_COVER
+    if start is not None:
+        if not feasibility:
+            raise ValueError("a start selection applies to the feasibility kind only")
+        start = [int(j) for j in check_placement(start, m)]
+        if len(start) > model.k:
+            raise ValueError("start holds more candidates than the budget k")
     target = model.coverage_target if feasibility else math.inf
     if model.kind is ModelKind.THRESHOLD_COVERAGE:
         scorer = _QualitySums(model.cover, model.threshold)
@@ -479,7 +490,7 @@ def solve(
         return state, selected, free[order], bounds, closed, 0
 
     incumbent, inc_value, nodes, root_proof, multipliers = _root(
-        model, scorer, k, target, deadline, multipliers
+        model, scorer, k, target, deadline, multipliers, start
     )
     search = k > 0 and not nodes and inc_value < target  # the root settled nothing
     stack = [chain(scorer.root, [], np.arange(m))] if search else []
@@ -520,7 +531,7 @@ def solve(
         within = not feasibility and gap <= gap_tol
         status = SolveStatus.FEASIBLE if within else SolveStatus.TIME_LIMIT
     return SolveResult(
-        status, placement, primal, dual, gap, nodes, time.perf_counter() - start, multipliers
+        status, placement, primal, dual, gap, nodes, time.perf_counter() - t0, multipliers
     )
 
 

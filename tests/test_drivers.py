@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -107,7 +108,7 @@ def test_problem2_infeasible_when_no_visibility():
 
 
 def _time_out_call(monkeypatch, which):
-    """Make the `which`-th feasibility solve of the bisection run out of time."""
+    """Make the `which`-th feasibility solve of the search run out of time."""
     real = drivers.solve
     calls = []
 
@@ -165,8 +166,8 @@ def two_radii_instance():
 
 
 def test_problem2_does_not_solve_the_largest_radius_twice(monkeypatch):
-    # the bisection climbs to the largest radius after the top probe has
-    # already proved it
+    # the top step's placement needs the largest radius, so the next probe is
+    # the radius below it, and proving that one infeasible settles r*
     (r, placement, res), radii = _probed_radii(monkeypatch, two_radii_instance(), k=1, rho=1.0)
     assert radii == [math.sqrt(10.0), 1.0]
     assert r == math.sqrt(10.0) and placement == (0,)
@@ -186,20 +187,28 @@ def test_problem2_settled_when_the_clock_runs_out_reports_optimal(monkeypatch):
 
 def test_problem2_time_limit_bounds_the_whole_search(monkeypatch):
     # each step spends 20 ms, so 50 ms covers the first two and a half of
-    # the nine steps; the search must share the limit, not restart it
-    inst = random_instance(np.random.default_rng(5), 40, 8, QualityKind.VISIBILITY)
-    (r_opt, _, _), all_radii = _probed_radii(monkeypatch, inst, k=2, rho=0.9)
+    # the six steps; the search must share the limit, not restart it
+    inst = random_instance(np.random.default_rng(13), 40, 8, QualityKind.VISIBILITY)
+    (r_opt, _, _), all_radii = _probed_radii(monkeypatch, inst, k=3, rho=0.9)
     assert len(all_radii) >= 6
     t0 = time.perf_counter()
     (r, placement, res), radii = _probed_radii(
-        monkeypatch, inst, spend=0.02, k=2, rho=0.9, time_limit=0.05
+        monkeypatch, inst, spend=0.02, k=3, rho=0.9, time_limit=0.05
     )
     assert time.perf_counter() - t0 < 0.05 + 0.05
     assert res.status is SolveStatus.TIME_LIMIT
-    assert radii == all_radii[: len(radii)]  # the same bisection, cut short
-    assert r in radii and r >= r_opt  # the last certified radius
-    model = sc.build_feasibility_model(inst, 2, r, 0.9)
+    assert radii == all_radii[: len(radii)]  # the same descent, cut short
+    # the last certified radius: the placement covers the target within r
+    # and not within the candidate radius below it, which the next step of
+    # the uncut descent probes
+    assert r >= r_opt
+    cands = candidate_radii(inst)
+    below = float(cands[np.searchsorted(cands, r) - 1])
+    assert all_radii[len(radii)] == below
+    model = sc.build_feasibility_model(inst, 3, r, 0.9)
     assert covered_count(model, placement) >= model.coverage_target
+    model = sc.build_feasibility_model(inst, 3, below, 0.9)
+    assert covered_count(model, placement) < model.coverage_target
 
 
 def test_problem2_result_is_a_witnessed_optimum():
@@ -230,6 +239,93 @@ def test_problem2_result_is_a_witnessed_optimum():
                 sc.solve(build_feasibility_model(inst, k, below, rho)).status
                 is SolveStatus.INFEASIBLE
             )
+
+
+def _bottleneck_radius(inst, k, target):
+    """r* by enumeration: the smallest candidate radius at which some
+    min(k, M)-subset covers `target` samples, each subset needing the
+    target-th smallest distance from a sample to its nearest visible pick;
+    inf when no subset sees `target` samples."""
+    radii = candidate_radii(inst)
+    if target == 0:
+        return float(radii[0])
+    dist = np.where(inst.vis.bits, inst.dist, np.inf)
+    best = math.inf
+    for combo in itertools.combinations(range(inst.n_candidates), min(k, inst.n_candidates)):
+        best = min(best, float(np.sort(dist[:, list(combo)].min(axis=1))[target - 1]))
+    return best
+
+
+def test_problem2_descent_matches_brute_force_with_one_infeasible_step(monkeypatch):
+    # every probe but the last is feasible: the only infeasible step is the
+    # candidate radius just below r*, and none when r* is the smallest radius
+    # (rho = 0 among them); no radius is solved twice
+    rng = np.random.default_rng(29)
+    real = drivers.solve
+    steps = []
+
+    def solve(model, **kwargs):
+        res = real(model, **kwargs)
+        steps.append((model.radius, res.status))
+        return res
+
+    monkeypatch.setattr(drivers, "solve", solve)
+    searched = proofs = smallest = 0
+    for _ in range(200):
+        n, m, k = int(rng.integers(1, 13)), int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        inst = random_instance(rng, n, m, QualityKind.VISIBILITY)
+        if not inst.vis.bits.any():
+            continue
+        rho = float(rng.choice([0.0, 0.3, 0.5, 0.8, 0.9, 1.0]))
+        radii = candidate_radii(inst)
+        target = sc.build_feasibility_model(inst, k, radii[-1], rho).coverage_target
+        expected = _bottleneck_radius(inst, k, target)
+        steps.clear()
+        if expected == math.inf:
+            with pytest.raises(sc.InfeasibleError):
+                sc.solve_problem2(inst, k, rho)
+            continue
+        r, placement, res = sc.solve_problem2(inst, k, rho)
+        searched += 1
+        assert r == expected and res.status is SolveStatus.OPTIMAL
+        probed = [radius for radius, _ in steps]
+        assert len(set(probed)) == len(probed)
+        infeasible = [radius for radius, status in steps if status is SolveStatus.INFEASIBLE]
+        idx = int(np.searchsorted(radii, r))
+        assert infeasible == ([float(radii[idx - 1])] if idx else [])
+        assert covered_count(sc.build_feasibility_model(inst, k, r, rho), placement) >= target
+        if idx:
+            below = sc.build_feasibility_model(inst, k, radii[idx - 1], rho)
+            assert covered_count(below, placement) < target
+        proofs += bool(idx)
+        smallest += rho == 0
+    assert searched > 150 and proofs > 100 and smallest > 10
+
+
+def test_problem2_on_office_130_takes_one_infeasibility_proof(monkeypatch):
+    # the office-refine room with 130 candidates at pitch 0.75 on z = 2.8;
+    # at k=5 each infeasibility proof near r* takes ~56-60k nodes, so the
+    # search must prove r* once and reach it in few steps
+    obstacles = [((1.5, 1.5, 0.0), (3.0, 2.5, 1.6)), ((6.0, 1.0, 0.0), (7.5, 2.0, 2.0)),
+                 ((2.0, 5.0, 0.0), (3.5, 6.5, 1.5)), ((6.5, 5.0, 0.0), (8.0, 6.0, 2.2))]
+    room = sc.gen_room(extent=(10.0, 8.0, 3.0), obstacles=obstacles)
+    samples = sc.sample_surface(room, pitch=0.7)
+    candidates = sc.generate_candidates_plane(2.8, (0.5, 0.5, 9.5, 7.5), 0.75)
+    vm = sc.visibility_matrix(sc.build_bvh(room), samples, candidates)
+    inst = sc.build_instance(samples, candidates, vm, QualityKind.VISIBILITY)
+    assert (inst.n_samples, inst.n_candidates) == (2868, 130)
+    real = drivers.solve
+    statuses = []
+
+    def solve(model, **kwargs):
+        res = real(model, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(drivers, "solve", solve)
+    r, _, res = sc.solve_problem2(inst, 5, rho=0.9)
+    assert (r, res.status) == (3.8266285970489857, SolveStatus.OPTIMAL)
+    assert statuses.count(SolveStatus.INFEASIBLE) == 1 and len(statuses) <= 10
 
 
 def _lagrangian_at_radii(instance, lam, k, radii):
@@ -276,9 +372,9 @@ def test_problem2_carries_multipliers_that_prove_every_radius_below_the_optimum(
 
 
 def test_problem2_calls_share_no_multipliers(room_scene, monkeypatch):
-    # the multipliers live inside one call: a second call repeats the first
-    # one's answer and each of its Lagrangian step counts (one clock read per
-    # step)
+    # the multipliers live inside one call: a second pass over k=1..4
+    # repeats the first one's answers and each of its Lagrangian step counts
+    # (one clock read per step)
     _, _, samples, candidates, vm = room_scene
     inst = sc.build_instance(samples, candidates, vm, QualityKind.VISIBILITY)
     real, clock = ilp._lagrangian_bound, time.perf_counter
@@ -301,10 +397,13 @@ def test_problem2_calls_share_no_multipliers(room_scene, monkeypatch):
     runs = []
     for _ in range(2):
         counts.clear()
-        r, placement, res = sc.solve_problem2(inst, 3, rho=0.9)
-        runs.append((r, placement, replace(res, elapsed=0.0), list(counts)))
+        answers = []
+        for k in range(1, 5):
+            r, placement, res = sc.solve_problem2(inst, k, rho=0.9)
+            answers.append((r, placement, replace(res, elapsed=0.0)))
+        runs.append((answers, list(counts)))
     assert runs[0] == runs[1]
-    assert len(runs[0][3]) > 3
+    assert len(runs[0][1]) > 3 and max(runs[0][1]) > 1
 
 
 def test_problem3_huge_threshold_covers_nothing():

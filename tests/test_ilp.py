@@ -444,22 +444,56 @@ def _k4_edges(copies):
     return IlpModel(ModelKind.FEASIBILITY_COVER, cover, 2, radius=1.0, rho=rho)
 
 
+def _stuck_swaps_bits():
+    """c0 sees samples 2-7, c1 0-4, c2 5-9 and c3 0, 1 and 8. The greedy
+    picks take c0 and then c3 and cover 9; no 1-swap covers more, while c1
+    and c2 together cover all ten."""
+    bits = np.zeros((10, 4), bool)
+    bits[2:8, 0] = bits[:5, 1] = bits[5:, 2] = bits[[0, 1, 8], 3] = True
+    return bits
+
+
 def test_a_lagrangian_selection_that_covers_the_target_settles_the_root():
-    # c0 sees the middle six samples, c1 and c2 five each, and together all
-    # ten. The greedy picks take c0 and then cover 8; the first Lagrangian
-    # step weighs c1 and c2 at 3.5 against c0's 3, and its own selection
-    # covers all ten, so the root settles the model before any swap
-    bits = np.zeros((10, 3), bool)
-    bits[2:8, 0] = bits[:5, 1] = bits[5:, 2] = True
+    # the swaps stop short of the target, and a Lagrangian step's own
+    # selection covers it, so the root settles the model in one node
+    bits = _stuck_swaps_bits()
     model = IlpModel(ModelKind.FEASIBILITY_COVER, bits, 2, radius=1.0, rho=1.0)
-    assert ilp._greedy_picks(ilp._PackedCover(bits), 3, 2) == ([0, 1], 8)
+    scorer = ilp._PackedCover(bits)
+    assert ilp._greedy_picks(scorer, 4, 2) == ([0, 3], 9)
+    assert ilp._improve_by_swaps(scorer, 4, [0, 3], 9, math.inf) == ([0, 3], 9)
     res = sc.solve(model)
     assert (res.status, res.nodes, res.placement) == (SolveStatus.OPTIMAL, 1, (1, 2))
     assert res.primal == 10.0
     assert covered_count(model, res.placement) >= model.coverage_target
     assert _same_answer(res, reference_solve(model))
-    # the multipliers it ends at are those of its one step, over all rows
-    assert res.multipliers.tolist() == [1.0, 1.0] + [0.5] * 6 + [1.0, 1.0]
+    # the multipliers it ends at are those of its best bound, over all rows
+    bound = _lagrangian_bound(bits, 2, model.coverage_target, math.inf)[0]
+    assert res.multipliers.shape == (10,)
+    assert _lagrangian_value(bits, res.multipliers, 2) == pytest.approx(bound)
+
+
+def test_a_start_that_meets_the_target_settles_the_root_without_a_lagrangian_step(monkeypatch):
+    # the same model from a start that covers the target: 0 nodes, and the
+    # Lagrangian test never runs, so it reads no clock
+    bits = _stuck_swaps_bits()
+    model = IlpModel(ModelKind.FEASIBILITY_COVER, bits, 2, radius=1.0, rho=1.0)
+    calls = []
+    real = ilp._lagrangian_bound
+    monkeypatch.setattr(ilp, "_lagrangian_bound", lambda *args: calls.append(1) or real(*args))
+    lam = np.full(10, 0.25)
+    res = sc.solve(model, multipliers=lam, start=(np.int64(2), 1))
+    assert (res.status, res.nodes, res.placement, res.primal) == (
+        SolveStatus.OPTIMAL, 0, (1, 2), 10.0)
+    assert calls == [] and res.multipliers is lam
+    # a start worth less than the greedy picks leaves them the swaps' start
+    assert sc.solve(model, start=[3]).nodes == 1 and calls == [1]
+    for start, message in (([0, 1, 2], "more candidates than the budget"),
+                           ([4], "out of range"), ([1, 1], "duplicate")):
+        with pytest.raises(ValueError, match=message):
+            sc.solve(model, start=start)
+    visibility = IlpModel(ModelKind.MAX_VISIBILITY_COVERAGE, bits, 2)
+    with pytest.raises(ValueError, match="feasibility kind only"):
+        sc.solve(visibility, start=[1, 2])
 
 
 def test_unproved_infeasibility_falls_back_to_branching():
@@ -748,7 +782,7 @@ def room_instances():
 @pytest.fixture(scope="module")
 def room_models(room_instances):
     """Every model the drivers solve on the criterion-5 room: P1 at k=1..6,
-    P3 at k=1..3 and P2 at k=1..4 at each radius of its bisection."""
+    P3 at k=1..3 and P2 at k=1..4 at each radius of its descent."""
     vis, lam = room_instances
     models = []
 
@@ -771,7 +805,7 @@ def test_solve_matches_the_per_child_reference_search_on_the_room(room_models):
     kinds = {kind: sum(m.kind is kind for m in room_models) for kind in ModelKind}
     assert kinds[ModelKind.MAX_VISIBILITY_COVERAGE] == 6
     assert kinds[ModelKind.THRESHOLD_COVERAGE] == 3
-    assert kinds[ModelKind.FEASIBILITY_COVER] > 4 * 5  # several bisection steps per k
+    assert kinds[ModelKind.FEASIBILITY_COVER] > 4 * 5  # several descent steps per k
     nodes = ref_nodes = 0
     for model in room_models:
         a, ref = sc.solve(model), reference_solve(model)
@@ -782,26 +816,20 @@ def test_solve_matches_the_per_child_reference_search_on_the_room(room_models):
 
 
 # (nodes, placement) of every room model as `ilp.solve` finds them from a cold
-# Lagrangian start: P1 at k=1..6, P3 at k=1..3, then P2's bisection steps.
-# The P1 and P3 entries were recorded while each exclusion sibling was still
-# bounded by a pass of its own; a P2 step with 1 node and a placement ends at
-# a Lagrangian step's covering selection, found before the test's pause; one
-# with 0 nodes ends at the greedy picks or their swaps
+# Lagrangian start and the greedy picks: P1 at k=1..6, P3 at k=1..3, then the
+# steps of P2's descent. The P1 and P3 entries were recorded while each
+# exclusion sibling was still bounded by a pass of its own; a P2 step with 1
+# node and a placement ends at a Lagrangian step's covering selection, after
+# the swaps missed the target; one with 0 nodes ends at the swaps
 ROOM_SEARCH = [
     (1, (13,)), (1, (13, 40)), (1, (13, 40)), (1, (13, 40)), (1, (13, 40)), (1, (13, 40)),
     (1, (27,)), (103, (9, 44)), (1707, (3, 24, 51)),
-    (0, (13,)), (1, None), (1, None), (0, (25,)), (1, None), (0, (28,)), (1, None),
-    (0, (28,)), (0, (28,)), (1, None), (1, None), (1, None), (0, (28,)), (1, None),
-    (0, (28,)), (0, (28,)), (0, (13, 40)), (0, (15, 44)), (1, None), (1, None), (1, None),
-    (1, None), (1, None), (1, None), (0, (15, 44)), (1, None), (1, None), (1, None),
-    (1, None), (0, (15, 44)), (1, None), (1, None), (1, None), (0, (13, 40)),
-    (0, (7, 23, 44)), (1, None), (1, None), (0, (9, 37, 40)), (0, (8, 41, 43)), (1, None),
-    (1, (13, 16, 44)), (1, (13, 16, 44)), (1, (13, 16, 44)), (1, None), (1, None),
-    (1, None), (1, (13, 16, 44)), (1, None), (1, None), (1, None), (0, (13, 40)),
-    (0, (4, 12, 40, 44)), (1, None), (0, (7, 17, 43, 46)), (1, None), (0, (10, 13, 43, 46)),
-    (1, None), (0, (7, 10, 43, 46)), (1, None), (0, (7, 10, 43, 46)), (0, (10, 13, 43, 46)),
-    (0, (10, 13, 43, 46)), (0, (10, 13, 43, 46)), (1, None), (1, None), (1, None),
-    (0, (10, 13, 43, 46)),
+    (0, (13,)), (0, (40,)), (0, (22,)), (0, (25,)), (0, (28,)), (1, None),
+    (0, (13, 40)), (0, (9, 38)), (0, (15, 45)), (0, (15, 44)), (1, None),
+    (0, (13, 40)), (0, (2, 35, 43)), (0, (9, 36, 40)), (0, (8, 41, 43)), (0, (8, 41, 43)),
+    (1, (13, 16, 44)), (1, None),
+    (0, (13, 40)), (0, (2, 10, 30, 39)), (0, (7, 17, 36, 46)), (0, (7, 10, 43, 46)),
+    (0, (7, 10, 43, 46)), (0, (10, 13, 43, 46)), (1, None),
 ]
 
 
@@ -811,40 +839,21 @@ def test_the_room_search_visits_the_recorded_nodes(room_models):
 
 
 def test_a_feasible_step_the_swaps_settle_pays_for_no_witness_hunt(room_instances, monkeypatch):
-    # k=2's first bisection step on the room (r = 3.5359) is feasible, but its
-    # greedy picks miss the target. The Lagrangian test used to run 175 steps
-    # to a covering selection of its own; the swaps at its pause cover the
-    # target, so it stops there and the step takes 0 nodes. Steps are counted
-    # as the test's own clock reads, one per step, not the swaps' reads.
+    # k=2 at r = 3.5359 on the room is feasible, but its greedy picks miss
+    # the target. The Lagrangian test once ran 175 steps to a covering
+    # selection of its own; the swaps run first and cover the target, so the
+    # step takes 0 nodes and no Lagrangian step
     vis, _ = room_instances
-    real, clock = ilp._lagrangian_bound, time.perf_counter
-    steps, solves = [], []
-
-    def counted(*args):
-        reads = [0]
-
-        def counting_clock():
-            reads[0] += sys._getframe(1).f_code is real.__code__
-            return clock()
-
-        with monkeypatch.context() as mp:
-            mp.setattr(ilp.time, "perf_counter", counting_clock)
-            out = real(*args)
-        steps.append(reads[0])
-        return out
-
-    def recording_solve(model, **kwargs):
-        res = ilp.solve(model, **kwargs)
-        solves.append((round(model.radius, 4), res.nodes, len(steps)))
-        return res
-
-    monkeypatch.setattr(ilp, "_lagrangian_bound", counted)
-    monkeypatch.setattr(drivers, "solve", recording_solve)
-    sc.solve_problem2(vis, 2, rho=0.9)
-    # the largest radius settles on the greedy picks, before any Lagrangian step
-    assert solves[0][1:] == (0, 0)
-    assert solves[1] == (3.5359, 0, 1)
-    assert steps[0] <= ilp._LAGRANGE_PATIENCE + 1
+    radii = drivers.candidate_radii(vis)
+    model = sc.build_feasibility_model(vis, 2, radii[np.argmin(abs(radii - 3.5359))], 0.9)
+    assert round(model.radius, 4) == 3.5359
+    scorer = ilp._PackedCover(model.cover)
+    assert ilp._greedy_picks(scorer, model.n_candidates, 2)[1] < model.coverage_target
+    calls = []
+    real = ilp._lagrangian_bound
+    monkeypatch.setattr(ilp, "_lagrangian_bound", lambda *args: calls.append(1) or real(*args))
+    res = sc.solve(model)
+    assert (res.status, res.nodes, calls) == (SolveStatus.OPTIMAL, 0, [])
 
 
 def test_a_threshold_search_counts_each_state_inside_its_expansion(room_models, monkeypatch):
