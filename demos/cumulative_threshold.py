@@ -40,7 +40,7 @@ for phi in (0.02, 0.05, 0.1, 0.2, 0.4):
     print(f" {phi:9.2f}  {report.objective:7.0f}")
 
 # the max-min alternative: instead of a fixed threshold, ask for the smallest
-# radius within which 95% of the samples find a visible sensor
+# radius within which 90% of the samples find a visible sensor
 vis = sc.build_instance(samples, candidates, vm, QualityKind.VISIBILITY)
 reachable = vm.bits.any(axis=1).mean()
 rho = 0.9

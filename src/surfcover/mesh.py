@@ -246,31 +246,34 @@ def sample_surface(mesh: TriangleMesh, pitch: float, drop_downward: float = 0.0)
     depends only on m, so each distinct m's lattice is built once; samples
     come triangle by triangle in mesh order.
     """
-    if pitch <= 0:
-        raise ValueError("pitch must be positive")
+    if not 0 < pitch < math.inf:  # also rejects NaN
+        raise ValueError("pitch must be a finite number > 0")
     tau = float(drop_downward)
     if not -1.0 <= tau <= 1.0:
         raise ValueError("drop_downward threshold must be in [-1, 1]")
-    normals = mesh.face_normals()
+    a, b, c = mesh.corners()
+    ab, ac = b - a, c - a
+    cross = np.cross(ab, ac)  # the expressions of face_normals() and areas()
+    length = np.linalg.norm(cross, axis=1, keepdims=True)
+    normals = cross / length
     kept = np.flatnonzero(normals[:, 2] >= -tau)
     if not kept.size:
         raise EmptySampleError(
             "all faces were filtered out (surface faces downward?); no target surface left"
         )
-    a, b, c = (x[kept] for x in mesh.corners())
-    longest = np.linalg.norm([b - a, c - b, a - c], axis=2).max(axis=0)
+    longest = np.sqrt(np.max([(e * e).sum(axis=1) for e in (ab, c - b, ac)], axis=0))[kept]
     m = np.maximum(1, np.ceil(longest / pitch)).astype(np.int64)
-    count = m * m  # samples per triangle
-    tri = np.repeat(np.arange(len(kept)), count)  # the triangle of each sample
+    count = m * m  # samples per kept triangle
+    tri = np.repeat(kept, count)  # the triangle of each sample
     levels, level_of = np.unique(m, return_inverse=True)
     table = np.concatenate([_lattice(level) for level in levels])  # level after level
     table_start = (np.cumsum(levels**2) - levels**2)[level_of]  # triangle's first table row
     sample_start = np.cumsum(count) - count  # triangle's first sample
-    uv = table[(table_start - sample_start)[tri] + np.arange(len(tri))]
+    uv = table[np.repeat(table_start - sample_start, count) + np.arange(len(tri))]
     return SampleSet(
-        positions=a[tri] + uv[:, :1] * (b - a)[tri] + uv[:, 1:] * (c - a)[tri],
-        normals=normals[kept][tri],
-        weights=(mesh.areas()[kept] / count)[tri],
+        positions=a[tri] + uv[:, :1] * ab[tri] + uv[:, 1:] * ac[tri],
+        normals=normals[tri],
+        weights=np.repeat(0.5 * length[kept, 0] / count, count),
     )
 
 
@@ -289,8 +292,8 @@ def generate_candidates_plane(
     h: float, rect: tuple[float, float, float, float], pitch: float
 ) -> CandidateSet:
     """Regular grid on the plane z = h over rectangle (x0, y0, x1, y1)."""
-    if pitch <= 0:
-        raise ValueError("pitch must be positive")
+    if not 0 < pitch < math.inf:  # also rejects NaN
+        raise ValueError("pitch must be a finite number > 0")
     x0, y0, x1, y1 = rect
     xs = _axis_points(x0, x1, pitch)
     ys = _axis_points(y0, y1, pitch)

@@ -46,14 +46,18 @@ class Bvh:
 def build_bvh(mesh: TriangleMesh) -> Bvh:
     """Median-split BVH on the longest box axis (ties broken x, y, z), with at
     most LEAF_SIZE triangles in a leaf, built one level at a time: a level's
-    nodes are boxed together, then split by one stable sort on (node, centroid)."""
+    nodes are boxed together, then split by one stable argsort of one int64 key,
+    the node's first entry x T + the centroid's rank on the node's axis."""
     if mesh.n_triangles == 0:
         raise ValueError("the mesh has no triangles")
     a, b, c = mesh.corners()
-    tri_lo = np.minimum(np.minimum(a, b), c)
-    tri_hi = np.maximum(np.maximum(a, b), c)
-    # axis -1 reads a column of zeros: a leaf's key, which keeps its order
-    centroids = np.column_stack([(a + b + c) / 3.0, np.zeros(mesh.n_triangles)])
+    bounds = np.hstack([np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)])
+    # dense centroid ranks, one axis at a time; row -1 is zeros: a leaf's key, which keeps its order
+    rank = np.zeros((4, mesh.n_triangles), dtype=np.int64)
+    for k in range(3):
+        centroid = (a[:, k] + b[:, k] + c[:, k]) / 3.0
+        up = np.argsort(centroid)
+        rank[k, up[1:]] = np.cumsum(centroid[up[1:]] != centroid[up[:-1]])
 
     order = np.arange(mesh.n_triangles)
     pos, count = order.copy(), np.array([mesh.n_triangles])  # a level's places in order; node sizes
@@ -61,18 +65,20 @@ def build_bvh(mesh: TriangleMesh) -> Bvh:
     while True:
         first = np.cumsum(count) - count  # each node's first entry in pos
         idx = order[pos]
-        lo = np.minimum.reduceat(tri_lo[idx], first)
-        hi = np.maximum.reduceat(tri_hi[idx], first)
+        box = bounds.take(idx, axis=0)  # [lo | hi]; min-reducing -hi could flip a zero's sign
+        lo = np.minimum.reduceat(box[:, :3], first)
+        hi = np.maximum.reduceat(box[:, 3:], first)
         split = count > LEAF_SIZE
         axis = np.where(split, np.argmax(hi - lo, axis=1), -1)  # argmax takes first on ties
         levels.append((lo, hi, pos[first], count, axis))
         if not split.any():
             break
-        key = centroids[idx, np.repeat(axis, count)]
-        order[pos] = idx[np.lexsort((key, np.repeat(first, count)))]  # lexsort is stable
+        key = np.repeat(first, count) * mesh.n_triangles + rank[np.repeat(axis, count), idx]
+        order[pos] = idx[np.argsort(key, kind="stable")]  # tied centroids keep their place
         pos = pos[np.repeat(split, count)]  # the split nodes' ranges hold the children's
         count = (count[split, None] + [0, 1]).ravel() // 2  # n // 2 left, n - n // 2 right
 
+    del box, rank, bounds  # freed before the slot assembly, the build's memory peak
     lo, hi, start, count, axis = (np.concatenate(column) for column in zip(*levels))
     left = np.where(axis >= 0, 2 * np.cumsum(axis >= 0) - 1, -1)  # split node r: 2r + 1, 2r + 2
     boxes = np.stack([lo, hi], axis=1)[..., None]

@@ -4,8 +4,9 @@
 gathering its triangles' bounds, taking the longest box axis and stably
 argsorting its range by centroid before the median split. `visibility.build_bvh`
 builds one level at a time, boxing all of a level's nodes in a few numpy
-passes and ordering their ranges with one stable sort keyed by (node,
-centroid); the tests require both to give the same tree, field for field.
+passes and ordering their ranges with one stable sort of an integer key,
+node and centroid rank; the tests require both to give the same tree, byte
+for byte.
 The slot assembly after the loop is the library's, copied unchanged.
 """
 

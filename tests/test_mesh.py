@@ -114,6 +114,7 @@ def _reference_meshes():
     lo = rng.uniform(0.3, 2.0, (2, 3)) * [1.0, 1.0, 0.0] + [[0.0, 0.0, 0.0], [2.6, 1.4, 0.0]]
     obstacles = [(tuple(b), tuple(b + rng.uniform(0.4, 1.3, 3))) for b in lo]
     yield sc.gen_room(extent=(6.0, 4.0, 3.0), obstacles=obstacles), 0.65  # jittered room
+    yield sc.gen_room(extent=(6, 4, 3), obstacles=[((2, 1.5, 0), (3.5, 2.5, 1.0))]), 0.7  # criterion 5
     yield sc.gen_terrain(seed=4, cells=12, amplitude=1.1), 0.35
     yield box_mesh(lo=(0.1, -0.2, 0.3), hi=(1.7, 0.9, 2.2)), 0.4
     for scale, pitch in ((0.1, 0.02), (1.0, 0.5), (1.0, 0.25), (10.0, 3.0)):
@@ -128,9 +129,19 @@ def test_sample_surface_matches_per_triangle_loop(tau):
     for mesh, pitch in _reference_meshes():
         ref = sample_surface_per_triangle_ref(mesh, pitch, tau)
         s = sc.sample_surface(mesh, pitch, drop_downward=tau)
+        # bytes, not np.array_equal, which takes -0.0 for 0.0: the normals and
+        # weights must be face_normals() and areas() / m^2 bit for bit
         for got, want in zip((s.positions, s.normals, s.weights), ref):
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("pitch", [np.nan, np.inf, 0.0, -1.0])
+def test_a_pitch_that_is_not_a_finite_positive_number_is_refused(pitch):
+    with pytest.raises(ValueError, match=r"^pitch must be a finite number > 0$"):
+        sc.sample_surface(square_mesh(), pitch)
+    with pytest.raises(ValueError, match=r"^pitch must be a finite number > 0$"):
+        sc.generate_candidates_plane(2.0, (0, 0, 1, 1), pitch)
 
 
 def test_candidates_plane_grid():

@@ -668,8 +668,9 @@ def test_the_level_by_level_build_gives_the_per_node_builds_tree(scene, room_sce
     for field in dataclasses.fields(Bvh):
         got, want = getattr(bvh, field.name), getattr(ref, field.name)
         if isinstance(want, np.ndarray):
+            # bytes, not np.array_equal, which takes -0.0 for 0.0
             assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
-            assert np.array_equal(got, want), field.name
+            assert got.tobytes() == want.tobytes(), field.name
         else:
             assert got == want, field.name
 
