@@ -395,9 +395,10 @@ def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float, s
 
 
 def _root(model: IlpModel, scorer, k: int, target: float, deadline: float, multipliers, start=None):
-    """The root of a solve, before any branching: first-improving 1-swaps,
-    run once, from the greedy picks or from `start` when it covers more; then,
-    when a feasibility model's selection still misses the target, the
+    """The root of a solve, before any branching: first-improving 1-swaps
+    from the greedy picks, or from `start` when it covers more and, should
+    those swaps stall below the target, from the greedy picks as well; then,
+    when a feasibility model's best selection still misses the target, the
     Lagrangian test started at `multipliers`. A Lagrangian bound below the
     target proves the model infeasible and keeps the swaps' count; a step
     whose own selection covers the target is the witness of feasibility.
@@ -406,12 +407,18 @@ def _root(model: IlpModel, scorer, k: int, target: float, deadline: float, multi
     proof or -inf, the multipliers the test ended at, else those it was
     given)."""
     m = model.n_candidates
-    selected, value = _greedy_picks(scorer, m, k)
+    starts = [_greedy_picks(scorer, m, k)]
     if start is not None:
         start_value = scorer.value(functools.reduce(scorer.add, start, scorer.root))
-        if start_value > value:
-            selected, value = start, start_value
-    selected, value = _improve_by_swaps(scorer, m, selected, value, deadline)
+        if start_value > starts[0][1]:
+            starts.insert(0, (start, start_value))
+    selected, value = None, -math.inf
+    for picks in starts:
+        swapped = _improve_by_swaps(scorer, m, *picks, deadline)
+        if swapped[1] > value:
+            selected, value = swapped
+        if value >= target:
+            break
     if model.kind is ModelKind.FEASIBILITY_COVER and k > 0 and value < target:
         bound, multipliers, witness = _lagrangian_bound(
             model.cover, k, target, deadline, multipliers

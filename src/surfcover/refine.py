@@ -19,7 +19,7 @@ from .coverage import (
     sensor_offsets,
 )
 from .mesh import SampleSet
-from .visibility import Bvh, pair_packets, segments_occluded
+from .visibility import Bvh, pair_packets, segments_occluded, walk_shape
 
 CONTAIN_TOL = 1e-9
 
@@ -156,10 +156,11 @@ def _local_grid(center: np.ndarray, pitch: float, halfwidth: float, bounds=None)
     offs = pitch * np.arange(-steps, steps + 1)
     gx, gy = np.meshgrid(center[0] + offs, center[1] + offs, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, center[2])])
+    pts = np.delete(pts, gx.size // 2, axis=0)  # the zero offset: the centre is index 0
     if bounds is not None:
         lo, hi = (np.asarray(b, dtype=np.float64)[:2] for b in bounds)
         pts = pts[((pts[:, :2] >= lo - 1e-9) & (pts[:, :2] <= hi + 1e-9)).all(axis=1)]
-    # ensure the current location itself is a candidate (index 0)
+    # the current location itself, where the sensor stays (index 0)
     return np.vstack([center[None, :], pts])
 
 
@@ -167,7 +168,8 @@ def _visible_pairs(bvh: Bvh, samples: SampleSet, positions: np.ndarray, pairs=No
     """Visibility of the `pair_packets` pairs `pairs`, or of all N x M when None."""
     total = len(samples) * len(positions) if pairs is None else len(pairs)
     hidden = np.empty(total, dtype=bool)
-    for sl, origins, targets in pair_packets(samples.positions, positions, pairs):
+    size, _ = walk_shape(bvh)
+    for sl, origins, targets in pair_packets(samples.positions, positions, size, pairs):
         hidden[sl] = segments_occluded(bvh, origins, targets)
     return ~hidden
 

@@ -16,10 +16,11 @@ LEAF_SIZE = 4  # most triangles in a leaf
 # relative endpoint shrinkage; samples sit exactly on mesh faces and must not
 # self-occlude
 DEFAULT_EPS_REL = 1e-6
-# pairs per BVH walk in visibility_matrix and refine_grid: bounds the walk's
-# working memory, whatever N x M is, and sets how many walks it takes; the walk
-# finishes a subtree in one step once its segments x triangles fit in it
+# pairs per BVH walk in visibility_matrix and refine_grid on a tree of at most
+# DEEP_TREE_LEAVES leaves (twice as many on a larger one; see walk_shape): bounds
+# the walk's working memory, whatever N x M is, and sets how many walks it takes
 PACKET_SEGMENTS = 8192
+DEEP_TREE_LEAVES = 256  # more leaves: double packets and batched collapsed steps
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,7 @@ def build_bvh(mesh: TriangleMesh) -> Bvh:
         raise ValueError("the mesh has no triangles")
     a, b, c = mesh.corners()
     bounds = np.hstack([np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)])
+    bounds += 0.0  # -0.0 becomes 0.0: min / max pick a zero's sign by their reduction order
     # dense centroid ranks, one axis at a time; row -1 is zeros: a leaf's key, which keeps its order
     rank = np.zeros((4, mesh.n_triangles), dtype=np.int64)
     for k in range(3):
@@ -219,26 +221,42 @@ def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarra
     child is walked. The order changes only the work; a bit is the OR, over the
     leaves whose box the segment hits, of the Moller-Trumbore hits.
 
-    A subtree whose segments x leaves fit in PACKET_SEGMENTS is finished in one
-    step: its leaf boxes are slab-tested once, and Moller-Trumbore runs only on
-    the (leaf, segment) pairs that hit, gathered with the pairs on the last axis
-    (a pair-major gather runs twice as slow). The bits are the walk's: a parent
-    box is the min / max of its children's, and IEEE subtraction and
-    multiplication are monotone, so a segment that hits a leaf box hits every box
-    on the path to it (also where 0 * inf gives NaN)."""
+    A subtree whose segments x leaves fit in `walk_shape`'s collapse budget is
+    finished in one step: its leaf boxes are slab-tested once, and
+    Moller-Trumbore runs only on the (leaf, segment) pairs that hit, gathered
+    with the pairs on the last axis (a pair-major gather runs twice as slow).
+    The bits are the walk's: a parent box is the min / max of its children's,
+    and IEEE subtraction and multiplication are monotone, so a segment that
+    hits a leaf box hits every box on the path to it (also where 0 * inf gives
+    NaN). Collapsed steps queue their pairs, and Moller-Trumbore runs once the
+    queue holds `walk_shape`'s batch or the walk ends; a segment is dropped
+    from later steps once a run finds it occluded, so waiting only adds work,
+    never a bit."""
+    budget, batch = walk_shape(bvh)
     occluded = np.zeros(len(o), dtype=bool)
     boxes, tri, leaf_boxes = bvh.boxes, bvh.tri, bvh.leaf_boxes
     left, count, start = bvh.left.tolist(), bvh.count.tolist(), bvh.start.tolist()
     axis = bvh.axis.tolist()
     ray = np.ascontiguousarray(np.stack([o, 1.0 / d, d]).transpose(0, 2, 1))  # o, 1/d, d
+
+    def triangles(leaf, seg):
+        hit = _triangle_hits(ray[::2].take(seg, axis=2), tri.take(leaf, axis=3))
+        occluded[seg[np.logical_or.reduce(hit, axis=0)]] = True
+
+    queue, queued = [], 0  # collapsed steps' (leaf, segment) pairs, waiting, and their count
     stack = [(0, np.flatnonzero(_slab_hits(boxes[:1], ray[:2])[0]))]
-    while stack:
+    while stack or queued:
+        if queued >= batch or not stack:  # the queued pairs are due
+            leaf, seg = queue[0] if len(queue) == 1 else map(np.concatenate, zip(*queue))
+            triangles(leaf, seg)
+            queue, queued = [], 0
+            continue
         node, act = stack.pop()
         act = act[~occluded[act]]
         if act.size == 0:
             continue
         lc, lo, n = left[node], start[node], count[node]
-        if lc >= 0 and act.size * n > PACKET_SEGMENTS:
+        if lc >= 0 and act.size * n > budget:
             r = ray[:2].take(act, axis=2)
             hit = _slab_hits(boxes[lc : lc + 2], r)
             if 2 * np.count_nonzero(r[1, axis[node]] > 0) > act.size:  # most point up the axis
@@ -246,12 +264,13 @@ def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarra
             else:
                 stack += [(lc + 1, act[hit[1]]), (lc, act[hit[0]])]
             continue
-        leaf, seg = [lo], act  # a leaf: its own box was tested by its parent
-        if lc >= 0:  # a collapsed subtree: the (leaf, segment) pairs whose leaf box hits
-            leaf, seg = np.nonzero(_slab_hits(leaf_boxes[lo : lo + n], ray[:2].take(act, axis=2)))
-            leaf, seg = leaf + lo, act[seg]
-        hit = _triangle_hits(ray[::2].take(seg, axis=2), tri.take(leaf, axis=3))
-        occluded[seg[np.logical_or.reduce(hit, axis=0)]] = True
+        if lc < 0:  # a leaf: its own box was tested by its parent
+            triangles([lo], act)
+            continue
+        # a collapsed subtree: queue the (leaf, segment) pairs whose leaf box hits
+        leaf, seg = np.nonzero(_slab_hits(leaf_boxes[lo : lo + n], ray[:2].take(act, axis=2)))
+        queue.append((leaf + lo, act[seg]))
+        queued += seg.size
     return occluded
 
 
@@ -288,14 +307,26 @@ class VisibilityMatrix:
             raise ValueError("visibility matrix was computed on another mesh")
 
 
-def pair_packets(points: np.ndarray, positions: np.ndarray, pairs=None):
-    """Yield (slice, origins, targets) packets of at most PACKET_SEGMENTS pairs
-    of `pairs` (None: all N x M in order), where pair p joins point p % N to
+def walk_shape(bvh: Bvh) -> tuple[int, int]:
+    """(pairs per packet, Moller-Trumbore batch) of the walk on `bvh`: the
+    packet is also the collapse budget, and a batch of 1 runs each collapsed
+    step at once. A tree of more than DEEP_TREE_LEAVES leaves walks packets of
+    2 x PACKET_SEGMENTS and batches PACKET_SEGMENTS // 2 pairs: its many
+    collapsed steps hold a few hundred pairs each, so fewer, fuller steps save
+    the per-step overhead. A smaller tree's few steps do not earn it back."""
+    if len(bvh.leaf_boxes) > DEEP_TREE_LEAVES:
+        return 2 * PACKET_SEGMENTS, PACKET_SEGMENTS // 2
+    return PACKET_SEGMENTS, 1
+
+
+def pair_packets(points: np.ndarray, positions: np.ndarray, size: int, pairs=None):
+    """Yield (slice, origins, targets) packets of at most `size` pairs of
+    `pairs` (None: all N x M in order), where pair p joins point p % N to
     position p // N. Only one packet's rows exist at a time."""
     n = len(points)
     total = n * len(positions) if pairs is None else len(pairs)
-    for lo in range(0, total, PACKET_SEGMENTS):
-        hi = min(lo + PACKET_SEGMENTS, total)
+    for lo in range(0, total, size):
+        hi = min(lo + size, total)
         p = np.arange(lo, hi) if pairs is None else pairs[lo:hi]
         yield slice(lo, hi), points[p % n], positions[p // n]
 
@@ -307,7 +338,8 @@ def visibility_matrix(
 ) -> VisibilityMatrix:
     """bit (i, j) = segment from sample i to candidate j is unobstructed."""
     hidden = np.empty(len(samples) * len(candidates), dtype=bool)  # candidate-major
-    for sl, origins, targets in pair_packets(samples.positions, candidates.positions):
+    size, _ = walk_shape(bvh)
+    for sl, origins, targets in pair_packets(samples.positions, candidates.positions, size):
         hidden[sl] = segments_occluded(bvh, origins, targets)
     return VisibilityMatrix(
         bits=np.ascontiguousarray(~hidden.reshape(len(candidates), len(samples)).T),

@@ -19,8 +19,8 @@ def reference_build_bvh(mesh) -> Bvh:
     """Median-split BVH on the longest box axis (ties broken x, y, z), with at
     most LEAF_SIZE triangles in a leaf."""
     a, b, c = mesh.corners()
-    tri_lo = np.minimum(np.minimum(a, b), c)
-    tri_hi = np.maximum(np.maximum(a, b), c)
+    tri_lo = np.minimum(np.minimum(a, b), c) + 0.0  # no -0.0, as in build_bvh
+    tri_hi = np.maximum(np.maximum(a, b), c) + 0.0
     centroids = (a + b + c) / 3.0
 
     order = np.arange(mesh.n_triangles)

@@ -856,6 +856,27 @@ def test_a_feasible_step_the_swaps_settle_pays_for_no_witness_hunt(room_instance
     assert (res.status, res.nodes, calls) == (SolveStatus.OPTIMAL, 0, [])
 
 
+def test_a_warm_start_whose_swaps_stall_falls_back_to_the_greedy_picks(room_instances):
+    # k=3 at r = 3.2536 from the descent's previous placement (9, 36, 46):
+    # the start covers more than the greedy picks, but its swaps stall below
+    # the target, while the swaps from the greedy picks meet it. Trying both
+    # before the Lagrangian test settles the model in 0 nodes, not 1
+    vis, _ = room_instances
+    radii = drivers.candidate_radii(vis)
+    model = sc.build_feasibility_model(vis, 3, radii[np.argmin(abs(radii - 3.2536))], 0.9)
+    assert round(model.radius, 4) == 3.2536
+    scorer = ilp._PackedCover(model.cover)
+    start = [9, 36, 46]
+    greedy = ilp._greedy_picks(scorer, model.n_candidates, 3)
+    start_value = scorer.value(functools.reduce(scorer.add, start, scorer.root))
+    assert greedy[1] < start_value
+    swapped = ilp._improve_by_swaps(scorer, model.n_candidates, start, start_value, math.inf)
+    assert swapped[1] < model.coverage_target
+    res = sc.solve(model, start=start)
+    assert (res.status, res.nodes) == (SolveStatus.OPTIMAL, 0)
+    assert res.primal >= model.coverage_target
+
+
 def test_a_threshold_search_counts_each_state_inside_its_expansion(room_models, monkeypatch):
     # `expand` counts a state's value from the open-row mask it builds anyway;
     # only the warm start's final count calls `value`

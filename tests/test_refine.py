@@ -467,6 +467,22 @@ def test_refine_grid_rejects_a_tree_of_another_mesh():
         sc.refine_grid(inst, (0,), paneled, pitch_fine=0.5, rounds=1, neighborhood=1.0)
 
 
+@pytest.mark.parametrize("center", [(2.0, 2.0, 2.8), (-0.0, 1.3, 2.5), (0.1, 0.2, 0.3)])
+@pytest.mark.parametrize("bounds", [None, ((0.0, 0.0), (6.0, 4.0)), ((-1.0, -1.0), (1.0, 1.0))])
+def test_the_local_grid_lists_each_point_once_with_the_centre_first(center, bounds):
+    # every listed point costs a traced column, so the centre, where the
+    # sensor stays, is index 0 and nowhere else
+    center = np.array(center)
+    for pitch, halfwidth in ((0.3, 0.6), (0.5, 1.0), (0.25, 0.1)):
+        local = refine._local_grid(center, pitch, halfwidth, bounds)
+        assert local[0].tobytes() == center.tobytes()
+        assert len(np.unique(local, axis=0)) == len(local)
+        assert (local[:, 2] == center[2]).all()
+        steps = int(np.floor(halfwidth / pitch + 1e-9))
+        if bounds is None:
+            assert len(local) == (2 * steps + 1) ** 2
+
+
 def _benchmark_scenes():
     """The scene set-ups of perfbench/workloads.py, which the benchmark's
     office-refine and room-exact workloads run."""

@@ -479,6 +479,100 @@ def test_collapsed_subtrees_keep_the_visibility_matrix(monkeypatch):
     assert 0 < vm.bits.sum() < vm.bits.size
 
 
+def benchmark_terrain(seed):
+    """The terrain of the benchmark's terrain-visibility workload: 7,200
+    triangles in 2,048 leaves."""
+    return sc.gen_terrain(seed, extent=(10.0, 10.0), cells=60, amplitude=1.2)
+
+
+def triangle_soup(seed, n):
+    """n seeded triangles of random size and slant in a 10 m cube."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0, 10, (n, 1, 3))
+    verts = (base + rng.normal(0, 1, (n, 3, 3)) * rng.uniform(0.1, 2.0, (n, 1, 1))).reshape(-1, 3)
+    return sc.TriangleMesh(verts, np.arange(3 * n).reshape(n, 3))
+
+
+DEEP_AND_SHALLOW = {
+    **{f"benchmark terrain seed {seed}": functools.partial(benchmark_terrain, seed)
+       for seed in range(3)},
+    "soup of 1,500": functools.partial(triangle_soup, 1, 1500),
+    "soup of 300": functools.partial(triangle_soup, 2, 300),
+}
+
+
+@pytest.mark.parametrize("scene", DEEP_AND_SHALLOW)
+def test_both_packet_sizes_with_and_without_batches_give_the_per_leaf_walks_bits(
+    scene, monkeypatch
+):
+    # a bit is the OR over the hit leaves of their Moller-Trumbore tests, so
+    # neither the collapse budget nor queueing the collapsed steps' pairs may
+    # change it; the benchmark terrain and the larger soup are deep trees
+    mesh = DEEP_AND_SHALLOW[scene]()
+    bvh = sc.build_bvh(mesh)
+    deep = (2 * PACKET_SEGMENTS, PACKET_SEGMENTS // 2)
+    assert (visibility.walk_shape(bvh) == deep) == (scene != "soup of 300")
+    o, d = hard_segments(mesh, np.random.default_rng(41), 3000)
+    ref = segments_occluded_per_leaf_ref(bvh, o, d)
+    assert 0.05 < ref.mean() < 0.95
+    runs = []
+
+    def counted(r, tri):
+        runs[-1] += 1
+        return _triangle_hits(r, tri)
+
+    monkeypatch.setattr(visibility, "_triangle_hits", counted)
+    for budget in (PACKET_SEGMENTS, 2 * PACKET_SEGMENTS):
+        for batch in (1, PACKET_SEGMENTS // 2):
+            runs.append(0)
+            monkeypatch.setattr(visibility, "walk_shape", lambda bvh: (budget, batch))
+            assert (_segments_occluded_impl(bvh, o, d) == ref).all()
+    assert runs[1] < runs[0] and runs[3] < runs[2]  # the batches ran fewer, larger steps
+
+
+def test_the_deep_tree_walk_keeps_the_visibility_matrix(monkeypatch):
+    # the benchmark terrain's matrix, in double packets with batches and in
+    # the small trees' packets without: the same bits
+    mesh = benchmark_terrain(0)
+    bvh = sc.build_bvh(mesh)
+    samples = sc.sample_surface(mesh, pitch=1.0)
+    cands = sc.generate_candidates_plane(3.0, (0.5, 0.5, 9.5, 9.5), 4.5)
+    walks = []
+    walk = visibility._segments_occluded_impl
+
+    def recorded(bvh, o, d):
+        walks.append(len(o))
+        return walk(bvh, o, d)
+
+    monkeypatch.setattr(visibility, "_segments_occluded_impl", recorded)
+    vm = sc.visibility_matrix(bvh, samples, cands)
+    assert walks == [2 * PACKET_SEGMENTS] * 4 + [len(samples) * len(cands) - 8 * PACKET_SEGMENTS]
+    monkeypatch.setattr(visibility, "walk_shape", lambda bvh: (PACKET_SEGMENTS, 1))
+    assert (sc.visibility_matrix(bvh, samples, cands).bits == vm.bits).all()
+    assert len(walks) == 5 + 9
+    assert 0 < vm.bits.sum() < vm.bits.size
+
+
+def test_the_deep_tree_walks_memory_is_bounded_by_the_packet():
+    # the benchmark terrain against its 9 candidates and against 4 x as many:
+    # the walk's working memory is one double packet's, whatever N x M is
+    mesh = benchmark_terrain(0)
+    bvh = sc.build_bvh(mesh)
+    samples = sc.sample_surface(mesh, pitch=1.0)
+    cands = sc.generate_candidates_plane(3.0, (0.5, 0.5, 9.5, 9.5), 4.5).positions
+    shifted = np.vstack([cands + [dx, dy, 0.0] for dx in (0.0, 0.4) for dy in (0.0, 0.4)])
+    peaks = []
+    for positions in (cands, shifted):
+        assert len(samples) * len(positions) > 4 * PACKET_SEGMENTS
+        tracemalloc.start()
+        try:
+            sc.visibility_matrix(bvh, samples, sc.CandidateSet(positions))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
 def test_a_grazing_segment_keeps_the_per_leaf_walks_bit():
     # office sample 792 to candidate 13 crosses the shared edge of two triangles
     # exactly: Moller-Trumbore hits both, but the slab test of their leaf box
@@ -646,6 +740,18 @@ def square_grid():
     return unit_quads([(x, y, 0.0) for x in range(4) for y in range(4)])
 
 
+def signed_zero_room(seed):
+    """The criterion-5 room with each zero coordinate flipped to -0.0 with
+    probability 1/2: a min or max over a node's triangles picks a zero's sign
+    by the order it reduces in, and the two builds reduce in different orders,
+    so they agree byte for byte only because both make every zero 0.0 first."""
+    room = sc.gen_room(extent=(6, 4, 3), obstacles=[((2, 1.5, 0), (3.5, 2.5, 1.0))])
+    v = room.vertices.copy()
+    v[(v == 0) & (np.random.default_rng(seed).random(v.shape) < 0.5)] = -0.0
+    assert (np.signbit(v) & (v == 0)).any() and (~np.signbit(v) & (v == 0)).any()
+    return sc.TriangleMesh(v, room.triangles)
+
+
 TREE_MESHES = {
     "one triangle": single_triangle,
     "LEAF_SIZE triangles": lambda: stacked_triangles(LEAF_SIZE),
@@ -653,11 +759,11 @@ TREE_MESHES = {
     "13 triangles": thirteen_triangles,
     "office": office_room,
     "terrain_800": terrain_800,
-    **{f"terrain seed {seed}": functools.partial(
-        sc.gen_terrain, seed, extent=(10.0, 10.0), cells=60, amplitude=1.2
-    ) for seed in range(11)},
+    **{f"terrain seed {seed}": functools.partial(benchmark_terrain, seed) for seed in range(11)},
     "tied grid": tied_grid,
     "square grid": square_grid,
+    **{f"room with -0.0, seed {seed}": functools.partial(signed_zero_room, seed)
+       for seed in range(5)},
 }
 
 
