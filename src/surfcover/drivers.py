@@ -73,10 +73,10 @@ def solve_problem2(
     extrema", 1970), each step an exact feasibility solve. The first step
     settles the largest radius; each later one probes the candidate radius
     just below the needed radius of the last feasible step's placement
-    (`CoverageInstance.needed_radius`), started from that placement and from
-    the last Lagrangian multipliers, which bound every radius. The first
-    infeasible probe proves r*, since a smaller radius only drops cover
-    entries; a placement that needs the smallest radius leaves nothing to
+    (`CoverageInstance.needed_radius`), started from that placement. The
+    first infeasible probe proves r*, since a smaller radius only drops cover
+    entries (a root proof's `SolveResult.multipliers` bound every radius
+    below it); a placement that needs the smallest radius leaves nothing to
     probe.
 
     `time_limit` bounds the whole search: each step gets the time left. When
@@ -88,18 +88,13 @@ def solve_problem2(
     """
     radii = candidate_radii(instance)
     deadline = math.inf if time_limit is None else time.perf_counter() + time_limit
-    multipliers = None  # of the last step, the next step's Lagrangian start
 
     def step(r: float, start=None) -> tuple[SolveResult, int]:
-        """The exact feasibility solve at radius r in the time left, its
-        Lagrangian root test started where the previous step's ended, and
-        the model's coverage target."""
-        nonlocal multipliers
+        """The exact feasibility solve at radius r in the time left, and the
+        model's coverage target."""
         left = max(0.0, deadline - time.perf_counter())
         model = build_feasibility_model(instance, k, r, rho)
-        res = solve(model, time_limit=left, multipliers=multipliers, start=start)
-        multipliers = res.multipliers
-        return res, model.coverage_target
+        return solve(model, time_limit=left, start=start), model.coverage_target
 
     hi = len(radii) - 1
     res, target = step(float(radii[hi]))

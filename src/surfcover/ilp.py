@@ -138,9 +138,10 @@ class SolveResult:
       the model.
     * elapsed: wall seconds.
     * multipliers: the Lagrangian multipliers over all N rows that the
-      feasibility root test ended at (the ones of its best bound), or the
-      ones `solve` was given when the test did not run. Not part of result
-      files nor of equality.
+      feasibility root test ended at (the ones of its best bound); None when
+      the test did not run. After a root proof they bound every model with
+      fewer cover entries below its target too. Not part of result files nor
+      of equality.
     """
 
     status: SolveStatus
@@ -340,7 +341,7 @@ _LAGRANGE_STALLS = 3  # halvings in a row without a better bound before the step
 _PROOF_TOL = 1e-6
 
 
-def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float, start=None):
+def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float):
     """Smallest L(lam) met by Polyak subgradient steps toward target - 1, where
 
         L(lam) = sum_i max(0, 1 - lam_i) + (sum of the k largest positive (lam A)_j)
@@ -352,9 +353,8 @@ def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float, s
     the target (no proof exists), after `_LAGRANGE_STALLS` halvings of the
     step factor in a row with no better bound, after a fixed step count, or
     at the deadline. Rows no candidate covers add nothing at lam_i = 1
-    and are left out of the steps; the others start at `start` (any lam in
-    [0, 1]^N, such as the multipliers of a model with fewer cover entries)
-    or else at lam_i = 1 / (number of candidates covering i).
+    and are left out of the steps; the others start at lam_i = 1 / (number
+    of candidates covering i).
 
     Returns the smallest L, the multipliers that gave it over all N rows (1
     on the rows no candidate covers), and the sorted selection of the step
@@ -362,7 +362,7 @@ def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float, s
     coverable = cover.any(axis=1)
     cols = cover.T[:, coverable].astype(np.float64)  # (M, rows), C-ordered
     m, rows = cols.shape
-    lam = 1.0 / cols.sum(axis=0) if start is None else start[coverable]
+    lam = 1.0 / cols.sum(axis=0)
     factor, best, best_lam, stale, witness = 2.0, math.inf, lam, 0, None
     for _ in range(_LAGRANGE_STEPS):
         if time.perf_counter() > deadline:
@@ -394,18 +394,17 @@ def _lagrangian_bound(cover: np.ndarray, k: int, target: int, deadline: float, s
     return float(best), multipliers, witness
 
 
-def _root(model: IlpModel, scorer, k: int, target: float, deadline: float, multipliers, start=None):
+def _root(model: IlpModel, scorer, k: int, target: float, deadline: float, start=None):
     """The root of a solve, before any branching: first-improving 1-swaps
     from the greedy picks, or from `start` when it covers more and, should
     those swaps stall below the target, from the greedy picks as well; then,
     when a feasibility model's best selection still misses the target, the
-    Lagrangian test started at `multipliers`. A Lagrangian bound below the
-    target proves the model infeasible and keeps the swaps' count; a step
-    whose own selection covers the target is the witness of feasibility.
-    Either settles the model in one node; a selection that meets the target
-    before the test settles it in 0. Returns (selection, value, nodes, root
-    proof or -inf, the multipliers the test ended at, else those it was
-    given)."""
+    Lagrangian test. A Lagrangian bound below the target proves the model
+    infeasible and keeps the swaps' count; a step whose own selection covers
+    the target is the witness of feasibility. Either settles the model in one
+    node; a selection that meets the target before the test settles it in 0.
+    Returns (selection, value, nodes, root proof or -inf, the multipliers the
+    test ended at or None)."""
     m = model.n_candidates
     starts = [_greedy_picks(scorer, m, k)]
     if start is not None:
@@ -419,10 +418,9 @@ def _root(model: IlpModel, scorer, k: int, target: float, deadline: float, multi
             selected, value = swapped
         if value >= target:
             break
+    multipliers = None
     if model.kind is ModelKind.FEASIBILITY_COVER and k > 0 and value < target:
-        bound, multipliers, witness = _lagrangian_bound(
-            model.cover, k, target, deadline, multipliers
-        )
+        bound, multipliers, witness = _lagrangian_bound(model.cover, k, target, deadline)
         if bound < target - _PROOF_TOL:
             return selected, value, 1, bound, multipliers
         if witness is not None:
@@ -435,7 +433,6 @@ def solve(
     model: IlpModel,
     time_limit: float | None = None,
     gap_tol: float = 0.0,
-    multipliers: np.ndarray | None = None,
     start=None,
 ) -> SolveResult:
     """Exact deterministic branch and bound over the selection variables.
@@ -467,9 +464,8 @@ def solve(
     the clock stops it with the unexplored links left stacked, and their
     bounds enter the dual bound, which labels the result (see `SolveResult`).
 
-    The root (`_root`) runs first and may settle a feasibility model; its
-    Lagrangian test starts at `multipliers` (N values in [0, 1]) when given,
-    and the result carries the multipliers it ended at. `start` (a
+    The root (`_root`) runs first and may settle a feasibility model, and the
+    result carries the multipliers its Lagrangian test ended at. `start` (a
     feasibility model's only: at most k distinct candidate indices, such as
     a placement that met the target at a larger radius) replaces the greedy
     picks as the swaps' start when it covers more.
@@ -497,7 +493,7 @@ def solve(
         return state, selected, free[order], bounds, closed, 0
 
     incumbent, inc_value, nodes, root_proof, multipliers = _root(
-        model, scorer, k, target, deadline, multipliers, start
+        model, scorer, k, target, deadline, start
     )
     search = k > 0 and not nodes and inc_value < target  # the root settled nothing
     stack = [chain(scorer.root, [], np.arange(m))] if search else []

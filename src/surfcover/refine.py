@@ -19,7 +19,7 @@ from .coverage import (
     sensor_offsets,
 )
 from .mesh import SampleSet
-from .visibility import Bvh, pair_packets, segments_occluded, walk_shape
+from .visibility import Bvh, pair_packets, segments_occluded
 
 CONTAIN_TOL = 1e-9
 
@@ -122,7 +122,8 @@ def improve_quality_max(
     """Shrink the covering radius by alternating nearest-center assignment and
     plane-constrained 1-center recomputation. The radius never increases and
     iteration stops once a round improves it by at most 1e-9, or after 1000
-    rounds.
+    rounds; a last round whose radius rounding grows is undone, so the radius
+    returned is that of the centers returned.
     """
     centers = np.array(centers, dtype=np.float64, copy=True)
     pos = samples.positions
@@ -134,6 +135,7 @@ def improve_quality_max(
 
     r, assign = radius_and_assignment()
     for _ in range(1000):
+        previous = centers.copy()
         for j in range(len(centers)):
             cluster = pos[assign == j]
             if len(cluster) == 0:
@@ -141,6 +143,8 @@ def improve_quality_max(
             centers[j] = min_sphere_fixed_plane(cluster, h_plane).center
         r_new, assign = radius_and_assignment()
         if r - r_new <= 1e-9:
+            if r_new > r:
+                centers = previous
             r = min(r, r_new)
             break
         r = r_new
@@ -164,14 +168,13 @@ def _local_grid(center: np.ndarray, pitch: float, halfwidth: float, bounds=None)
     return np.vstack([center[None, :], pts])
 
 
-def _visible_pairs(bvh: Bvh, samples: SampleSet, positions: np.ndarray, pairs=None):
-    """Visibility of the `pair_packets` pairs `pairs`, or of all N x M when None."""
-    total = len(samples) * len(positions) if pairs is None else len(pairs)
-    hidden = np.empty(total, dtype=bool)
-    size, _ = walk_shape(bvh)
-    for sl, origins, targets in pair_packets(samples.positions, positions, size, pairs):
-        hidden[sl] = segments_occluded(bvh, origins, targets)
-    return ~hidden
+def _visible_pairs(bvh: Bvh, samples: SampleSet, positions: np.ndarray, mask=None):
+    """(N, G) visibility of the samples to `positions`: of every pair, or of
+    the pairs the (N, G) bool `mask` sets, with False elsewhere."""
+    seen = np.zeros((len(samples), len(positions)), dtype=bool)
+    for rows, cols, origins, targets in pair_packets(bvh, samples.positions, positions, mask):
+        seen[rows, cols] = ~segments_occluded(bvh, origins, targets)
+    return seen
 
 
 def _grid_scores(bvh, samples, kind, threshold, others, local):
@@ -186,9 +189,8 @@ def _grid_scores(bvh, samples, kind, threshold, others, local):
     open_rows = ~is_covered(kind, others, threshold)
     pairs = np.stack(np.broadcast_arrays(others[:, None], reach), axis=-1)
     reachable = is_covered(kind, sample_coverage(kind, pairs), threshold) & open_rows[:, None]
-    pairs = np.flatnonzero(reachable.T)  # position-major, as pair_packets numbers them
-    seen = pairs[_visible_pairs(bvh, samples, local, pairs)] // len(samples)
-    return np.count_nonzero(~open_rows) + np.bincount(seen, minlength=len(local)), reach
+    seen = _visible_pairs(bvh, samples, local, reachable)
+    return np.count_nonzero(~open_rows) + np.count_nonzero(seen, axis=0), reach
 
 
 def refine_grid(
@@ -230,7 +232,7 @@ def refine_grid(
             best = int(np.argmax(scores))
             if scores[best] > current + 1e-12 and best != 0:
                 positions[j] = local[best]
-                seen = _visible_pairs(bvh, samples, local[best : best + 1])
+                seen = _visible_pairs(bvh, samples, local[best : best + 1])[:, 0]
                 cols[:, j] = np.where(seen, reach[:, best], 0.0)
                 current = float(scores[best])
                 moved = True

@@ -319,16 +319,19 @@ def walk_shape(bvh: Bvh) -> tuple[int, int]:
     return PACKET_SEGMENTS, 1
 
 
-def pair_packets(points: np.ndarray, positions: np.ndarray, size: int, pairs=None):
-    """Yield (slice, origins, targets) packets of at most `size` pairs of
-    `pairs` (None: all N x M in order), where pair p joins point p % N to
-    position p // N. Only one packet's rows exist at a time."""
+def pair_packets(bvh: Bvh, points: np.ndarray, positions: np.ndarray, mask=None):
+    """Yield (rows, cols, origins, targets) packets of the pairs that join
+    point rows[i] to position cols[i]: all N x M pairs, or those the (N, M)
+    bool `mask` sets, position by position, in packets of `walk_shape(bvh)`'s
+    size. Only one packet's rows exist at a time."""
+    size, _ = walk_shape(bvh)
     n = len(points)
+    pairs = None if mask is None else np.flatnonzero(mask.T)
     total = n * len(positions) if pairs is None else len(pairs)
     for lo in range(0, total, size):
-        hi = min(lo + size, total)
-        p = np.arange(lo, hi) if pairs is None else pairs[lo:hi]
-        yield slice(lo, hi), points[p % n], positions[p // n]
+        p = np.arange(lo, min(lo + size, total)) if pairs is None else pairs[lo : lo + size]
+        cols, rows = np.divmod(p, n)
+        yield rows, cols, points[rows], positions[cols]
 
 
 def visibility_matrix(
@@ -337,12 +340,11 @@ def visibility_matrix(
     candidates: CandidateSet,
 ) -> VisibilityMatrix:
     """bit (i, j) = segment from sample i to candidate j is unobstructed."""
-    hidden = np.empty(len(samples) * len(candidates), dtype=bool)  # candidate-major
-    size, _ = walk_shape(bvh)
-    for sl, origins, targets in pair_packets(samples.positions, candidates.positions, size):
-        hidden[sl] = segments_occluded(bvh, origins, targets)
+    bits = np.empty((len(samples), len(candidates)), dtype=bool)
+    for rows, cols, origins, targets in pair_packets(bvh, samples.positions, candidates.positions):
+        bits[rows, cols] = ~segments_occluded(bvh, origins, targets)
     return VisibilityMatrix(
-        bits=np.ascontiguousarray(~hidden.reshape(len(candidates), len(samples)).T),
+        bits=bits,
         sample_hash=samples.content_hash(),
         candidate_hash=candidates.content_hash(),
         mesh_hash=bvh.mesh_hash,

@@ -68,9 +68,7 @@ def reference_solve(model: ilp.IlpModel) -> SolveResult:
     else:
         scorer = ilp._PackedCover(model.cover)
 
-    incumbent, inc_value, nodes, root_proof, _ = ilp._root(
-        model, scorer, k, target, math.inf, None
-    )
+    incumbent, inc_value, nodes, root_proof, _ = ilp._root(model, scorer, k, target, math.inf)
     found_target = inc_value >= target
 
     root = (scorer.root, scorer.value(scorer.root), np.arange(m), [])

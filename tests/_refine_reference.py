@@ -43,7 +43,7 @@ def reference_refine_grid(
     positions = instance.candidates.positions[placement]
 
     def quality_columns(pos):
-        seen = refine._visible_pairs(bvh, samples, pos).reshape(len(pos), len(samples)).T
+        seen = refine._visible_pairs(bvh, samples, pos)
         return quality_matrix(samples, pos, seen, kind)[1]
 
     def covered_count(cols):

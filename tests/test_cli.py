@@ -96,6 +96,16 @@ def test_phi_on_problem1_is_usage_error(workdir):
     assert code == 2
 
 
+@pytest.mark.parametrize("problem", ["1", "3"])
+def test_rho_off_problem2_is_usage_error(workdir, capsys, problem):
+    d, mesh, samples, cands, vis = workdir
+    phi = ["--phi", "0.1"] if problem == "3" else []
+    code = main(["solve", "--problem", problem, "--k", "1", "--rho", "0.5", *phi,
+                 *_trio_args(samples, cands, vis), "--out", str(d / "x.json")])
+    assert code == 2
+    assert "--rho only applies to --problem 2" in capsys.readouterr().err
+
+
 def test_problem3_without_phi_is_usage_error(workdir):
     d, mesh, samples, cands, vis = workdir
     code = main(["solve", "--problem", "3", "--k", "1",
@@ -517,15 +527,32 @@ def test_out_of_range_result_placement_exits_2(workdir, capsys, command):
     assert "out of range" in capsys.readouterr().err
 
 
+# OBJ text, and what the error line says after the file's path
+BAD_OBJ = {
+    "zero-area face": ("v 0 0 0\nv 1 0 0\nv 2 0 0\nv 0 1 0\nf 1 2 4\nf 1 2 3\n", ": "),
+    "bad vertex coordinate": ("v 0 0 x\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+                              ":1: bad vertex coordinate: 'v 0 0 x'"),
+    "face of 2 vertices": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n",
+                           ":4: face with fewer than 3 vertices"),
+    "bad face index": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 q 3\n", ":4: bad face index 'q'"),
+    "no vertices": ("# a comment only\n", ": no vertices"),
+    "no faces": ("v 0 0 0\nv 1 0 0\nv 0 1 0\n", ": no faces"),
+}
+
+
 @pytest.mark.parametrize("case", ["missing mesh", "zero-area face", "problem 5", "no problem",
-                                  "not JSON", "no positions", "no out directory", "missing vis"])
+                                  "not JSON", "no positions", "no out directory", "missing vis",
+                                  "bad vertex coordinate", "face of 2 vertices", "bad face index",
+                                  "no vertices", "no faces", "sample-set format_version 99"])
 def test_bad_input_file_exits_2_with_one_error_line(workdir, tmp_path, capsys, case):
     d, mesh, samples, cands, vis = workdir
     trio = _trio_args(samples, cands, vis)
     bad, out = tmp_path / "bad", str(tmp_path / "out")
-    if case in ("missing mesh", "zero-area face"):
-        if case == "zero-area face":
-            bad.write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nv 0 1 0\nf 1 2 4\nf 1 2 3\n")
+    says = ": "
+    if case == "missing mesh" or case in BAD_OBJ:
+        if case in BAD_OBJ:
+            text, says = BAD_OBJ[case]
+            bad.write_text(text)
         argv = ["sample", "--mesh", str(bad), "--pitch", "0.5", "--out", out]
     elif case in ("problem 5", "no problem"):
         assert main(["solve", "--problem", "1", "--k", "1", *trio, "--out", str(bad)]) == 0
@@ -544,6 +571,12 @@ def test_bad_input_file_exits_2_with_one_error_line(workdir, tmp_path, capsys, c
         del sample_set["positions"]
         bad.write_text(json.dumps(sample_set))
         argv = ["approx", "--samples", str(bad), "--k", "1", "--plane-z", "2.8", "--out", out]
+    elif case == "sample-set format_version 99":
+        sample_set = json.loads(samples.read_text())
+        sample_set["format_version"] = 99
+        bad.write_text(json.dumps(sample_set))
+        says = ": unsupported sample_set format_version 99"
+        argv = ["approx", "--samples", str(bad), "--k", "1", "--plane-z", "2.8", "--out", out]
     elif case == "no out directory":
         bad = tmp_path / "missing" / "result.json"
         argv = ["solve", "--problem", "1", "--k", "1", *trio, "--out", str(bad)]
@@ -552,7 +585,7 @@ def test_bad_input_file_exits_2_with_one_error_line(workdir, tmp_path, capsys, c
                 "--out", out]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}{says}"), err
 
 
 @pytest.mark.parametrize("method, key", [("grid", "k"), ("grid", "params"), ("onecenter", "k"),

@@ -91,6 +91,16 @@ def test_instance_dist_is_the_pairwise_norm():
                 assert inst.dist[i, j] == pytest.approx(direct, rel=4 * np.finfo(float).eps, abs=0)
     with pytest.raises(ValueError, match="dimension mismatch"):
         dataclasses.replace(inst, dist=inst.dist[:, :3])
+    i, j = np.argwhere(inst.phi > 0)[0]
+    for bad in (np.nan, np.inf, -1e-300):
+        phi = inst.phi.copy()
+        phi[i, j] = bad
+        with pytest.raises(ValueError, match="phi entries must be finite and non-negative"):
+            dataclasses.replace(inst, phi=phi)
+    hidden = inst.vis.bits.copy()
+    hidden[i, j] = False
+    with pytest.raises(ValueError, match="phi must be zero where visibility is zero"):
+        dataclasses.replace(inst, vis=dataclasses.replace(inst.vis, bits=hidden))
 
 
 def test_sensor_offsets_match_the_distance_expressions_they_replace():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import surfcover as sc
-from surfcover.coverage import QualityKind
+from surfcover.coverage import QualityKind, is_covered, quality_matrix, sample_coverage
 from surfcover.drivers import candidate_radii
 from surfcover import drivers, ilp
 from surfcover.ilp import IlpModel, ModelKind, SolveResult, SolveStatus
+from surfcover.visibility import segments_occluded
 
 from _bnb_reference import brute_force_solve, covered_count
 from conftest import all_visible, make_sample_set
@@ -343,11 +344,11 @@ def _lagrangian_at_radii(instance, lam, k, radii):
     return np.maximum(0.0, 1.0 - lam).sum() + np.maximum(top, 0.0).sum(axis=0)
 
 
-def test_problem2_carries_multipliers_that_prove_every_radius_below_the_optimum(
+def test_problem2_root_proof_multipliers_prove_every_radius_below_the_optimum(
     room_scene, monkeypatch
 ):
     # the step just below r* is proved at the root, and the multipliers it
-    # hands on bound that radius and every smaller one below the target
+    # ends at bound that radius and every smaller one below the target
     _, _, samples, candidates, vm = room_scene
     inst = sc.build_instance(samples, candidates, vm, QualityKind.VISIBILITY)
     radii = candidate_radii(inst)
@@ -372,9 +373,9 @@ def test_problem2_carries_multipliers_that_prove_every_radius_below_the_optimum(
 
 
 def test_problem2_calls_share_no_multipliers(room_scene, monkeypatch):
-    # the multipliers live inside one call: a second pass over k=1..4
-    # repeats the first one's answers and each of its Lagrangian step counts
-    # (one clock read per step)
+    # each step's Lagrangian test starts cold, so no state outlives a call: a
+    # second pass over k=1..4 repeats the first one's answers and each of its
+    # Lagrangian step counts (one clock read per step)
     _, _, samples, candidates, vm = room_scene
     inst = sc.build_instance(samples, candidates, vm, QualityKind.VISIBILITY)
     real, clock = ilp._lagrangian_bound, time.perf_counter
@@ -458,11 +459,23 @@ def test_two_phase_quality_k1_certificate_consistent():
 
 
 def test_two_phase_coverage_room(room_scene):
+    # both kinds; the refined objective is recounted at the refined positions
+    # from their own segment queries
     mesh, bvh, samples, candidates, vm = room_scene
-    inst = sc.build_instance(samples, candidates, vm, QualityKind.VISIBILITY)
-    report = sc.two_phase_coverage(
-        inst, bvh, k=2, pitch_fine=0.4, neighborhood=0.8, rounds=1
-    )
-    assert report.problem == 1
-    assert report.refined.objective >= report.coarse.objective
-    assert report.certified_factor is None
+    for kind, threshold, problem in ((QualityKind.VISIBILITY, None, 1),
+                                     (QualityKind.LAMBERT_INVERSE_SQUARE, 0.05, 3)):
+        inst = sc.build_instance(samples, candidates, vm, kind)
+        report = sc.two_phase_coverage(
+            inst, bvh, k=2, pitch_fine=0.4, neighborhood=0.8, threshold=threshold, rounds=1
+        )
+        assert report.problem == problem
+        assert report.refined.objective >= report.coarse.objective
+        assert report.certified_factor is None
+        positions = report.refined.positions
+        seen = np.column_stack([
+            ~segments_occluded(bvh, samples.positions, np.tile(p, (len(samples), 1)))
+            for p in positions
+        ])
+        phi = quality_matrix(samples, positions, seen, kind)[1]
+        recount = is_covered(kind, sample_coverage(kind, phi), threshold).sum()
+        assert report.refined.objective == recount

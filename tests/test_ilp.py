@@ -480,11 +480,10 @@ def test_a_start_that_meets_the_target_settles_the_root_without_a_lagrangian_ste
     calls = []
     real = ilp._lagrangian_bound
     monkeypatch.setattr(ilp, "_lagrangian_bound", lambda *args: calls.append(1) or real(*args))
-    lam = np.full(10, 0.25)
-    res = sc.solve(model, multipliers=lam, start=(np.int64(2), 1))
+    res = sc.solve(model, start=(np.int64(2), 1))
     assert (res.status, res.nodes, res.placement, res.primal) == (
         SolveStatus.OPTIMAL, 0, (1, 2), 10.0)
-    assert calls == [] and res.multipliers is lam
+    assert calls == [] and res.multipliers is None
     # a start worth less than the greedy picks leaves them the swaps' start
     assert sc.solve(model, start=[3]).nodes == 1 and calls == [1]
     for start, message in (([0, 1, 2], "more candidates than the budget"),
@@ -571,7 +570,7 @@ def test_feasibility_stops_at_the_first_selection_that_meets_the_target():
         if best < warm + 2:
             continue
         model = IlpModel(ModelKind.FEASIBILITY_COVER, bits, k, radius=1.0, rho=(warm + 1) / n)
-        if ilp._root(model, scorer, min(k, m), model.coverage_target, math.inf, None)[2]:
+        if ilp._root(model, scorer, min(k, m), model.coverage_target, math.inf)[2]:
             continue  # settled at the root by a Lagrangian step's selection
         a, ref = sc.solve(model), reference_solve(model)
         assert _same_answer(a, ref)
@@ -726,9 +725,8 @@ def test_a_candidate_major_cover_packs_and_bounds_like_a_c_ordered_copy():
             if not view.any():
                 continue
             k, target = int(rng.integers(1, min(m, 3) + 1)), int(rng.integers(1, n + 1))
-            start = rng.random(n) if rng.random() < 0.5 else None
-            a = _lagrangian_bound(view, k, target, math.inf, start)
-            b = _lagrangian_bound(copy, k, target, math.inf, start)
+            a = _lagrangian_bound(view, k, target, math.inf)
+            b = _lagrangian_bound(copy, k, target, math.inf)
             assert a[0] == b[0] and a[1].tobytes() == b[1].tobytes() and a[2] == b[2]
             proofs += a[0] < target - 1e-6
             witnesses += a[2] is not None

@@ -387,8 +387,34 @@ def test_improve_quality_max_never_increases_radius():
         k = int(rng.integers(1, 5))
         fpc = sc.farthest_point_clustering(s, k, plane)
         r0 = sc.coverage_radius(fpc, s)
-        _, r1 = sc.improve_quality_max(s, fpc.positions, plane.height)
+        centers, r1 = sc.improve_quality_max(s, fpc.positions, plane.height)
         assert r1 <= r0 + 1e-12
+        assert r1 == sc.coverage_radius(sc.CandidateSet(positions=centers), s)
+
+
+def test_improve_quality_max_returns_the_radius_of_its_centers():
+    # the last round's 1-centers cover this terrain at a radius rounded one
+    # ulp above the round before's; that round is undone, so the radius
+    # reported is the returned centers' own
+    terrain = sc.gen_terrain(0, extent=(10, 10), cells=20, amplitude=0.3)
+    s = sc.sample_surface(terrain, pitch=0.6)
+    plane = sc.PlaneDeployment(2.0)
+    fpc = sc.farthest_point_clustering(s, 5, plane)
+    centers, r = sc.improve_quality_max(s, fpc.positions, plane.height)
+    assert r == 3.9236307424454098
+    assert sc.coverage_radius(sc.CandidateSet(positions=centers), s) == r
+
+
+def test_improve_quality_max_leaves_a_center_no_sample_is_nearest_to():
+    # the second center is farther from every sample than the first, so it
+    # has no cluster and stays where it is
+    rng = np.random.default_rng(5)
+    s = make_sample_set(np.column_stack([rng.uniform(0, 2, (30, 2)), np.zeros(30)]))
+    start = np.array([[0.0, 0.0, 1.0], [50.0, 50.0, 1.0]])
+    centers, r = sc.improve_quality_max(s, start, 1.0)
+    assert (centers[1] == start[1]).all()
+    assert centers[0].tolist() == sc.min_sphere_fixed_plane(s.positions, 1.0).center.tolist()
+    assert r == sc.coverage_radius(sc.CandidateSet(positions=centers), s)
 
 
 def _coarse_fine_setup():

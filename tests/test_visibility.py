@@ -289,19 +289,21 @@ def test_matrix_bits_are_c_contiguous(three_packets):
 
 def test_refine_columns_match_matrix(three_packets):
     bvh, samples, cands, vm = three_packets
-    cols = _visible_pairs(bvh, samples, cands.positions).reshape(len(cands), len(samples)).T
-    assert (cols == vm.bits).all()
+    cols = _visible_pairs(bvh, samples, cands.positions)
+    assert cols.shape == vm.bits.shape and (cols == vm.bits).all()
 
 
 def test_listed_pairs_match_matrix(three_packets):
-    # pair p joins sample p % N to candidate p // N, in the order listed;
-    # more than one packet of them, in no particular order
+    # the pairs a mask sets, more than one packet of them, read the matrix's
+    # bits; every other pair reads False
     bvh, samples, cands, vm = three_packets
-    n = len(samples)
-    pairs = np.random.default_rng(11).permutation(n * len(cands))[: 2 * PACKET_SEGMENTS + 9]
-    seen = _visible_pairs(bvh, samples, cands.positions, pairs)
-    assert (seen == vm.bits[pairs % n, pairs // n]).all()
-    assert _visible_pairs(bvh, samples, cands.positions, pairs[:0]).shape == (0,)
+    mask = np.zeros(vm.bits.shape, bool)
+    picked = np.random.default_rng(11).permutation(mask.size)[: 2 * PACKET_SEGMENTS + 9]
+    mask.flat[picked] = True
+    seen = _visible_pairs(bvh, samples, cands.positions, mask)
+    assert (seen == (vm.bits & mask)).all() and (seen & mask).any()
+    empty = _visible_pairs(bvh, samples, cands.positions, mask & False)
+    assert empty.shape == mask.shape and not empty.any()
 
 
 def test_packet_mixing_axis_aligned_and_oblique_segments_matches_brute():
@@ -831,6 +833,13 @@ def test_non_finite_endpoints_raise(bad):
         segments_occluded(bvh, [(0, 0, 0), (0, bad, 0)], [(0, 0, 2), (0, 0, 2)])
     with pytest.raises(ValueError, match="finite"):
         segment_occluded(bvh, (0, 0, 0), (bad, 0, 2))
+
+
+def test_coincident_endpoints_raise():
+    # a segment of zero length has no direction to shrink along
+    bvh = sc.build_bvh(single_triangle())
+    with pytest.raises(ValueError, match="segment endpoints coincide"):
+        segments_occluded(bvh, [(0, 0, 0), (0.5, 0.5, 1)], [(0, 0, 2), (0.5, 0.5, 1)])
 
 
 def test_no_segments_give_an_empty_answer():
