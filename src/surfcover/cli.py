@@ -3,7 +3,9 @@ the three solvers, the clustering approximation, refinement, sweeps, and
 colored exports.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible, 4 time limit hit with the
-gap above tolerance (for `sweep`, at any k of the range).
+gap above tolerance. `sweep` writes a row for every k of its range and exits
+3 when any k is infeasible, also when the clock stopped another k, and
+otherwise 4 when the clock stopped any k.
 """
 
 from __future__ import annotations
@@ -348,17 +350,25 @@ def _cmd_refine(args) -> int:
 
 def _cmd_sweep(args) -> int:
     instance = _load_problem(args)
-    rows, stopped = [], False
+    rows, stopped, infeasible = [], False, False
     for k in args.k_range:
         t0 = time.perf_counter()
-        _, objective, result, _ = _solve_problem(args, instance, k, gap_tol=0.0)
+        try:
+            _, objective, result, _ = _solve_problem(args, instance, k, gap_tol=0.0)
+        except drivers.InfeasibleError as exc:  # this k's row says so; the next k still runs
+            print(f"infeasible: {exc}", file=sys.stderr)
+            solved, infeasible = ("", "", "infeasible"), True
+        else:
+            solved = (objective, result.gap, result.status.value)
+            stopped |= result.status is SolveStatus.TIME_LIMIT
         elapsed = 0.0 if args.deterministic else time.perf_counter() - t0
-        rows.append((k, objective, result.gap, result.status.value, elapsed))
-        stopped |= result.status is SolveStatus.TIME_LIMIT
+        rows.append((k, *solved, elapsed))
     with _file(args.out, open, args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "objective", "gap", "status", "elapsed"])
         writer.writerows(rows)
+    if infeasible:
+        return EXIT_INFEASIBLE
     return EXIT_TIME_LIMIT if stopped else EXIT_OK
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +44,64 @@ class Bvh:
     tri: np.ndarray  # (3, 3, slots, L) rows of a, b - a and c - a of each leaf slot
     leaf_boxes: np.ndarray  # (L, 2, 3, 1) the box of each leaf, leaf order
     mesh_hash: int  # content hash of the mesh the tree holds
+
+    @cached_property
+    def _face_free(self) -> Bvh | None:
+        """The tree without its face slots, for segments that `_clear_of_box_faces`
+        passes; None when no leaf would be pruned (nothing to gain).
+
+        A face slot holds a triangle whose edges have exact zeros on one axis k,
+        whose corner a_k lies on the root box's lo_k or hi_k face plane, and whose
+        cross product over the other two axes a, b, N = e1a e2b - e1b e2a, is well
+        conditioned: |N| > 1e-3 (|e1a e2b| + |e1b e2a|). With those zeros every
+        other term of `_triangle_hits` is an exact zero, so det is the rounded sum
+        of two rounded products whose exact sum is -d_k N, and the t numerator
+        one of (o_k - a_k) N: the computed t is (a_k - o_k) / d_k times 1 +- 9e-13
+        (a few ulps times the conditioning bound of 1e3), and d_k = 0 makes det
+        exactly 0, no hit.
+        A segment whose exact parameter at every face plane lies outside
+        [-1e-9, 1 + 1e-9] so never gets t inside Moller-Trumbore's
+        [-1e-12, 1 + 1e-12] at a face slot. The root box within +-1e100 and the
+        segment inside it keep every product finite: below 24 x (2e100)^3. An
+        underflowed product can shift det and t by 1e-209 at most, since a hit needs
+        |det| >= 1e-14, and a triangle whose conditioning test underflowed has
+        |det| below 1e-14. In-room segments pass with room to spare: the
+        DEFAULT_EPS_REL shrink alone puts t near -1e-6 at a face a segment starts on.
+
+        The view shares `left`, `axis`, `start` and `count`. Face slots are zeroed
+        with `tri_order` -1, a leaf with no other slot gets a box at +inf on every
+        axis ((inf - o) x (1 / d) is +-inf, never NaN, so every slab test misses),
+        and every node box is the min / max of its kept leaves' original boxes, so
+        a box still holds every box below it and the walk's monotonicity holds.
+        A kept leaf keeps its original box, so a segment reaches the same kept
+        leaves as on the full tree and gets the same bit."""
+        root = self.boxes[0, :, :, 0]  # the triangles' own bounds
+        if np.abs(root).max() > 1e100:
+            return None
+        a, e1, e2 = self.tri  # (3, slots, L) each
+        up, down = e1[[1, 2, 0]] * e2[[2, 0, 1]], e1[[2, 0, 1]] * e2[[1, 2, 0]]  # N = up - down
+        face = (
+            (e1 == 0) & (e2 == 0)
+            & ((a == root[0, :, None, None]) | (a == root[1, :, None, None]))
+            & (np.abs(up - down) > 1e-3 * (np.abs(up) + np.abs(down)))
+        ).any(axis=0) & (self.tri_order >= 0)
+        kept = ((self.tri_order >= 0) & ~face).any(axis=0)
+        if kept.all():
+            return None
+        lo = np.where(kept[:, None], self.leaf_boxes[:, 0, :, 0], np.inf)
+        hi = np.where(kept[:, None], self.leaf_boxes[:, 1, :, 0], -np.inf)
+        # each node's [first, past last) leaf; reduceat needs a row past the last leaf
+        ends = np.stack([self.start, self.start + self.count], axis=1).ravel()
+        lo = np.minimum.reduceat(np.vstack([lo, lo[:1]]), ends)[::2]
+        hi = np.maximum.reduceat(np.vstack([hi, hi[:1]]), ends)[::2]
+        hi[lo == np.inf] = np.inf  # no kept leaf: lo = hi = +inf
+        return dataclasses.replace(
+            self,
+            boxes=np.stack([lo, hi], axis=1)[..., None],
+            tri_order=np.where(face, -1, self.tri_order),
+            tri=np.where(face, 0.0, self.tri),
+            leaf_boxes=np.where(kept[:, None, None, None], self.leaf_boxes, np.inf),
+        )
 
 
 def build_bvh(mesh: TriangleMesh) -> Bvh:
@@ -106,6 +166,22 @@ def build_bvh(mesh: TriangleMesh) -> Bvh:
     )
 
 
+def _clear_of_box_faces(root, o, d):
+    """Which shrunk segments may walk `Bvh._face_free`: those whose parameters
+    at the two face planes of every axis of the root box (root: lo and hi
+    corners) bracket [-2e-9, 1 + 2e-9] strictly. Such a segment lies inside the
+    box, and as each parameter is rounded twice (the difference, then the
+    quotient), the exact one lies outside [-1e-9, 1 + 1e-9]. d_k = 0 gives -inf
+    and +inf for an origin strictly between the planes; an origin on a plane
+    gets NaN there, which fails, so such a segment walks the full tree."""
+    clear = np.ones(len(o), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(3):
+            a, b = (root[0, k] - o[:, k]) / d[:, k], (root[1, k] - o[:, k]) / d[:, k]
+            clear &= (np.minimum(a, b) < -2e-9) & (np.maximum(a, b) > 1.0 + 2e-9)
+    return clear
+
+
 def _segment_hits_triangles(o, d, a, b, c):
     """Vectorized Moller-Trumbore: does segment o + t*d, t in [0, 1], hit any of
     the triangles (a, b, c)? Boundary hits (edges, vertices, endpoints) count.
@@ -154,8 +230,21 @@ def _shrunk(origins, targets):
 
 
 def segments_occluded(bvh: Bvh, origins, targets) -> np.ndarray:
-    """Whether the shrunk open segment from each origin to its target hits a triangle."""
-    return _segments_occluded_impl(bvh, *_shrunk(origins, targets))
+    """Whether the shrunk open segment from each origin to its target hits a
+    triangle. When the tree has a view without its box-face slots
+    (`Bvh._face_free`), the segments clear of the root box's faces walk it and
+    the rest walk the full tree, one walk each."""
+    o, d = _shrunk(origins, targets)
+    view = bvh._face_free
+    if view is None:
+        return _segments_occluded_impl(bvh, o, d)
+    clear = _clear_of_box_faces(bvh.boxes[0, :, :, 0], o, d)
+    if clear.all():
+        return _segments_occluded_impl(view, o, d)
+    occluded = np.empty(len(o), dtype=bool)
+    occluded[clear] = _segments_occluded_impl(view, o[clear], d[clear])
+    occluded[~clear] = _segments_occluded_impl(bvh, o[~clear], d[~clear])
+    return occluded
 
 
 def _slab_hits(box, r):

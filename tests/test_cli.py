@@ -340,6 +340,55 @@ def test_sweep_exits_4_when_the_clock_stops_a_solve(workdir, problem):
         assert (r["status"] == "optimal") <= (float(r["gap"]) == 0.0)
 
 
+@pytest.fixture(scope="module")
+def readme_room(tmp_path_factory):
+    """The inputs of README's walkthrough: its room, sampled at pitch 0.5,
+    and candidates at pitch 0.8."""
+    d = tmp_path_factory.mktemp("readme")
+    trio = _trio_args(d / "samples.json", d / "cands.json", d / "vis.spvm")
+    for argv in (["gen-scene", "--kind", "room", "--out", str(d / "room.obj")],
+                 ["sample", "--mesh", str(d / "room.obj"), "--pitch", "0.5",
+                  "--out", str(d / "samples.json")],
+                 ["candidates", "--plane-z", "2.8", "--rect", "0.5", "0.5", "5.5", "3.5",
+                  "--pitch", "0.8", "--out", str(d / "cands.json")],
+                 ["visibility", "--mesh", str(d / "room.obj"), *trio[:4],
+                  "--out", str(d / "vis.spvm")]):
+        assert main(argv) == 0
+    return d, trio
+
+
+def _sweep_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_a_problem_2_sweep_keeps_the_rows_of_the_feasible_k(readme_room, capsys):
+    # one sensor cannot see 85% of the room at any radius; k = 2..4 can, and
+    # their rows are the same bytes as in a sweep that leaves k = 1 out
+    d, trio = readme_room
+    sweep = ["sweep", "--problem", "2", "--rho", "0.85", *trio, "--deterministic"]
+    assert main([*sweep, "--k-range", "1..4", "--out", str(d / "all.csv")]) == 3
+    assert "unachievable with 1 sensors" in capsys.readouterr().err
+    rows = _sweep_rows(d / "all.csv")
+    assert [int(r["k"]) for r in rows] == [1, 2, 3, 4]
+    assert (rows[0]["objective"], rows[0]["gap"], rows[0]["status"]) == ("", "", "infeasible")
+    assert [r["status"] for r in rows[1:]] == ["optimal"] * 3
+    assert main([*sweep, "--k-range", "2..4", "--out", str(d / "feasible.csv")]) == 0
+    lines = (d / "all.csv").read_text().splitlines()
+    assert lines[:1] + lines[2:] == (d / "feasible.csv").read_text().splitlines()
+
+
+def test_an_infeasible_k_outranks_a_stopped_clock_in_the_sweeps_exit(readme_room):
+    # k = 1 is infeasible even under a microsecond limit, which stops k = 2 or 3
+    d, trio = readme_room
+    out = d / "mixed.csv"
+    code = main(["sweep", "--problem", "2", "--rho", "0.85", "--k-range", "1..3",
+                 "--time-limit", "0.000001", *trio, "--out", str(out)])
+    assert code == 3
+    status = [r["status"] for r in _sweep_rows(out)]
+    assert status[0] == "infeasible" and "time-limit" in status[1:]
+
+
 def test_bad_k_range_exits_2(workdir):
     d, mesh, samples, cands, vis = workdir
     code = main(["sweep", "--problem", "1", "--k-range", "3",

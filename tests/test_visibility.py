@@ -847,3 +847,232 @@ def test_no_segments_give_an_empty_answer():
     for empty in ([], np.empty((0, 3))):
         out = segments_occluded(bvh, empty, empty)
         assert out.shape == (0,) and out.dtype == bool
+
+
+def face_free_reference(bvh, mesh):
+    """The face-slot view, slot by slot and node by node from the mesh's own
+    corners: (face slots (slots, L), kept leaves (L,), node boxes)."""
+    (lo, hi), corners = bvh.boxes[0, :, :, 0], mesh.corners()
+    face = np.zeros(bvh.tri_order.shape, dtype=bool)
+    for s, leaf in zip(*np.nonzero(bvh.tri_order >= 0)):
+        a, b, c = (corner[bvh.tri_order[s, leaf]] for corner in corners)
+        e1, e2 = b - a, c - a
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            n = e1[i] * e2[j] - e1[j] * e2[i]
+            sound = abs(n) > 1e-3 * (abs(e1[i] * e2[j]) + abs(e1[j] * e2[i]))
+            if e1[k] == 0 and e2[k] == 0 and a[k] in (lo[k], hi[k]) and sound:
+                face[s, leaf] = True
+    kept = ((bvh.tri_order >= 0) & ~face).any(axis=0)
+    boxes = np.full(bvh.boxes.shape, np.inf)
+    for node, (first, n) in enumerate(zip(bvh.start, bvh.count)):
+        leaves = [leaf for leaf in range(first, first + n) if kept[leaf]]
+        if leaves:
+            boxes[node, 0] = bvh.leaf_boxes[leaves, 0].min(axis=0)
+            boxes[node, 1] = bvh.leaf_boxes[leaves, 1].max(axis=0)
+    return face, kept, boxes
+
+
+def bare_shell():
+    """The criterion-5 room without its obstacle: every triangle on a box face."""
+    return sc.gen_room(extent=(6, 4, 3), obstacles=[])
+
+
+def shell_with_sliver():
+    """The bare shell with a sliver on its floor, cut from two nearly parallel
+    oblique edges: its cross product cancels too far to count as a face slot."""
+    shell = bare_shell()
+    n = len(shell.vertices)
+    sliver = [[1.0, 1.0, 0.0], [4.0, 2.0, 0.0], [4.000003, 2.000002, 0.0]]
+    return sc.TriangleMesh(np.vstack([shell.vertices, sliver]),
+                           np.vstack([shell.triangles, [[n, n + 1, n + 2]]]))
+
+
+FACE_FREE_MESHES = {
+    "bare shell": (bare_shell, LEAF_SIZE),
+    "shell with a sliver": (shell_with_sliver, LEAF_SIZE),
+    "flat floor": (square_grid, LEAF_SIZE),
+    "two-box room": (lambda: packet_scene(1, 1)[0], LEAF_SIZE),
+    "office, leaves of 1": (office_room, 1),
+    "office, leaves of 2": (office_room, 2),
+}
+
+
+@pytest.mark.parametrize("scene", ["criterion-5 room", *FACE_FREE_MESHES])
+def test_the_face_free_view_matches_a_slot_by_slot_derivation(scene, room_scene, monkeypatch):
+    if scene == "criterion-5 room":
+        mesh = room_scene[0]
+    else:
+        make, leaf_size = FACE_FREE_MESHES[scene]
+        monkeypatch.setattr(visibility, "LEAF_SIZE", leaf_size)
+        mesh = make()
+    bvh = sc.build_bvh(mesh)
+    view = bvh._face_free
+    face, kept, boxes = face_free_reference(bvh, mesh)
+    assert view is not None and not kept.all() and face.any()
+    assert view is bvh._face_free  # derived once
+    assert (view.tri_order == np.where(face, -1, bvh.tri_order)).all()
+    assert (view.tri[:, :, face] == 0).all()
+    assert view.tri[:, :, ~face].tobytes() == bvh.tri[:, :, ~face].tobytes()
+    assert ((view.leaf_boxes == np.inf).all(axis=(1, 2, 3)) == ~kept).all()
+    assert view.leaf_boxes[kept].tobytes() == bvh.leaf_boxes[kept].tobytes()
+    assert np.array_equal(view.boxes, boxes)
+    for name in ("left", "axis", "start", "count"):
+        assert getattr(view, name) is getattr(bvh, name)
+    assert view.mesh_hash == bvh.mesh_hash
+    if scene == "criterion-5 room":  # floor, walls, ceiling and the box's bottom
+        assert (~kept).sum() == 4 and face.sum() == 14
+    if scene in ("bare shell", "flat floor"):
+        assert not kept.any() and (view.boxes == np.inf).all()
+    if scene == "shell with a sliver":  # the sliver, triangle 12, stays
+        assert (view.tri_order == 12).sum() == 1 and kept.sum() == 1
+
+
+@pytest.mark.parametrize("make", [office_room, terrain_800])
+def test_a_tree_with_no_leaf_to_prune_has_no_view(make):
+    # the office's shell shares its leaves with the boxes, and the terrain has no face
+    assert sc.build_bvh(make())._face_free is None
+
+
+@pytest.mark.parametrize("far, pruned", [(1e99, 3), (2e100, None)])
+def test_a_mesh_beyond_1e100_has_no_view(far, pruned, room_scene):
+    # a long, thin triangle at z = 1 stretches the root box along x; beyond
+    # 1e100, products in the error argument could overflow
+    room = room_scene[0]
+    n = len(room.vertices)
+    mesh = sc.TriangleMesh(np.vstack([room.vertices, [[0, 0, 1], [far, 0, 1], [0, 1, 1]]]),
+                           np.vstack([room.triangles, [[n, n + 1, n + 2]]]))
+    view = sc.build_bvh(mesh)._face_free
+    if pruned is None:
+        assert view is None
+    else:
+        assert (view.leaf_boxes == np.inf).all(axis=(1, 2, 3)).sum() == pruned
+
+
+@pytest.mark.parametrize("scene", ["criterion-5 room", "office", "office, leaves of 2"])
+def test_the_face_free_walk_keeps_the_full_trees_bits(scene, room_scene, monkeypatch):
+    if scene == "criterion-5 room":
+        mesh = room_scene[0]
+    else:
+        monkeypatch.setattr(visibility, "LEAF_SIZE", 2 if scene.endswith("2") else LEAF_SIZE)
+        mesh = office_room()
+    bvh = sc.build_bvh(mesh)
+    o, d = hard_segments(mesh, np.random.default_rng(43), 3000)
+    a, b = o, o + d
+    o, d = _shrunk(a, b)
+    full = _segments_occluded_impl(bvh, o, d)
+    assert 0.05 < full.mean() < 0.95
+    clear = visibility._clear_of_box_faces(bvh.boxes[0, :, :, 0], o, d)
+    assert 1000 < clear.sum() < len(clear) - 1000
+    view = bvh._face_free
+    if view is not None:
+        assert (_segments_occluded_impl(view, o[clear], d[clear]) == full[clear]).all()
+    walks = []
+    walk = visibility._segments_occluded_impl
+
+    def recorded(tree, o, d):
+        walks.append((tree is bvh, len(o)))
+        return walk(tree, o, d)
+
+    monkeypatch.setattr(visibility, "_segments_occluded_impl", recorded)
+    assert (segments_occluded(bvh, a, b) == full).all()
+    if view is None:  # the office's leaves hold shell and box triangles alike
+        assert scene == "office" and walks == [(True, len(o))]
+    else:  # one walk on the view, one on the full tree
+        assert sorted(walks) == [(False, clear.sum()), (True, (~clear).sum())]
+
+
+def against_brute(mesh, a, b):
+    """segments_occluded's bits, checked against the oracle, and which of the
+    shrunk segments walk the face-free view."""
+    bvh = sc.build_bvh(mesh)
+    fast = segments_occluded(bvh, a, b)
+    assert (fast == [segment_occluded_brute(mesh, p, q) for p, q in zip(a, b)]).all()
+    return fast, visibility._clear_of_box_faces(bvh.boxes[0, :, :, 0], *_shrunk(a, b))
+
+
+def test_segments_from_face_points_match_brute(room_scene):
+    # samples lie on the floor, the walls, the ceiling and the box; their
+    # shrunk segments to other samples and to interior points walk the view,
+    # except those between two samples in one face plane
+    mesh, _, samples, *_ = room_scene
+    rng = np.random.default_rng(47)
+    p = samples.positions[rng.integers(0, len(samples), (2, 400))]
+    inner = rng.uniform([0.1, 0.1, 0.1], [5.9, 3.9, 2.9], (400, 3))
+    a, b = np.vstack([p[0], p[0]]), np.vstack([p[1], inner])
+    a, b = a[(a != b).any(axis=1)], b[(a != b).any(axis=1)]
+    fast, clear = against_brute(mesh, a, b)
+    one_plane = ((a == b) & ((a == [0, 0, 0]) | (a == [6, 4, 3]))).any(axis=1)
+    assert (clear == ~one_plane).all() and 20 < one_plane.sum() < 200
+    assert 0.05 < fast.mean() < 0.95
+
+
+@pytest.mark.parametrize("plane", ["floor", "wall x = 6", "ceiling"])
+def test_segments_in_a_face_plane_match_brute(plane, room_scene):
+    # d_k = 0 with the origin on the plane: NaN in the clear test, so the full tree
+    mesh = room_scene[0]
+    rng = np.random.default_rng(53)
+    a, b = rng.uniform([-1, -1, -1], [7, 5, 4], (2, 300, 3))
+    k, value = {"floor": (2, 0.0), "wall x = 6": (0, 6.0), "ceiling": (2, 3.0)}[plane]
+    a[:, k] = b[:, k] = value
+    fast, clear = against_brute(mesh, a, b)
+    assert not clear.any()
+    if plane == "floor":  # the box stands on the floor: its sides block some
+        assert 0 < fast.sum() < len(fast)
+
+
+def test_segments_leaving_through_a_face_take_the_full_tree(room_scene):
+    # every segment from inside the room to beyond a wall, the floor or the
+    # ceiling crosses a shell triangle, which only the full tree holds
+    mesh = room_scene[0]
+    rng = np.random.default_rng(59)
+    a = rng.uniform([0.1, 0.1, 0.1], [5.9, 3.9, 2.9], (400, 3))
+    b = rng.uniform([-2, -2, -2], [8, 6, 5], (400, 3))
+    outside = ((b < [0, 0, 0]) | (b > [6, 4, 3])).any(axis=1)
+    a, b = a[outside], b[outside]
+    fast, clear = against_brute(mesh, a, b)
+    assert fast.all() and not clear.any() and len(a) > 200
+
+
+def test_segments_near_a_face_plane_match_brute(room_scene):
+    # origins placed so the shrunk segment meets the floor at parameter t, for
+    # t within a few 1e-9 of 0; the reversed segments meet it near 1. Those
+    # with t > -2e-9 take the full tree, and the ones crossing the floor at
+    # t >= -1e-12 hit it.
+    mesh = room_scene[0]
+    rng = np.random.default_rng(61)
+    ts = np.array([-4e-9, -3e-9, -2.5e-9, -1.5e-9, -1e-9, -5e-10, -1e-12, 0.0, 1e-12, 1e-9, 3e-9])
+    t = np.repeat(ts, 20)
+    q = rng.uniform([0.2, 0.2, 1.2], [1.8, 3.8, 2.8], (len(t), 3))  # clear of the box
+    c = 1e-6 + t * (1 - 2e-6)
+    p = np.column_stack([q[:, :2] + rng.uniform(-0.1, 0.1, (len(t), 2)), -q[:, 2] * c / (1 - c)])
+    for a, b, near in ((p, q, 0.0), (q, p, 1.0)):
+        o, d = _shrunk(a, b)
+        at_floor = -o[:, 2] / d[:, 2]
+        assert np.allclose(at_floor - near, t * (1 - 2 * near), rtol=1e-3, atol=1e-13)
+        fast, clear = against_brute(mesh, a, b)
+        # the walls and the ceiling are far; only the floor decides
+        assert (clear == ((at_floor < -2e-9) | (at_floor > 1 + 2e-9))).all()
+        assert clear.any() and not clear.all()
+        assert (fast[t >= 1e-12]).all() and not fast[t <= -1e-9].any()
+
+
+@pytest.mark.parametrize("make", [bare_shell, square_grid, shell_with_sliver])
+def test_meshes_whose_leaves_are_all_pruned_match_brute(make):
+    # the bare shell's and the flat floor's every leaf is pruned; the sliver
+    # keeps one. Segments inside the shell see each other unless they touch the
+    # sliver; no segment is clear of the flat floor's faces, as its box has no depth
+    mesh = make()
+    rng = np.random.default_rng(67)
+    lo, hi = bounds(mesh)
+    a, b = rng.uniform(lo - 0.5, hi + 0.5, (2, 500, 3))
+    inside = rng.uniform(lo, hi, (2, 300, 3))
+    if make is shell_with_sliver:  # from the sliver's own points, up and across
+        w = rng.dirichlet([1, 1, 1], 300)
+        inside[0] = w @ mesh.vertices[-3:]
+    fast, clear = against_brute(mesh, np.vstack([a, inside[0]]), np.vstack([b, inside[1]]))
+    if make is square_grid:
+        assert not clear.any() and 0 < fast.sum() < len(fast)
+    else:
+        assert clear[500:].all() and 0 < fast[:500].sum() < 500
+        assert not fast[500:].any()
