@@ -22,6 +22,20 @@ class EmptySampleError(ValueError):
     """Raised when sampling + filtering leaves no usable target surface."""
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """The length of each row of v, (n,): np.linalg.norm's bytes, except that a
+    row of finite components whose squares overflow is divided by its largest
+    |component| first, so its length stays finite when it is."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v, axis=1)
+    huge = np.flatnonzero(np.isinf(norm))
+    if huge.size:
+        huge = huge[np.isfinite(v[huge]).all(axis=1)]  # an infinite component stays inf
+        scale = np.abs(v[huge]).max(axis=1, keepdims=True)
+        norm[huge] = scale[:, 0] * np.linalg.norm(v[huge] / scale, axis=1)
+    return norm
+
+
 def _as_points(a, dtype=np.float64) -> np.ndarray:
     """`a` as an (n, 3) array of `dtype`; MeshError unless that is its shape
     and every entry is finite."""
@@ -66,13 +80,13 @@ class TriangleMesh:
 
     def areas(self) -> np.ndarray:
         a, b, c = self.corners()
-        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        return 0.5 * _norms(np.cross(b - a, c - a))
 
     def face_normals(self) -> np.ndarray:
         """Unit normals oriented by winding (right-hand rule)."""
         a, b, c = self.corners()
         n = np.cross(b - a, c - a)
-        return n / np.linalg.norm(n, axis=1, keepdims=True)
+        return n / _norms(n)[:, None]
 
 
 @dataclass(frozen=True)
@@ -254,15 +268,20 @@ def sample_surface(mesh: TriangleMesh, pitch: float, drop_downward: float = 0.0)
     a, b, c = mesh.corners()
     ab, ac = b - a, c - a
     cross = np.cross(ab, ac)  # the expressions of face_normals() and areas()
-    length = np.linalg.norm(cross, axis=1, keepdims=True)
+    length = _norms(cross)[:, None]
     normals = cross / length
     kept = np.flatnonzero(normals[:, 2] >= -tau)
     if not kept.size:
         raise EmptySampleError(
             "all faces were filtered out (surface faces downward?); no target surface left"
         )
-    longest = np.sqrt(np.max([(e * e).sum(axis=1) for e in (ab, c - b, ac)], axis=0))[kept]
-    m = np.maximum(1, np.ceil(longest / pitch)).astype(np.int64)
+    edges = (ab, c - b, ac)
+    with np.errstate(over="ignore"):
+        longest = np.sqrt(np.max([(e * e).sum(axis=1) for e in edges], axis=0))[kept]
+    huge = np.flatnonzero(np.isinf(longest))
+    if huge.size:  # squares past 1e308: scaled norms
+        longest[huge] = np.max([_norms(e[kept[huge]]) for e in edges], axis=0)
+    m =np.maximum(1, np.ceil(longest / pitch)).astype(np.int64)
     count = m * m  # samples per kept triangle
     tri = np.repeat(kept, count)  # the triangle of each sample
     levels, level_of = np.unique(m, return_inverse=True)

@@ -44,11 +44,14 @@ class Bvh:
     tri: np.ndarray  # (3, 3, slots, L) rows of a, b - a and c - a of each leaf slot
     leaf_boxes: np.ndarray  # (L, 2, 3, 1) the box of each leaf, leaf order
     mesh_hash: int  # content hash of the mesh the tree holds
+    # a view's (mixed leaves (L,) bool, the full tree's leaf boxes): a hit on a
+    # mixed leaf counts only inside its full-tree box; None on a built tree
+    gate: tuple[np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def _face_free(self) -> Bvh | None:
         """The tree without its face slots, for segments that `_clear_of_box_faces`
-        passes; None when no leaf would be pruned (nothing to gain).
+        passes; None when it has no face slot (nothing to gain).
 
         A face slot holds a triangle whose edges have exact zeros on one axis k,
         whose corner a_k lies on the root box's lo_k or hi_k face plane, and whose
@@ -69,27 +72,60 @@ class Bvh:
         DEFAULT_EPS_REL shrink alone puts t near -1e-6 at a face a segment starts on.
 
         The view shares `left`, `axis`, `start` and `count`. Face slots are zeroed
-        with `tri_order` -1, a leaf with no other slot gets a box at +inf on every
-        axis ((inf - o) x (1 / d) is +-inf, never NaN, so every slab test misses),
-        and every node box is the min / max of its kept leaves' original boxes, so
-        a box still holds every box below it and the walk's monotonicity holds.
-        A kept leaf keeps its original box, so a segment reaches the same kept
-        leaves as on the full tree and gets the same bit."""
+        with `tri_order` -1. A leaf with no other slot gets a box at +inf on every
+        axis ((inf - o) x (1 / d) is +-inf, never NaN, so every slab test misses).
+        A leaf with no face slot keeps its box. A mixed leaf, with both, gets the
+        box of its other slots' corners (a, a + e1, a + e2), each coordinate x
+        moved outward by 1e-9 max(1, |x|), and `gate` marks it. Every node box is
+        the min / max of its kept leaves' boxes, so a box still holds every box
+        below it and the walk's monotonicity holds: a segment reaches a kept leaf
+        exactly when it hits that leaf's box in the view.
+
+        The walk counts a Moller-Trumbore hit on a mixed leaf only when the
+        segment also hits the leaf's full-tree box. On the full tree a bit is
+        the OR, over leaves, of (leaf box hit) and (slot hit); for a clear
+        segment the face slots never hit, so the view gives the same OR provided
+        every segment that Moller-Trumbore accepts on a kept slot also hits the
+        padded box. An accepted hit has u, v and t within 1e-12 of the triangle
+        and of [0, 1], so in exact arithmetic its point lies within
+        1e-12 (|d| + |e1| + |e2|) of the triangle. The computed u, v and t err
+        by a few ulps times the kernel's condition number, about
+        |d| |e1| |e2| / |det| at in-scene magnitudes, and the slab test by a few
+        ulps of the root box's coordinates. Both stay far inside the pad while
+        that condition number is below about 1e6 and the scene spans less than
+        about 1e6. Past that (|det| just above the 1e-14 cut-off, or a sliver) a
+        computed hit can land anywhere, so that case rests on measurement: 0
+        differing bits over every pair of room-exact and office-refine seeds
+        0-10, and over five draws of random, grid and vertex-to-vertex segments
+        on the office and the rooms at leaf sizes 4, 2 and 1. Without the gate
+        those draws do differ: the padded box lets through a graze that the full
+        tree's rounded leaf-box test misses (ROADMAP item 1). With it the view
+        keeps the full tree's bit, right or wrong."""
         root = self.boxes[0, :, :, 0]  # the triangles' own bounds
         if np.abs(root).max() > 1e100:
             return None
         a, e1, e2 = self.tri  # (3, slots, L) each
         up, down = e1[[1, 2, 0]] * e2[[2, 0, 1]], e1[[2, 0, 1]] * e2[[1, 2, 0]]  # N = up - down
+        used = self.tri_order >= 0
         face = (
             (e1 == 0) & (e2 == 0)
             & ((a == root[0, :, None, None]) | (a == root[1, :, None, None]))
             & (np.abs(up - down) > 1e-3 * (np.abs(up) + np.abs(down)))
-        ).any(axis=0) & (self.tri_order >= 0)
-        kept = ((self.tri_order >= 0) & ~face).any(axis=0)
-        if kept.all():
+        ).any(axis=0) & used
+        if not face.any():
             return None
-        lo = np.where(kept[:, None], self.leaf_boxes[:, 0, :, 0], np.inf)
-        hi = np.where(kept[:, None], self.leaf_boxes[:, 1, :, 0], -np.inf)
+        inner = used & ~face
+        kept = inner.any(axis=0)
+        mixed = kept & face.any(axis=0)
+        leaf_boxes = np.where(kept[:, None, None, None], self.leaf_boxes, np.inf)
+        m = np.flatnonzero(mixed)
+        corners = np.stack([a, a + e1, a + e2])[..., m]  # (corner, axis, slot, mixed leaf)
+        lo = np.where(inner[:, m], corners, np.inf).min(axis=(0, 2))  # (axis, mixed leaf)
+        hi = np.where(inner[:, m], corners, -np.inf).max(axis=(0, 2))
+        leaf_boxes[m, 0, :, 0] = (lo - 1e-9 * np.maximum(1.0, np.abs(lo))).T
+        leaf_boxes[m, 1, :, 0] = (hi + 1e-9 * np.maximum(1.0, np.abs(hi))).T
+        lo = leaf_boxes[:, 0, :, 0]
+        hi = np.where(kept[:, None], leaf_boxes[:, 1, :, 0], -np.inf)
         # each node's [first, past last) leaf; reduceat needs a row past the last leaf
         ends = np.stack([self.start, self.start + self.count], axis=1).ravel()
         lo = np.minimum.reduceat(np.vstack([lo, lo[:1]]), ends)[::2]
@@ -100,7 +136,8 @@ class Bvh:
             boxes=np.stack([lo, hi], axis=1)[..., None],
             tri_order=np.where(face, -1, self.tri_order),
             tri=np.where(face, 0.0, self.tri),
-            leaf_boxes=np.where(kept[:, None, None, None], self.leaf_boxes, np.inf),
+            leaf_boxes=leaf_boxes,
+            gate=(mixed, self.leaf_boxes) if m.size else None,
         )
 
 
@@ -330,7 +367,14 @@ def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarra
 
     def triangles(leaf, seg):
         hit = _triangle_hits(ray[::2].take(seg, axis=2), tri.take(leaf, axis=3))
-        occluded[seg[np.logical_or.reduce(hit, axis=0)]] = True
+        hit = np.logical_or.reduce(hit, axis=0)
+        if bvh.gate is not None:  # a view: hits on mixed leaves must pass their full-tree box
+            mixed, full_boxes = bvh.gate
+            g = np.flatnonzero(hit & mixed[leaf])  # a leaf step's one leaf broadcasts
+            if g.size:
+                box = full_boxes[leaf if len(leaf) == 1 else leaf[g]]  # (1 or G, 2, 3, 1)
+                hit[g] = _slab_hits(box.transpose(3, 1, 2, 0), ray[:2].take(seg[g], axis=2))[0]
+        occluded[seg[hit]] = True
 
     queue, queued = [], 0  # collapsed steps' (leaf, segment) pairs, waiting, and their count
     stack = [(0, np.flatnonzero(_slab_hits(boxes[:1], ray[:2])[0]))]

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,3 +223,48 @@ def test_point_sets_reject_nonfinite_coordinates(bad):
 def test_sample_weights_must_be_finite_and_positive(bad):
     with pytest.raises(ValueError, match="weights"):
         make_sample_set([[0, 0, 0], [1, 0, 0]], weights=[1.0, bad])
+
+
+def criterion5_room():
+    return sc.gen_room(extent=(6, 4, 3), obstacles=[((2, 1.5, 0), (3.5, 2.5, 1.0))])
+
+
+def test_areas_normals_and_samples_stay_finite_past_1e77():
+    # the cross products of a room scaled by 1e99 reach 1e198, whose squares
+    # overflow: each such row's length is taken after dividing by its largest
+    # component. With warnings as errors, an overflow fails the test.
+    room = criterion5_room()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = sc.TriangleMesh(room.vertices * 1e99, room.triangles)
+        areas, normals = big.areas(), big.face_normals()
+        samples = sc.sample_surface(big, pitch=0.7e99)
+    assert np.isfinite(areas).all()
+    assert np.allclose(areas / 1e198, room.areas(), rtol=1e-14)
+    assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, rtol=1e-14)
+    assert (normals == room.face_normals()).all()
+    small = sc.sample_surface(room, pitch=0.7)
+    assert len(samples) == len(small) and (samples.normals == small.normals).all()
+    assert np.allclose(samples.weights / 1e198, small.weights, rtol=1e-14)
+
+
+@pytest.mark.parametrize("scene, digest", [
+    ("room", 0x4FB81BE102CB1B5F), ("office", 0x4B2A873785E50E87), ("terrain", 0xE364B1DD3442C52F),
+])
+def test_finite_lengths_keep_their_bytes(scene, digest):
+    # where no square overflows, areas, normals and samples are those of
+    # np.linalg.norm, and the sample sets hash as they always have
+    mesh = {
+        "room": criterion5_room,
+        "office": lambda: sc.gen_room(extent=(10.0, 8.0, 3.0), obstacles=[
+            ((1.5, 1.5, 0.0), (3.0, 2.5, 1.6)), ((6.0, 1.0, 0.0), (7.5, 2.0, 2.0)),
+            ((2.0, 5.0, 0.0), (3.5, 6.5, 1.5)), ((6.5, 5.0, 0.0), (8.0, 6.0, 2.2)),
+        ]),
+        "terrain": lambda: sc.gen_terrain(3, extent=(10.0, 10.0), cells=20, amplitude=1.2),
+    }[scene]()
+    a, b, c = mesh.corners()
+    cross = np.cross(b - a, c - a)
+    length = np.linalg.norm(cross, axis=1)
+    assert mesh.areas().tobytes() == (0.5 * length).tobytes()
+    assert mesh.face_normals().tobytes() == (cross / length[:, None]).tobytes()
+    assert sc.sample_surface(mesh, 1.0 if scene == "terrain" else 0.7).content_hash() == digest
