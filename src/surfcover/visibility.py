@@ -44,9 +44,6 @@ class Bvh:
     tri: np.ndarray  # (3, 3, slots, L) rows of a, b - a and c - a of each leaf slot
     leaf_boxes: np.ndarray  # (L, 2, 3, 1) the box of each leaf, leaf order
     mesh_hash: int  # content hash of the mesh the tree holds
-    # a view's (mixed leaves (L,) bool, the full tree's leaf boxes): a hit on a
-    # mixed leaf counts only inside its full-tree box; None on a built tree
-    gate: tuple[np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def _face_free(self) -> Bvh | None:
@@ -74,33 +71,37 @@ class Bvh:
         The view shares `left`, `axis`, `start` and `count`. Face slots are zeroed
         with `tri_order` -1. A leaf with no other slot gets a box at +inf on every
         axis ((inf - o) x (1 / d) is +-inf, never NaN, so every slab test misses).
-        A leaf with no face slot keeps its box. A mixed leaf, with both, gets the
-        box of its other slots' corners (a, a + e1, a + e2), each coordinate x
-        moved outward by 1e-9 max(1, |x|), and `gate` marks it. Every node box is
-        the min / max of its kept leaves' boxes, so a box still holds every box
-        below it and the walk's monotonicity holds: a segment reaches a kept leaf
-        exactly when it hits that leaf's box in the view.
+        Every other leaf gets the box of its kept slots' corners
+        (a, a + e1, a + e2), each coordinate x moved outward by 1e-9 max(1, |x|),
+        clipped to its full-tree box. So a leaf with no face slot keeps its box
+        bytes, +0.0 included, in a scene spanning less than about 1e6: its corners
+        lie within a few ulps of b and c, far inside the pad. Every node box is the
+        min / max of its kept leaves' boxes, so the walk's monotonicity holds: a
+        segment reaches a kept leaf exactly when it hits that leaf's box in the
+        view.
 
-        The walk counts a Moller-Trumbore hit on a mixed leaf only when the
-        segment also hits the leaf's full-tree box. On the full tree a bit is
-        the OR, over leaves, of (leaf box hit) and (slot hit); for a clear
-        segment the face slots never hit, so the view gives the same OR provided
-        every segment that Moller-Trumbore accepts on a kept slot also hits the
-        padded box. An accepted hit has u, v and t within 1e-12 of the triangle
+        The view's bits are the full tree's: the OR, over leaves, of (leaf box hit)
+        and (slot hit), as a clear segment never hits a face slot. A view leaf box
+        lies inside its full-tree box and the slab test is monotone in the box (NaN
+        case included), so a segment that reaches a kept leaf in the view reaches it
+        in the full tree, on slots of the same bytes. Conversely, a segment that
+        Moller-Trumbore accepts on a kept slot must hit the view's box where it hits
+        the full tree's. An accepted hit has u, v and t within 1e-12 of the triangle
         and of [0, 1], so in exact arithmetic its point lies within
-        1e-12 (|d| + |e1| + |e2|) of the triangle. The computed u, v and t err
-        by a few ulps times the kernel's condition number, about
-        |d| |e1| |e2| / |det| at in-scene magnitudes, and the slab test by a few
-        ulps of the root box's coordinates. Both stay far inside the pad while
-        that condition number is below about 1e6 and the scene spans less than
-        about 1e6. Past that (|det| just above the 1e-14 cut-off, or a sliver) a
-        computed hit can land anywhere, so that case rests on measurement: 0
-        differing bits over every pair of room-exact and office-refine seeds
-        0-10, and over five draws of random, grid and vertex-to-vertex segments
-        on the office and the rooms at leaf sizes 4, 2 and 1. Without the gate
-        those draws do differ: the padded box lets through a graze that the full
-        tree's rounded leaf-box test misses (ROADMAP item 1). With it the view
-        keeps the full tree's bit, right or wrong."""
+        1e-12 (|d| + |e1| + |e2|) of the triangle. The computed u, v and t err by a
+        few ulps times the kernel's condition number, about |d| |e1| |e2| / |det| at
+        in-scene magnitudes, and the slab test by a few ulps of the root box's
+        coordinates. On a padded face both stay far inside the pad while that
+        condition number is below about 1e6 and the scene spans less than about 1e6;
+        on a clipped face the axis's slab parameters are the full tree's own. Past
+        that (|det| just above the 1e-14 cut-off, or a sliver) a computed hit can
+        land anywhere, so that case rests on measurement: 0 differing bits over
+        every pair of room-exact and office-refine seeds 0-10, and over five draws
+        of random, grid and vertex-to-vertex segments on the office and the rooms at
+        leaf sizes 8, 4, 2 and 1. Without the clip those draws do differ: the padded
+        box lets through a graze that the full tree's rounded leaf-box test misses
+        (ROADMAP item 1). With it the view keeps the full tree's bit, right or
+        wrong."""
         root = self.boxes[0, :, :, 0]  # the triangles' own bounds
         if np.abs(root).max() > 1e100:
             return None
@@ -116,14 +117,14 @@ class Bvh:
             return None
         inner = used & ~face
         kept = inner.any(axis=0)
-        mixed = kept & face.any(axis=0)
-        leaf_boxes = np.where(kept[:, None, None, None], self.leaf_boxes, np.inf)
-        m = np.flatnonzero(mixed)
-        corners = np.stack([a, a + e1, a + e2])[..., m]  # (corner, axis, slot, mixed leaf)
-        lo = np.where(inner[:, m], corners, np.inf).min(axis=(0, 2))  # (axis, mixed leaf)
-        hi = np.where(inner[:, m], corners, -np.inf).max(axis=(0, 2))
-        leaf_boxes[m, 0, :, 0] = (lo - 1e-9 * np.maximum(1.0, np.abs(lo))).T
-        leaf_boxes[m, 1, :, 0] = (hi + 1e-9 * np.maximum(1.0, np.abs(hi))).T
+        k = np.flatnonzero(kept)  # only kept leaves are padded: an empty one's inf - inf is NaN
+        corners = np.stack([a, a + e1, a + e2])[..., k]  # (corner, axis, slot, kept leaf)
+        lo = np.where(inner[:, k], corners, np.inf).min(axis=(0, 2)).T  # (kept leaf, axis)
+        hi = np.where(inner[:, k], corners, -np.inf).max(axis=(0, 2)).T
+        full = self.leaf_boxes[k, :, :, 0]
+        leaf_boxes = np.full(self.leaf_boxes.shape, np.inf)
+        leaf_boxes[k, 0, :, 0] = np.maximum(lo - 1e-9 * np.maximum(1.0, np.abs(lo)), full[:, 0])
+        leaf_boxes[k, 1, :, 0] = np.minimum(hi + 1e-9 * np.maximum(1.0, np.abs(hi)), full[:, 1])
         lo = leaf_boxes[:, 0, :, 0]
         hi = np.where(kept[:, None], leaf_boxes[:, 1, :, 0], -np.inf)
         # each node's [first, past last) leaf; reduceat needs a row past the last leaf
@@ -137,7 +138,6 @@ class Bvh:
             tri_order=np.where(face, -1, self.tri_order),
             tri=np.where(face, 0.0, self.tri),
             leaf_boxes=leaf_boxes,
-            gate=(mixed, self.leaf_boxes) if m.size else None,
         )
 
 
@@ -367,14 +367,7 @@ def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarra
 
     def triangles(leaf, seg):
         hit = _triangle_hits(ray[::2].take(seg, axis=2), tri.take(leaf, axis=3))
-        hit = np.logical_or.reduce(hit, axis=0)
-        if bvh.gate is not None:  # a view: hits on mixed leaves must pass their full-tree box
-            mixed, full_boxes = bvh.gate
-            g = np.flatnonzero(hit & mixed[leaf])  # a leaf step's one leaf broadcasts
-            if g.size:
-                box = full_boxes[leaf if len(leaf) == 1 else leaf[g]]  # (1 or G, 2, 3, 1)
-                hit[g] = _slab_hits(box.transpose(3, 1, 2, 0), ray[:2].take(seg[g], axis=2))[0]
-        occluded[seg[hit]] = True
+        occluded[seg[np.logical_or.reduce(hit, axis=0)]] = True
 
     queue, queued = [], 0  # collapsed steps' (leaf, segment) pairs, waiting, and their count
     stack = [(0, np.flatnonzero(_slab_hits(boxes[:1], ray[:2])[0]))]

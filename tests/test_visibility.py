@@ -849,11 +849,12 @@ def test_no_segments_give_an_empty_answer():
         assert out.shape == (0,) and out.dtype == bool
 
 
-def face_free_reference(bvh, mesh):
+def face_free_reference(bvh, mesh, clip=True):
     """The face-slot view, slot by slot and node by node from the mesh's own
     corners: (face slots (slots, L), kept leaves (L,), mixed leaves (L,), leaf
-    boxes, node boxes). A mixed leaf's box is its other slots' corners, each
-    coordinate x moved outward by 1e-9 max(1, |x|)."""
+    boxes, node boxes). A kept leaf's box is its kept slots' corners, each
+    coordinate x moved outward by 1e-9 max(1, |x|), then clipped to the leaf's
+    full-tree box (unless `clip` is False)."""
     (lo, hi), corners = bvh.boxes[0, :, :, 0], mesh.corners()
     face = np.zeros(bvh.tri_order.shape, dtype=bool)
     for s, leaf in zip(*np.nonzero(bvh.tri_order >= 0)):
@@ -870,15 +871,13 @@ def face_free_reference(bvh, mesh):
     mixed = kept & face.any(axis=0)
     leaf_boxes = np.full(bvh.leaf_boxes.shape, np.inf)
     for leaf in np.flatnonzero(kept):
-        if not mixed[leaf]:
-            leaf_boxes[leaf] = bvh.leaf_boxes[leaf]
-            continue
         points = [corner[bvh.tri_order[s, leaf]] for s in np.flatnonzero(inner[:, leaf])
                   for corner in corners]
         for side, x in ((0, np.min(points, axis=0)), (1, np.max(points, axis=0))):
             for k in range(3):
                 pad = 1e-9 * max(1.0, abs(x[k]))
-                leaf_boxes[leaf, side, k, 0] = x[k] - pad if side == 0 else x[k] + pad
+                full = bvh.leaf_boxes[leaf, side, k, 0] if clip else (-np.inf, np.inf)[side]
+                leaf_boxes[leaf, side, k, 0] = max(x[k] - pad, full) if side == 0 else min(x[k] + pad, full)
     boxes = np.full(bvh.boxes.shape, np.inf)
     for node, (first, n) in enumerate(zip(bvh.start, bvh.count)):
         leaves = [leaf for leaf in range(first, first + n) if kept[leaf]]
@@ -909,6 +908,7 @@ FACE_FREE_MESHES = {
     "flat floor": (square_grid, LEAF_SIZE),
     "two-box room": (lambda: packet_scene(1, 1)[0], LEAF_SIZE),
     "office": (office_room, LEAF_SIZE),
+    "office, leaves of 8": (office_room, 8),
     "office, leaves of 1": (office_room, 1),
     "office, leaves of 2": (office_room, 2),
 }
@@ -931,20 +931,23 @@ def test_the_face_free_view_matches_a_slot_by_slot_derivation(scene, room_scene,
     assert (view.tri[:, :, face] == 0).all()
     assert view.tri[:, :, ~face].tobytes() == bvh.tri[:, :, ~face].tobytes()
     assert ((view.leaf_boxes == np.inf).all(axis=(1, 2, 3)) == ~kept).all()
+    # leaves with no face slot keep their box bytes; every kept box lies
+    # inside its full-tree box, so the view reaches a leaf only where the full tree does
     assert view.leaf_boxes[kept & ~mixed].tobytes() == bvh.leaf_boxes[kept & ~mixed].tobytes()
+    assert (view.leaf_boxes[kept, 0] >= bvh.leaf_boxes[kept, 0]).all()
+    assert (view.leaf_boxes[kept, 1] <= bvh.leaf_boxes[kept, 1]).all()
     assert view.leaf_boxes.tobytes() == leaf_boxes.tobytes()
     assert np.array_equal(view.boxes, boxes)
-    if mixed.any():  # their hits are gated by their boxes in the full tree
-        assert (view.gate[0] == mixed).all() and view.gate[1] is bvh.leaf_boxes
-    else:
-        assert view.gate is None
+    shrunk = kept & (view.leaf_boxes != bvh.leaf_boxes).any(axis=(1, 2, 3))
+    assert not (shrunk & ~mixed).any()
     for name in ("left", "axis", "start", "count"):
         assert getattr(view, name) is getattr(bvh, name)
     assert view.mesh_hash == bvh.mesh_hash
     if scene == "criterion-5 room":  # floor, walls, ceiling and the box's bottom
         assert (~kept).sum() == 4 and face.sum() == 14 and mixed.sum() == 2
+        assert shrunk.sum() == 1
     if scene == "office":  # every leaf keeps a slot; most hold shell and box triangles
-        assert kept.all() and mixed.sum() == 11
+        assert kept.all() and mixed.sum() == 11 and shrunk.sum() == 9
     if scene == "office, leaves of 1":  # a leaf holds a face slot or none
         assert not mixed.any() and (~kept).sum() == face.sum()
     if scene in ("bare shell", "flat floor"):
@@ -956,12 +959,13 @@ def test_the_face_free_view_matches_a_slot_by_slot_derivation(scene, room_scene,
 @pytest.mark.parametrize("make", [office_room, terrain_800])
 def test_only_a_tree_with_face_slots_has_a_view(make):
     # the office's shell shares its leaves with the boxes: its view prunes no
-    # leaf but shrinks the mixed ones; the terrain has no face slot
-    view = sc.build_bvh(make())._face_free
+    # leaf but shrinks some; the terrain has no face slot
+    bvh = sc.build_bvh(make())
+    view = bvh._face_free
     if make is terrain_800:
         assert view is None
     else:
-        assert np.isfinite(view.leaf_boxes).all() and view.gate[0].any()
+        assert np.isfinite(view.leaf_boxes).all() and (view.leaf_boxes != bvh.leaf_boxes).any()
 
 
 @pytest.mark.parametrize("far, pruned", [(1e99, 3), (2e100, None)])
@@ -979,14 +983,16 @@ def test_a_mesh_beyond_1e100_has_no_view(far, pruned, room_scene):
         assert (view.leaf_boxes == np.inf).all(axis=(1, 2, 3)).sum() == pruned
 
 
-@pytest.mark.parametrize("scene", ["criterion-5 room", "office", "office, leaves of 2",
+@pytest.mark.parametrize("scene", ["criterion-5 room", "two-box room", "office",
+                                   "office, leaves of 8", "office, leaves of 2",
                                    "office, leaves of 1"])
 def test_the_face_free_walk_keeps_the_full_trees_bits(scene, room_scene, monkeypatch):
     if scene == "criterion-5 room":
         mesh = room_scene[0]
     else:
-        monkeypatch.setattr(visibility, "LEAF_SIZE", int(scene[-1]) if "leaves" in scene else LEAF_SIZE)
-        mesh = office_room()
+        make, leaf_size = FACE_FREE_MESHES[scene]
+        monkeypatch.setattr(visibility, "LEAF_SIZE", leaf_size)
+        mesh = make()
     bvh = sc.build_bvh(mesh)
     o, d = hard_segments(mesh, np.random.default_rng(43), 3000)
     a, b = o, o + d
@@ -996,8 +1002,9 @@ def test_the_face_free_walk_keeps_the_full_trees_bits(scene, room_scene, monkeyp
     clear = visibility._clear_of_box_faces(bvh.boxes[0, :, :, 0], o, d)
     assert 1000 < clear.sum() < len(clear) - 1000
     view = bvh._face_free
-    # leaves of 1 hold a face slot or none: nothing is mixed, nothing gated
-    assert (view.gate is None) == scene.endswith("1")
+    # leaves of 1 hold a face slot or none: a leaf is pruned or kept whole
+    shrunk = np.isfinite(view.leaf_boxes) & (view.leaf_boxes != bvh.leaf_boxes)
+    assert shrunk.any() != scene.endswith("1")
     assert (_segments_occluded_impl(view, o[clear], d[clear]) == full[clear]).all()
     walks = []
     walk = visibility._segments_occluded_impl
@@ -1012,15 +1019,16 @@ def test_the_face_free_walk_keeps_the_full_trees_bits(scene, room_scene, monkeyp
     assert sorted(walks) == [(False, clear.sum()), (True, (~clear).sum())]
 
 
-def test_the_gate_keeps_the_full_trees_bit_where_a_padded_box_catches_a_graze(monkeypatch):
+def test_the_clipped_box_keeps_the_full_trees_bit_where_a_padded_box_catches_a_graze(monkeypatch):
     # office seed 0's wrong pairs (ROADMAP item 1): each segment crosses the
     # shared edge of triangles 29 and 32, Moller-Trumbore hits both, and the
     # slab test of their leaf box rounds to a miss, so the full tree calls
     # them visible and the oracle occluded. In leaves of 4 that leaf holds no
     # face slot and keeps its box; in leaves of 8 it also holds the box's
-    # bottom, so the view pads the box of its other slots, which the segments
-    # hit, and only the gate keeps the full tree's bit. A conservative slab
-    # test (item 1) flips both bits.
+    # bottom, a face slot, so the view pads the box of its other slots.
+    # The segments hit that padded box; clipped to the full-tree box it is
+    # that box again, which they miss, so the clip keeps the full tree's bit.
+    # A conservative slab test (item 1) flips both bits.
     monkeypatch.setattr(visibility, "LEAF_SIZE", 8)
     mesh = office_room()
     bvh = sc.build_bvh(mesh)
@@ -1029,12 +1037,17 @@ def test_the_gate_keeps_the_full_trees_bit_where_a_padded_box_catches_a_graze(mo
     cands = sc.generate_candidates_plane(2.8, (1.0, 1.0, 9.0, 7.0), 1.5).positions[[3] * 6 + [13] * 2]
     o, d = _shrunk(samples, cands)
     assert visibility._clear_of_box_faces(bvh.boxes[0, :, :, 0], o, d).all()
-    leaf = np.flatnonzero((bvh.tri_order == 29).any(axis=0))
-    assert (bvh.tri_order[:, leaf] == 32).any() and view.gate[0][leaf].all()
+    (leaf,) = np.flatnonzero((bvh.tri_order == 29).any(axis=0))
+    assert (bvh.tri_order[:, leaf] == 32).any()
+    assert ((view.tri_order[:, leaf] < 0) & (bvh.tri_order[:, leaf] >= 0)).any()  # mixed
+    *_, leaf_boxes, boxes = face_free_reference(bvh, mesh, clip=False)
+    assert view.leaf_boxes[leaf].tobytes() == bvh.leaf_boxes[leaf].tobytes()
+    assert (leaf_boxes[leaf] != bvh.leaf_boxes[leaf]).any()
+    padded = dataclasses.replace(view, leaf_boxes=leaf_boxes, boxes=boxes)
     assert all(segment_occluded_brute(mesh, p, q) for p, q in zip(samples, cands))
     assert not _segments_occluded_impl(bvh, o, d).any()
     assert not _segments_occluded_impl(view, o, d).any()
-    assert _segments_occluded_impl(dataclasses.replace(view, gate=None), o, d).all()
+    assert _segments_occluded_impl(padded, o, d).all()
     assert not segments_occluded(bvh, samples, cands).any()
 
 
