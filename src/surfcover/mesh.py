@@ -61,7 +61,11 @@ class TriangleMesh:
         if tris.size and (tris.min() < 0 or tris.max() >= len(self.vertices)):
             bad = np.where((tris < 0) | (tris >= len(self.vertices)))[0]
             raise MeshError(f"triangle indices out of range in faces {sorted(set(bad.tolist()))}")
-        areas = self.areas()
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            areas = self.areas()
+        bad = np.flatnonzero(~np.isfinite(areas))
+        if bad.size:
+            raise MeshError(f"faces whose area is not finite: {bad.tolist()}")
         bad = np.where(areas <= MIN_TRIANGLE_AREA)[0]
         if bad.size:
             raise MeshError(f"degenerate (zero-area) faces: {bad.tolist()}")
@@ -276,12 +280,8 @@ def sample_surface(mesh: TriangleMesh, pitch: float, drop_downward: float = 0.0)
             "all faces were filtered out (surface faces downward?); no target surface left"
         )
     edges = (ab, c - b, ac)
-    with np.errstate(over="ignore"):
-        longest = np.sqrt(np.max([(e * e).sum(axis=1) for e in edges], axis=0))[kept]
-    huge = np.flatnonzero(np.isinf(longest))
-    if huge.size:  # squares past 1e308: scaled norms
-        longest[huge] = np.max([_norms(e[kept[huge]]) for e in edges], axis=0)
-    m =np.maximum(1, np.ceil(longest / pitch)).astype(np.int64)
+    longest = np.max([_norms(e) for e in edges], axis=0)[kept]
+    m = np.maximum(1, np.ceil(longest / pitch)).astype(np.int64)
     count = m * m  # samples per kept triangle
     tri = np.repeat(kept, count)  # the triangle of each sample
     levels, level_of = np.unique(m, return_inverse=True)

@@ -249,7 +249,11 @@ def _segment_hits_triangles(o, d, a, b, c):
 
 
 def _shrunk(origins, targets):
-    """The segments' origins and directions, both ends pulled in by DEFAULT_EPS_REL x length."""
+    """The segments' origins and directions, both ends pulled in by DEFAULT_EPS_REL x length.
+    A finite length whose square overflows (past about 1.34e154) is refused too:
+    the kernels multiply lengths, and this guard keeps those products finite. Not
+    all: the oracle's qvec @ d, two lengths times an edge, overflows from about
+    8e153 for a segment that ends in a 6 m room from far off."""
     origins = np.asarray(origins, dtype=np.float64).reshape(len(origins), 3)
     targets = np.asarray(targets, dtype=np.float64).reshape(len(targets), 3)
     if not (np.isfinite(origins).all() and np.isfinite(targets).all()):
@@ -341,40 +345,35 @@ def _triangle_hits(r, tri):
 @np.errstate(divide="ignore", invalid="ignore")  # 1 / 0 and 0 * inf in the slab test
 def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Packet traversal of the BVH: each internal node slab-tests both children
-    against the segments that reached it, each leaf runs Moller-Trumbore on them.
-    The child on the targets' side of the node's split axis is walked first, for
-    the packet's majority: a segment occluded there is dropped before the other
-    child is walked. The order changes only the work; a bit is the OR, over the
-    leaves whose box the segment hits, of the Moller-Trumbore hits.
-
-    A subtree whose segments x leaves fit in `walk_shape`'s collapse budget is
-    finished in one step: its leaf boxes are slab-tested once, and
-    Moller-Trumbore runs only on the (leaf, segment) pairs that hit, gathered
-    with the pairs on the last axis (a pair-major gather runs twice as slow).
-    The bits are the walk's: a parent box is the min / max of its children's,
-    and IEEE subtraction and multiplication are monotone, so a segment that
-    hits a leaf box hits every box on the path to it (also where 0 * inf gives
-    NaN). Collapsed steps queue their pairs, and Moller-Trumbore runs once the
-    queue holds `walk_shape`'s batch or the walk ends; a segment is dropped
-    from later steps once a run finds it occluded, so waiting only adds work,
-    never a bit."""
+    against the segments that reached it, until a subtree's segments x leaves
+    fit in `walk_shape`'s collapse budget. The child on the targets' side of the
+    split axis is walked first, for the packet's majority: a segment occluded
+    there is dropped before the other child is walked, which changes only the
+    work; a bit is the OR, over the leaves whose box the segment hits, of the
+    Moller-Trumbore hits. A subtree that fits, a leaf being one of one leaf, is
+    one collapsed step: its leaf boxes are slab-tested once, and Moller-Trumbore
+    runs only on the (leaf, segment) pairs that hit, gathered with the pairs on
+    the last axis (a pair-major gather runs twice as slow). The bits are the
+    walk's: a parent box is the min / max of its children's, and IEEE
+    subtraction and multiplication are monotone, so a segment that hits a leaf
+    box hits every box on the path to it (also where 0 * inf gives NaN); a leaf
+    node's box has the bytes of its `leaf_boxes` row, in `Bvh._face_free`'s view
+    too. Steps queue their pairs, and Moller-Trumbore runs once the queue holds
+    `walk_shape`'s batch or the walk ends; a segment is dropped from later steps
+    once a run finds it occluded, so waiting only adds work, never a bit."""
     budget, batch = walk_shape(bvh)
     occluded = np.zeros(len(o), dtype=bool)
     boxes, tri, leaf_boxes = bvh.boxes, bvh.tri, bvh.leaf_boxes
     left, count, start = bvh.left.tolist(), bvh.count.tolist(), bvh.start.tolist()
     axis = bvh.axis.tolist()
     ray = np.ascontiguousarray(np.stack([o, 1.0 / d, d]).transpose(0, 2, 1))  # o, 1/d, d
-
-    def triangles(leaf, seg):
-        hit = _triangle_hits(ray[::2].take(seg, axis=2), tri.take(leaf, axis=3))
-        occluded[seg[np.logical_or.reduce(hit, axis=0)]] = True
-
     queue, queued = [], 0  # collapsed steps' (leaf, segment) pairs, waiting, and their count
     stack = [(0, np.flatnonzero(_slab_hits(boxes[:1], ray[:2])[0]))]
     while stack or queued:
         if queued >= batch or not stack:  # the queued pairs are due
             leaf, seg = queue[0] if len(queue) == 1 else map(np.concatenate, zip(*queue))
-            triangles(leaf, seg)
+            hit = _triangle_hits(ray[::2].take(seg, axis=2), tri.take(leaf, axis=3))
+            occluded[seg[np.logical_or.reduce(hit, axis=0)]] = True
             queue, queued = [], 0
             continue
         node, act = stack.pop()
@@ -390,10 +389,7 @@ def _segments_occluded_impl(bvh: Bvh, o: np.ndarray, d: np.ndarray) -> np.ndarra
             else:
                 stack += [(lc + 1, act[hit[1]]), (lc, act[hit[0]])]
             continue
-        if lc < 0:  # a leaf: its own box was tested by its parent
-            triangles([lo], act)
-            continue
-        # a collapsed subtree: queue the (leaf, segment) pairs whose leaf box hits
+        # a collapsed step, a leaf's too: queue the (leaf, segment) pairs whose leaf box hits
         leaf, seg = np.nonzero(_slab_hits(leaf_boxes[lo : lo + n], ray[:2].take(act, axis=2)))
         queue.append((leaf + lo, act[seg]))
         queued += seg.size
@@ -436,8 +432,8 @@ class VisibilityMatrix:
 def walk_shape(bvh: Bvh) -> tuple[int, int]:
     """(pairs per packet, Moller-Trumbore batch) of the walk on `bvh`: the
     packet is also the collapse budget, and a batch of 1 runs each collapsed
-    step at once. A tree of more than DEEP_TREE_LEAVES leaves walks packets of
-    2 x PACKET_SEGMENTS and batches PACKET_SEGMENTS // 2 pairs: its many
+    step, a leaf's too, at once. A tree of more than DEEP_TREE_LEAVES leaves
+    walks packets of 2 x PACKET_SEGMENTS and batches PACKET_SEGMENTS // 2 pairs: its many
     collapsed steps hold a few hundred pairs each, so fewer, fuller steps save
     the per-step overhead. A smaller tree's few steps do not earn it back."""
     if len(bvh.leaf_boxes) > DEEP_TREE_LEAVES:

@@ -907,6 +907,21 @@ def test_a_coordinate_whose_segments_overflow_exits_2(workdir, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_a_mesh_whose_areas_overflow_exits_2(tmp_path, capsys):
+    # the room scaled by 1e160 has finite coordinates, but its faces' cross
+    # products overflow, so no TriangleMesh of it exists to save_obj
+    room = sc.gen_room()
+    huge = tmp_path / "huge.obj"
+    huge.write_text("".join(
+        f"v {x * 1e160:.17g} {y * 1e160:.17g} {z * 1e160:.17g}\n" for x, y, z in room.vertices
+    ) + "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in room.triangles))
+    out = tmp_path / "s.json"
+    assert main(["sample", "--mesh", str(huge), "--pitch", "1e160", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {huge}: faces whose area is not finite: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("swapped", ["candidates", "samples"])
 def test_a_set_file_of_the_other_kind_exits_2(workdir, tmp_path, capsys, swapped):
     d, mesh, samples, cands, vis = workdir

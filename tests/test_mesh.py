@@ -248,6 +248,21 @@ def test_areas_normals_and_samples_stay_finite_past_1e77():
     assert np.allclose(samples.weights / 1e198, small.weights, rtol=1e-14)
 
 
+@pytest.mark.parametrize("scale, ok", [(1e150, True), (1e154, False), (1e160, False)])
+def test_faces_whose_cross_product_overflows_are_refused(scale, ok):
+    # the room's edges reach 6 x scale: at 1e150 the cross products stay
+    # finite (their squares do not, which areas() scales past); at 1e154 and
+    # 1e160 they overflow, and the mesh names its faces instead of warning
+    room = criterion5_room()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if ok:
+            assert np.isfinite(sc.TriangleMesh(room.vertices * scale, room.triangles).areas()).all()
+            return
+        with pytest.raises(MeshError, match=r"^faces whose area is not finite: \[0, 1, "):
+            sc.TriangleMesh(room.vertices * scale, room.triangles)
+
+
 @pytest.mark.parametrize("scene, digest", [
     ("room", 0x4FB81BE102CB1B5F), ("office", 0x4B2A873785E50E87), ("terrain", 0xE364B1DD3442C52F),
 ])

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -449,23 +450,23 @@ def test_collapsed_subtrees_give_the_per_leaf_walks_bits(make, monkeypatch):
     monkeypatch.setattr(visibility, "_slab_hits", slab)
     monkeypatch.setattr(visibility, "_triangle_hits", triangles)
     assert (_segments_occluded_impl(bvh, o, d) == ref).all()
-    # Moller-Trumbore only runs where a leaf box was hit: a leaf step passes its
-    # one leaf, whose box its parent tested, for all of its segments; a
-    # collapsed step passes exactly the (leaf, segment) pairs whose leaf-box
-    # slab test hit, one leaf per pair
+    # Moller-Trumbore only runs where a leaf box was hit: in these small trees'
+    # batches of 1, every run directly follows a collapsed step's slab test of
+    # leaf boxes (a leaf's own is a step of one leaf) and passes exactly the
+    # (leaf, segment) pairs whose test hit, one leaf per pair
     leaf_of = {bvh.tri[..., j].tobytes(): j for j in range(bvh.tri.shape[3])}
     tested = kept = 0
     for (kind, box, box_hit), (step, r, tri) in zip(calls, calls[1:]):
         if step != "triangles":
             continue
+        assert kind == "slab" and np.shares_memory(box, bvh.leaf_boxes)
         leaves = [leaf_of[tri[..., k].tobytes()] for k in range(tri.shape[3])]
         # the pairs' own leaf boxes, (1, 2, 3, K) against their K segments
         pair_boxes = bvh.leaf_boxes[leaves][..., 0].transpose(1, 2, 0)[None]
         with np.errstate(divide="ignore", invalid="ignore"):
             assert _slab_hits(pair_boxes, np.stack([r[0], 1.0 / r[1]])).all()
-        if kind == "slab" and np.shares_memory(box, bvh.leaf_boxes):  # a collapsed step
-            assert len(leaves) == r.shape[2] == box_hit.sum()
-            tested, kept = tested + box_hit.size, kept + len(leaves)
+        assert len(leaves) == r.shape[2] == box_hit.sum()
+        tested, kept = tested + box_hit.size, kept + len(leaves)
     assert 0 < kept < tested
 
 
@@ -524,12 +525,13 @@ def test_both_packet_sizes_with_and_without_batches_give_the_per_leaf_walks_bits
         return _triangle_hits(r, tri)
 
     monkeypatch.setattr(visibility, "_triangle_hits", counted)
-    for budget in (PACKET_SEGMENTS, 2 * PACKET_SEGMENTS):
+    # budget 0 splits every node down to its leaves, whose steps are then queued
+    for budget in (0, PACKET_SEGMENTS, 2 * PACKET_SEGMENTS):
         for batch in (1, PACKET_SEGMENTS // 2):
             runs.append(0)
             monkeypatch.setattr(visibility, "walk_shape", lambda bvh: (budget, batch))
             assert (_segments_occluded_impl(bvh, o, d) == ref).all()
-    assert runs[1] < runs[0] and runs[3] < runs[2]  # the batches ran fewer, larger steps
+    assert all(runs[i + 1] < runs[i] for i in (0, 2, 4))  # the batches ran fewer, larger steps
 
 
 def test_the_deep_tree_walk_keeps_the_visibility_matrix(monkeypatch):
@@ -622,10 +624,11 @@ def test_unused_leaf_slots_never_hit(scene, packet, room_scene, monkeypatch):
     o, d = _shrunk(a, b)
     hit = _triangle_hits(np.stack([o.T, d.T]), bvh.tri[..., None])  # (slots, L, segments)
     assert not hit[unused].any() and hit.any()
-    leaves_per_call = []
+    pairs_per_call, one_leaf = [], []
 
     def recorded(r, tri):
-        leaves_per_call.append(tri.shape[3])
+        pairs_per_call.append(tri.shape[3])
+        one_leaf.append((tri == tri[..., :1]).all())  # every pair column is the same leaf's slots
         return _triangle_hits(r, tri)
 
     monkeypatch.setattr(visibility, "PACKET_SEGMENTS", packet)
@@ -634,10 +637,10 @@ def test_unused_leaf_slots_never_hit(scene, packet, room_scene, monkeypatch):
     brute = np.array([segment_occluded_brute(mesh, p, q) for p, q in zip(a, b)])
     assert (fast == brute).all()
     assert 0 < brute[:300].sum() < 300
-    if packet == 0 or bvh.left[0] < 0:  # leaf steps only, each on its own leaf
-        assert set(leaves_per_call) == {1}
+    if packet == 0 or bvh.left[0] < 0:  # each leaf's step on its own, run at once
+        assert all(one_leaf)
     else:  # one collapsed step at the root
-        assert len(leaves_per_call) == 1 and leaves_per_call[0] > 1
+        assert len(pairs_per_call) == 1 and pairs_per_call[0] > 1 and not one_leaf[0]
 
 
 @pytest.mark.parametrize("make", [terrain_800, office_room, floor_and_ceiling])
@@ -833,6 +836,31 @@ def test_non_finite_endpoints_raise(bad):
         segments_occluded(bvh, [(0, 0, 0), (0, bad, 0)], [(0, 0, 2), (0, 0, 2)])
     with pytest.raises(ValueError, match="finite"):
         segment_occluded(bvh, (0, 0, 0), (bad, 0, 2))
+
+
+def test_segments_up_to_the_squared_length_bound_are_walked(room_scene):
+    # the kernels multiply lengths, so _shrunk refuses a segment whose squared
+    # length overflows, past about 1.34e154. At 1.3e154, segments from inside
+    # the criterion-5 room outward and axis-aligned ones through or past it
+    # are walked with no overflow and match the oracle
+    mesh, bvh = room_scene[:2]
+    rng = np.random.default_rng(23)
+    length = 1.3e154
+    a = rng.uniform([0, 0, 0], [6, 4, 3], (1000, 3))
+    u = rng.normal(size=(1000, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    mid = rng.uniform([-1, -1, -1], [7, 5, 4], (1000, 3))
+    half = np.zeros((1000, 3))
+    half[np.arange(1000), rng.integers(0, 3, 1000)] = length / 2 * rng.choice([-1, 1], 1000)
+    p, q = np.vstack([a, mid - half]), np.vstack([a + length * u, mid + half])
+    assert np.allclose(np.linalg.norm(q - p, axis=1), length, rtol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        occluded = segments_occluded(bvh, p, q)
+        brute = np.array([segment_occluded_brute(mesh, x, y) for x, y in zip(p, q)])
+    assert (occluded == brute).all() and 0 < occluded.sum() < len(p)
+    with pytest.raises(ValueError, match="^segment lengths must be finite$"):
+        segments_occluded(bvh, [[1.0, 1.0, 1.0]], [[1.0 + 1.4e154, 1.0, 1.0]])
 
 
 def test_coincident_endpoints_raise():
